@@ -1,4 +1,3 @@
-module Merge_iter = Wip_sstable.Merge_iter
 module Sync = Wip_util.Sync
 module Io_stats = Wip_storage.Io_stats
 module Intf = Wip_kv.Store_intf
@@ -563,40 +562,39 @@ module Make (S : Wip_kv.Store_intf.S) = struct
       (fun acc sh -> acc + Sync.with_lock sh.lock (fun () -> sh.inflight))
       0 t.shards
 
-  let scan t ~lo ~hi ?limit () =
+  (* Shards overlapping [lo, hi), visited lazily in ascending order: shard
+     [i + 1] is locked and asked only when the rows so far fall short of
+     [limit], and only for the remainder. Shard ranges are disjoint, so the
+     per-shard lists concatenate in key order. With [~hold] every lock taken
+     stays held until the scan ends; ranks ascend, so this is the canonical
+     cross-shard order, and the rows form one consistent cut: each visited
+     shard is frozen from its read until the last lock is taken, so the
+     result is the state of all of them at that last acquisition. *)
+  let visit_shards t ~lo ~hi ~limit ~hold read =
+    let n = Array.length t.shards in
+    let rec visit i limit =
+      if i >= n || limit = Some 0 || String.compare t.shards.(i).lo hi >= 0
+      then []
+      else begin
+        let sh = t.shards.(i) in
+        let rest rows =
+          visit (i + 1) (Option.map (fun l -> l - List.length rows) limit)
+        in
+        if hold then
+          Sync.with_lock sh.lock (fun () ->
+              let rows = read i sh.store limit in
+              rows @ rest rows)
+        else
+          let rows = Sync.with_lock sh.lock (fun () -> read i sh.store limit) in
+          rows @ rest rows
+      end
+    in
     if String.compare lo hi >= 0 then []
-    else begin
-      let n = Array.length t.shards in
-      let i0 = shard_index t lo in
-      let rec last j =
-        if j + 1 < n && String.compare t.shards.(j + 1).lo hi < 0 then
-          last (j + 1)
-        else j
-      in
-      let i1 = last i0 in
-      (* Collect every shard's result while holding all overlapping locks:
-         a consistent cut — the merged result corresponds to one point in
-         time across shards, as if taken under a global snapshot. *)
-      let per_shard =
-        lock_range t i0 i1 (fun () ->
-            List.init (i1 - i0 + 1) (fun k ->
-                S.scan t.shards.(i0 + k).store ~lo ~hi ?limit ()))
-      in
-      (* Shard ranges are disjoint, so this is morally a concatenation, but
-         routing the streams through the k-way merge keeps the result sorted
-         even if a caller hands in shards whose ranges overlap the engine's
-         own boundaries imperfectly. The results are plain user-key pairs, so
-         merge on those directly — no internal-key wrapping. *)
-      let seqs = List.map List.to_seq per_shard in
-      (* lint: allow R7 — disjoint shard streams, no cross-shard view *)
-      let merged = Merge_iter.merge_by ~compare:String.compare seqs in
-      let merged =
-        match limit with
-        | Some l -> Seq.take (max 0 l) merged
-        | None -> merged
-      in
-      List.of_seq merged
-    end
+    else visit (shard_index t lo) (Option.map (max 0) limit)
+
+  let scan t ~lo ~hi ?limit () =
+    visit_shards t ~lo ~hi ~limit ~hold:true (fun _ s limit ->
+        S.scan s ~lo ~hi ?limit ())
 
   (* ---------------------------------------------------------------- *)
   (* Pinned snapshots. One engine snapshot per shard, all acquired while
@@ -629,35 +627,10 @@ module Make (S : Wip_kv.Store_intf.S) = struct
     let i = shard_index t key in
     locked_shard t.shards.(i) (fun s -> S.get_at s key ~snapshot:snap.(i))
 
+  (* Unlike [scan], each shard's lock is dropped before the next is taken:
+     the pinned per-shard snapshots already fix what each shard may return,
+     so holding locks across the collection would buy nothing. *)
   let scan_at t ~lo ~hi ?limit ~snapshot:(snap : snapshot) () =
-    if String.compare lo hi >= 0 then []
-    else begin
-      let n = Array.length t.shards in
-      let i0 = shard_index t lo in
-      let rec last j =
-        if j + 1 < n && String.compare t.shards.(j + 1).lo hi < 0 then
-          last (j + 1)
-        else j
-      in
-      let i1 = last i0 in
-      (* Unlike the unsnapshotted [scan], shards are visited one at a
-         time: the pinned per-shard snapshots already fix what each shard
-         may return, so holding all the locks across the collection would
-         buy nothing. *)
-      let per_shard =
-        List.init (i1 - i0 + 1) (fun k ->
-            let i = i0 + k in
-            locked_shard t.shards.(i) (fun s ->
-                S.scan_at s ~lo ~hi ?limit ~snapshot:snap.(i) ()))
-      in
-      let seqs = List.map List.to_seq per_shard in
-      (* lint: allow R7 — disjoint shard streams, no cross-shard view *)
-      let merged = Merge_iter.merge_by ~compare:String.compare seqs in
-      let merged =
-        match limit with
-        | Some l -> Seq.take (max 0 l) merged
-        | None -> merged
-      in
-      List.of_seq merged
-    end
+    visit_shards t ~lo ~hi ~limit ~hold:false (fun i s limit ->
+        S.scan_at s ~lo ~hi ?limit ~snapshot:snap.(i) ())
 end

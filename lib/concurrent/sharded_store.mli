@@ -11,12 +11,12 @@
     Concurrency model:
 
     - every operation on one shard holds that shard's mutex;
-    - cross-shard [write_batch] and [scan] take the locks of all involved
+    - cross-shard [write_batch] and [scan] take the locks of the involved
       shards in ascending shard order — the single canonical order used
       everywhere, so no lock cycle can form. A multi-shard batch is atomic
       per shard and isolated across shards (all locks are held while it
-      applies); a multi-shard scan is collected entirely under the locks,
-      yielding a consistent cut merged through {!Wip_sstable.Merge_iter};
+      applies); a scan takes the next shard's lock only while its limit is
+      unmet and holds every lock it took until it ends, a consistent cut;
     - a pool of [pool_threads] worker domains (default 7, §IV-A) pulls
       per-shard maintenance work, each cycle serving the unclaimed shard
       with the largest {!Wip_kv.Store_intf.S.maintenance_pending} estimate
@@ -115,8 +115,10 @@ module Make (S : Wip_kv.Store_intf.S) : sig
 
   val scan :
     t -> lo:string -> hi:string -> ?limit:int -> unit -> (string * string) list
-  (** Merged across all shards overlapping [\[lo, hi)]; collected under all
-      of their locks, so the result is a consistent multi-shard cut. A
+  (** Rows of [\[lo, hi)] in key order, at most [limit] of them. Shards are
+      visited in ascending order and a shard is locked and read only while
+      the rows so far fall short of [limit]; every lock taken stays held
+      until the scan ends, so the result is a consistent multi-shard cut. A
       negative [limit] is clamped to 0. *)
 
   type snapshot
@@ -146,9 +148,9 @@ module Make (S : Wip_kv.Store_intf.S) : sig
     snapshot:snapshot ->
     unit ->
     (string * string) list
-  (** {!scan} as of the snapshot's cut. Shards are visited one at a time
-      (no cross-shard lock hold): the pinned per-shard snapshots alone make
-      the merged result a consistent cut, however long the scan takes and
+  (** {!scan} as of the snapshot's cut. Shards are visited lazily and one
+      at a time (no cross-shard lock hold): the pinned per-shard snapshots
+      alone make the result a consistent cut, however long the scan takes and
       whatever writes or compactions land meanwhile. *)
 
   val flush : t -> unit

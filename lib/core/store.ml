@@ -166,18 +166,18 @@ let create ?env:env_opt cfg =
 (* ------------------------------------------------------------------ *)
 (* Bucket directory *)
 
-(* Rightmost bucket whose lower bound <= key. *)
-let bucket_for t key =
-  let arr = t.buckets in
-  let n = Array.length arr in
+(* Index of the rightmost bucket in [arr] whose lower bound <= key. *)
+let bucket_index arr key =
   let rec bs lo hi =
     (* invariant: arr.(lo).lo <= key; arr.(hi).lo > key or hi = n *)
-    if hi - lo <= 1 then arr.(lo)
+    if hi - lo <= 1 then lo
     else
       let mid = (lo + hi) / 2 in
       if String.compare arr.(mid).lo key <= 0 then bs mid hi else bs lo mid
   in
-  bs 0 n
+  bs 0 (Array.length arr)
+
+let bucket_for t key = t.buckets.(bucket_index t.buckets key)
 
 (* ------------------------------------------------------------------ *)
 (* Table plumbing *)
@@ -1095,21 +1095,14 @@ let newest_seq t key =
    concurrent compaction then stay readable (on every Env, POSIX included)
    until the snapshot releases. *)
 let visible_seq t ~lo ~hi ~snapshot =
-  let relevant =
-    (* The last bucket's upper bound is unbounded — no sentinel string, so
-       arbitrarily large user keys (e.g. 17+ bytes of 0xff) stay in scope. *)
-    Array.to_list t.buckets
-    |> List.filteri (fun i b ->
-           let b_hi =
-             if i + 1 < Array.length t.buckets then
-               Some t.buckets.(i + 1).lo
-             else None
-           in
-           String.compare b.lo hi < 0
-           &&
-           match b_hi with
-           | None -> true
-           | Some h -> String.compare h lo > 0)
+  (* The buckets from [lo]'s owner up to [hi], reached lazily. The last
+     bucket's upper bound is unbounded — no sentinel string, so arbitrarily
+     large user keys (e.g. 17+ bytes of 0xff) stay in scope. *)
+  let buckets = t.buckets in
+  let rec relevant i () =
+    if i >= Array.length buckets || String.compare buckets.(i).lo hi >= 0
+    then Seq.Nil
+    else Seq.Cons (buckets.(i), relevant (i + 1))
   in
   (* Encoded range bounds, computed once: tables seek [from] directly and the
      take-while compares [hi_enc] against each entry's escaped-user prefix. *)
@@ -1163,7 +1156,7 @@ let visible_seq t ~lo ~hi ~snapshot =
        (mem_entries :: table_seqs))
       ()
   in
-  let merged = Seq.concat (List.to_seq (List.map bucket_seq relevant)) in
+  let merged = Seq.flat_map bucket_seq (relevant (bucket_index buckets lo)) in
   (* Entries newer than the snapshot are skipped (§III-D sequence-number
      rule); among the rest the first (newest) version per user key decides,
      and tombstones are dropped. Only emitted keys get unescaped. *)

@@ -49,8 +49,8 @@ module Builder = struct
     Buffer.contents t.buf
 end
 
-let restart_info raw =
-  let n = String.length raw in
+let restart_info ?len raw =
+  let n = Option.value len ~default:(String.length raw) in
   let count = Coding.get_fixed32 raw (n - 4) in
   let restart_base = n - 4 - (4 * count) in
   (count, restart_base)
@@ -133,8 +133,8 @@ module Cursor = struct
     mutable valid : bool;
   }
 
-  let create raw =
-    let restart_count, restart_base = restart_info raw in
+  let create ?len raw =
+    let restart_count, restart_base = restart_info ?len raw in
     if restart_base < 0 then invalid_arg "Block.Cursor: bad restart array";
     {
       raw;

@@ -34,8 +34,10 @@ module Cursor : sig
       and seeking allocate nothing, and {!key}/{!value} materialize strings
       only when called. *)
 
-  val create : string -> t
-  (** Positioned before the first entry; call {!next} or {!seek}. *)
+  val create : ?len:int -> string -> t
+  (** Positioned before the first entry; call {!next} or {!seek}. The block
+      is the first [len] bytes of the string (default: all of it), so a
+      sealed block is read in place. *)
 
   val valid : t -> bool
 

@@ -37,7 +37,10 @@ type t = {
   run_count : int;
 }
 
-let seg_size = 256
+(* Small segments bound the skip a positioned walk pays before its first
+   entry (every skipped entry is materialised and may fetch a block); the
+   price is one anchor key per segment. *)
+let seg_size = 32
 
 let max_runs = 255
 

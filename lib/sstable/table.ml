@@ -309,38 +309,44 @@ module Reader = struct
     Io_stats.record_bloom_probe (stats t) ~negative:(not maybe);
     maybe
 
-  (* Data blocks are addressed by index ordinal. The checksum is verified on
-     the first device fetch of each block and skipped on repeats — the cost
-     of a CRC pass over every block on every cold scan would otherwise
-     dominate the scan itself. *)
-  let read_block t ~category ?(fill_cache = true) slot =
+  (* Data blocks are addressed by index ordinal and read through a cursor
+     over the sealed bytes in place, so the device read is the only copy;
+     the cache holds sealed blocks too, charged their payload bytes. The
+     checksum is verified on the first device fetch of each block and
+     skipped on repeats — the cost of a CRC pass over every block on every
+     cold scan would otherwise dominate the scan itself. *)
+  let block_cursor t ~category ?(fill_cache = true) slot =
     let handle : Table_format.block_handle = snd t.index.(slot) in
     Io_stats.record_block_fetch (stats t);
+    guard ~file:t.meta.name @@ fun () ->
     let fetch () =
-      guard ~file:t.meta.name @@ fun () ->
       let sealed = Env.read t.reader ~category ~pos:handle.offset ~len:handle.size in
-      if Bytes.get t.verified slot = '\001' then Table_format.strip_seal sealed
-      else begin
-        let raw = Table_format.unseal_block sealed in
-        Bytes.set t.verified slot '\001';
-        raw
-      end
+      if Bytes.get t.verified slot = '\000' then begin
+        Table_format.verify_seal sealed;
+        Bytes.set t.verified slot '\001'
+      end;
+      sealed
     in
-    match t.cache with
-    | None -> fetch ()
-    | Some cache ->
-      let find =
-        if fill_cache then Wip_storage.Block_cache.find
-        else Wip_storage.Block_cache.find_no_fill
-      in
-      (match find cache ~file:t.meta.name ~offset:handle.offset with
-      | Some raw -> raw
-      | None ->
-        let raw = fetch () in
-        if fill_cache then
-          Wip_storage.Block_cache.add cache ~file:t.meta.name
-            ~offset:handle.offset raw;
-        raw)
+    let sealed =
+      match t.cache with
+      | None -> fetch ()
+      | Some cache -> (
+        let find =
+          if fill_cache then Wip_storage.Block_cache.find
+          else Wip_storage.Block_cache.find_no_fill
+        in
+        match find cache ~file:t.meta.name ~offset:handle.offset with
+        | Some sealed -> sealed
+        | None ->
+          let sealed = fetch () in
+          if fill_cache then
+            Wip_storage.Block_cache.add cache ~file:t.meta.name
+              ~offset:handle.offset
+              ~charge:(Table_format.payload_length sealed)
+              sealed;
+          sealed)
+    in
+    Block.Cursor.create ~len:(Table_format.payload_length sealed) sealed
 
   (* First index slot whose last-key is >= target; encoded keys compare raw. *)
   let index_slot t target =
@@ -379,9 +385,8 @@ module Reader = struct
     | Some (blk, ord) ->
       if blk >= Array.length t.index then false_hit ()
       else begin
-        let raw = read_block t ~category blk in
+        let cur = block_cursor t ~category blk in
         guard ~file:t.meta.name @@ fun () ->
-        let cur = Block.Cursor.create raw in
         if not (Block.Cursor.seek_ordinal cur ord) then false_hit ()
         else if
           not
@@ -405,8 +410,7 @@ module Reader = struct
               let blk = blk + 1 in
               if blk >= Array.length t.index then miss ()
               else begin
-                let raw = read_block t ~category blk in
-                let cur = Block.Cursor.create raw in
+                let cur = block_cursor t ~category blk in
                 if Block.Cursor.next cur then advance cur blk else miss ()
               end
             end
@@ -433,9 +437,8 @@ module Reader = struct
         match index_slot t target with
         | None -> miss ()
         | Some slot ->
-          let raw = read_block t ~category slot in
+          let cur = block_cursor t ~category slot in
           guard ~file:t.meta.name @@ fun () ->
-          let cur = Block.Cursor.create raw in
           if not (Block.Cursor.seek cur target) then miss ()
           else begin
             let buf = Block.Cursor.key_bytes cur in
@@ -465,9 +468,8 @@ module Reader = struct
     let rec from_slot slot seek_target () =
       if slot >= n then Seq.Nil
       else begin
-        let raw = read_block t ~category ~fill_cache slot in
+        let cur = block_cursor t ~category ~fill_cache slot in
         guard ~file:t.meta.name @@ fun () ->
-        let cur = Block.Cursor.create raw in
         let positioned =
           match seek_target with
           | Some target -> Block.Cursor.seek cur target

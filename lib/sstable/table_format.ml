@@ -93,16 +93,17 @@ let seal_block raw =
   Coding.put_fixed32 buf crc;
   Buffer.contents buf
 
-let unseal_block sealed =
+let payload_length sealed =
   let n = String.length sealed in
-  if n < 4 then invalid_arg "Table_format.unseal_block: too short";
-  let stored = Coding.get_fixed32 sealed (n - 4) in
-  let raw = String.sub sealed 0 (n - 4) in
-  if Crc32c.masked (Crc32c.string raw) <> stored then
-    invalid_arg "Table_format.unseal_block: checksum mismatch";
-  raw
+  if n < 4 then invalid_arg "Table_format: sealed block too short";
+  n - 4
 
-let strip_seal sealed =
-  let n = String.length sealed in
-  if n < 4 then invalid_arg "Table_format.strip_seal: too short";
-  String.sub sealed 0 (n - 4)
+let verify_seal sealed =
+  let n = payload_length sealed in
+  if Crc32c.masked (Crc32c.substring sealed ~pos:0 ~len:n)
+     <> Coding.get_fixed32 sealed n
+  then invalid_arg "Table_format: checksum mismatch"
+
+let unseal_block sealed =
+  verify_seal sealed;
+  String.sub sealed 0 (payload_length sealed)

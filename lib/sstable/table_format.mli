@@ -55,6 +55,11 @@ val unseal_block : string -> string
 (** Verify and strip the trailer.
     @raise Invalid_argument on checksum mismatch. *)
 
-val strip_seal : string -> string
-(** Strip the trailer without verifying it — for blocks whose checksum an
-    earlier read of the same file already verified. *)
+val payload_length : string -> int
+(** Length of a sealed block's payload, which a reader can use in place
+    (see {!Block.Cursor.create}) instead of copying it out.
+    @raise Invalid_argument when too short to hold the trailer. *)
+
+val verify_seal : string -> unit
+(** Check the trailer without stripping it.
+    @raise Invalid_argument on checksum mismatch. *)

@@ -9,6 +9,7 @@ type key = { file : string; offset : int }
 type node = {
   key : key;
   value : string;
+  charge : int; (* bytes counted against capacity *)
   mutable prev : node option; (* guarded_by: lock *)
   mutable next : node option; (* guarded_by: lock *)
 }
@@ -66,7 +67,7 @@ let push_front t node =
 let remove t node =
   unlink t node;
   Hashtbl.remove t.table node.key;
-  t.used <- t.used - String.length node.value
+  t.used <- t.used - node.charge
 
 let find t ~file ~offset =
   locked t (fun () ->
@@ -106,8 +107,9 @@ let rec evict_until_fits t =
       evict_until_fits t
     | None -> ()
 
-let add t ~file ~offset value =
-  if String.length value > t.capacity then
+let add t ~file ~offset ?charge value =
+  let charge = Option.value charge ~default:(String.length value) in
+  if charge > t.capacity then
     locked t (fun () -> t.rejections <- t.rejections + 1)
   else
     locked t (fun () ->
@@ -115,10 +117,10 @@ let add t ~file ~offset value =
         (match Hashtbl.find_opt t.table key with
         | Some old -> remove t old
         | None -> ());
-        let node = { key; value; prev = None; next = None } in
+        let node = { key; value; charge; prev = None; next = None } in
         Hashtbl.replace t.table key node;
         push_front t node;
-        t.used <- t.used + String.length value;
+        t.used <- t.used + charge;
         evict_until_fits t)
 
 let evict_file t file =

@@ -20,11 +20,13 @@ val find_no_fill : t -> file:string -> offset:int -> string option
     readers (compaction, splits) use this so one pass over a table neither
     pollutes the recency order nor skews the point-read hit rate. *)
 
-val add : t -> file:string -> offset:int -> string -> unit
+val add : t -> file:string -> offset:int -> ?charge:int -> string -> unit
 (** Inserts (replacing any previous entry for the key) and evicts
-    least-recently-used entries until the total payload fits the capacity.
-    Values larger than the whole capacity are not cached; such inserts
-    count in {!rejections} rather than silently vanishing. *)
+    least-recently-used entries until the total charge fits the capacity.
+    [charge] (default: the value's length) is what the entry counts
+    against the capacity — a sealed block is charged its payload only.
+    Values charged more than the whole capacity are not cached; such
+    inserts count in {!rejections} rather than silently vanishing. *)
 
 val evict_file : t -> string -> unit
 (** Drop every block of a deleted file. *)

@@ -86,7 +86,13 @@ type reader = {
   r_impl : r_impl;
 }
 
-and r_impl = R_mem of string | R_posix of in_channel | R_custom of custom_reader
+(* A posix reader is shared by every read of one table; [pread] holds its
+   leaf lock across the seek and the read loop so concurrent reads of one
+   reader never interleave. *)
+and r_impl =
+  | R_mem of string
+  | R_posix of { fd : Unix.file_descr; pread : Wip_util.Sync.t }
+  | R_custom of custom_reader
 
 let in_memory () =
   {
@@ -226,8 +232,10 @@ let open_file t name =
   | Posix root ->
     let path = posix_path root name in
     if not (Sys.file_exists path) then raise Not_found;
-    let ic = open_in_bin path in
-    { r_env = t; r_size = in_channel_length ic; r_impl = R_posix ic }
+    let fd = Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+    let pread = Wip_util.Sync.create ~name:"env-reader" () in
+    { r_env = t; r_size = (Unix.fstat fd).Unix.st_size;
+      r_impl = R_posix { fd; pread } }
   | Custom c ->
     let cr = c.c_open name in
     { r_env = t; r_size = cr.cr_size; r_impl = R_custom cr }
@@ -240,9 +248,20 @@ let read r ~category ~pos ~len =
   Io_stats.record_read r.r_env.stats category len;
   match r.r_impl with
   | R_mem s -> String.sub s pos len
-  | R_posix ic ->
-    seek_in ic pos;
-    really_input_string ic len
+  | R_posix { fd; pread } ->
+    (* Exactly [len] bytes from the file, no buffering in between: a random
+       block read costs one small read, not a refill of a 64 KiB buffer. *)
+    let buf = Bytes.create len in
+    Wip_util.Sync.with_lock pread (fun () ->
+        ignore (Unix.lseek fd pos Unix.SEEK_SET);
+        let rec fill off =
+          if off < len then
+            match Unix.read fd buf off (len - off) with
+            | 0 -> raise End_of_file
+            | n -> fill (off + n)
+        in
+        fill 0);
+    Bytes.unsafe_to_string buf
   | R_custom cr -> cr.cr_read ~pos ~len
 
 let read_all r ~category = read r ~category ~pos:0 ~len:r.r_size
@@ -252,7 +271,7 @@ let file_size r = r.r_size
 let close_reader r =
   match r.r_impl with
   | R_mem _ -> ()
-  | R_posix ic -> close_in ic
+  | R_posix { fd; _ } -> Unix.close fd
   | R_custom cr -> cr.cr_close ()
 
 let exists t name =

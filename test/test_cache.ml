@@ -79,6 +79,10 @@ let test_reader_uses_cache () =
   in
   read_key 500;
   let after_first = Io_stats.read_by stats Io_stats.Read_path in
+  (* One sealed block came off the device; the cache is charged its
+     payload, not its 4-byte CRC trailer. *)
+  Alcotest.(check int) "cache charged payload bytes" (after_first - 4)
+    (Block_cache.used_bytes cache);
   (* Same block again: no further device reads. *)
   read_key 500;
   read_key 501;

@@ -131,6 +131,134 @@ let test_scan_across_shards () =
   Alcotest.(check int) "inverted" 0 (List.length (Sh.scan c ~lo:hi ~hi:lo ()));
   Sh.stop c
 
+(* Engine wrapper counting the scans that reach one watched store — the
+   witness that a lazily visited shard's engine was never asked. *)
+module Counting = struct
+  include Wipdb.Store
+
+  let watched : Wipdb.Store.t option Atomic.t = Atomic.make None
+
+  let calls = Atomic.make 0
+
+  let count s =
+    match Atomic.get watched with
+    | Some w when w == s -> Atomic.incr calls
+    | _ -> ()
+
+  let scan s ~lo ~hi ?limit () =
+    count s;
+    Wipdb.Store.scan s ~lo ~hi ?limit ()
+
+  let scan_at s ~lo ~hi ?limit ~snapshot () =
+    count s;
+    Wipdb.Store.scan_at s ~lo ~hi ?limit ~snapshot ()
+end
+
+module Csh = Wip_concurrent.Sharded_store.Make (Counting)
+
+(* Two shards split at key [n / 2]; the key space's end as scan [hi], as a
+   YCSB-E scan sends it. *)
+let two_shards ~n =
+  let stores =
+    List.mapi
+      (fun i lo ->
+        let cfg = { base_config with Config.name = Printf.sprintf "shard-%d" i } in
+        (lo, Wipdb.Store.create cfg))
+      (Config.shard_boundaries base_config ~shards:2)
+  in
+  Atomic.set Counting.watched (Some (snd (List.nth stores 1)));
+  Atomic.set Counting.calls 0;
+  let c = Csh.create ~pool_threads:0 stores in
+  for i = 0 to n - 1 do
+    Csh.put c ~key:(key_of ~count:n i) ~value:(string_of_int i)
+  done;
+  c
+
+let scan_end = String.make 17 '\xff'
+
+(* Run [f] on another domain while this one holds the lock of the shard
+   owning [key]; fail if [f] does not finish within 5 s (it is blocked on
+   that lock). *)
+let while_shard_locked c ~key f =
+  let held = Atomic.make false and release = Atomic.make false in
+  let holder =
+    Domain.spawn (fun () ->
+        Csh.with_shard c ~key (fun _ ->
+            Atomic.set held true;
+            while not (Atomic.get release) do Domain.cpu_relax () done))
+  in
+  while not (Atomic.get held) do Domain.cpu_relax () done;
+  let result = Atomic.make None in
+  let worker = Domain.spawn (fun () -> Atomic.set result (Some (f ()))) in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while Atomic.get result = None && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  let in_time = Atomic.get result in
+  Atomic.set release true;
+  Domain.join holder;
+  Domain.join worker;
+  match in_time with
+  | Some r -> r
+  | None -> Alcotest.fail "scan blocked on a shard it had no need to visit"
+
+let test_scan_lock_protocol () =
+  let n = 200 in
+  let c = two_shards ~n in
+  let keys lo_i len = List.init len (fun k -> string_of_int (lo_i + k)) in
+  let scan ?limit lo_i =
+    List.map snd (Csh.scan c ~lo:(key_of ~count:n lo_i) ~hi:scan_end ?limit ())
+  in
+  (* Satisfied inside shard 0: shard 1 is neither asked nor locked. *)
+  let rows =
+    while_shard_locked c ~key:(key_of ~count:n (n - 1)) (fun () ->
+        scan ~limit:5 10)
+  in
+  Alcotest.(check (list string)) "within shard 0" (keys 10 5) rows;
+  Alcotest.(check int) "shard 1 engine untouched" 0 (Atomic.get Counting.calls);
+  (* Exactly filling shard 0 still leaves shard 1 alone. *)
+  Alcotest.(check (list string)) "fills shard 0" (keys 90 10) (scan ~limit:10 90);
+  Alcotest.(check int) "shard 1 still untouched" 0 (Atomic.get Counting.calls);
+  (* Spilling across the boundary asks shard 1 for the remainder only. *)
+  List.iter
+    (fun limit ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "spill limit %d" limit)
+        (keys 97 (min limit (n - 97)))
+        (scan ~limit 97))
+    [ 4; 7; 103; 500 ];
+  Alcotest.(check int) "shard 1 asked once per spill" 4
+    (Atomic.get Counting.calls);
+  Alcotest.(check (list string)) "no limit" (keys 150 50) (scan 150);
+  Alcotest.(check (list string)) "no limit, both shards" (keys 60 140) (scan 60);
+  Atomic.set Counting.calls 0;
+  List.iter
+    (fun limit ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "limit %d" limit)
+        [] (scan ~limit 97))
+    [ 0; -1; min_int ];
+  Alcotest.(check int) "clamped limits touch no shard 1" 0
+    (Atomic.get Counting.calls);
+  (* A pinned snapshot answers across the boundary as of its cut. *)
+  let snap = Csh.snapshot c in
+  for i = 0 to n - 1 do
+    Csh.put c ~key:(key_of ~count:n i) ~value:"new"
+  done;
+  Csh.put c ~key:(key_of ~count:n 99 ^ "x") ~value:"new";
+  let at ?limit lo_i =
+    List.map snd
+      (Csh.scan_at c ~lo:(key_of ~count:n lo_i) ~hi:scan_end ?limit
+         ~snapshot:snap ())
+  in
+  Alcotest.(check (list string)) "snapshot spill" (keys 95 10) (at ~limit:10 95);
+  Alcotest.(check (list string)) "snapshot, no limit" (keys 95 105) (at 95);
+  Alcotest.(check (list string)) "snapshot, zero limit" [] (at ~limit:0 95);
+  Csh.release c snap;
+  Alcotest.(check (list string)) "live spill sees the rewrite"
+    [ "new"; "new"; "new" ] (scan ~limit:3 98);
+  Csh.stop c
+
 let test_pool_compacts_in_background () =
   let c = mk_store ~shards:4 ~pool_threads:3 () in
   let n = 3000 in
@@ -150,9 +278,10 @@ let test_pool_compacts_in_background () =
     if Sh.get c (key_of ~count:n i) = None then Alcotest.failf "lost key %d" i
   done
 
-(* The ISSUE's stress shape: N writer domains + M reader domains over
-   disjoint and overlapping ranges. Every read must return a
-   previously-written value or None — never a torn value. *)
+(* N writer domains + M reader domains over disjoint and overlapping
+   ranges. Every read must return a previously-written value or None —
+   never a torn value — and every scan across a shard boundary must be a
+   consistent cut of the cross-shard batches. *)
 let test_stress_writers_readers () =
   let c = mk_store ~shards:4 ~pool_threads:2 () in
   let writers = 4 and readers = 4 in
@@ -161,7 +290,31 @@ let test_stress_writers_readers () =
   (* Overlap range: a band of keys every writer fights over. *)
   let overlap = 64 in
   let overlap_key j = "ovl:" ^ Printf.sprintf "%04d" j in
-  let failures = Atomic.make 0 in
+  (* Cut band: [per_side] keys on each side of every shard boundary, all
+     rewritten by one batch per generation. *)
+  let bounds = Array.of_list (Config.shard_boundaries base_config ~shards:4) in
+  let per_side = 2 and generations = 200 in
+  let cut_lo b = Printf.sprintf "%016Ld.cut" (Int64.pred (Int64.of_string bounds.(b))) in
+  let cut_keys =
+    List.concat_map
+      (fun b ->
+        List.init per_side (fun j -> cut_lo b ^ string_of_int j)
+        @ List.init per_side (fun j -> bounds.(b) ^ ".cut" ^ string_of_int j))
+      [ 1; 2; 3 ]
+  in
+  let cut_writer () =
+    for g = 1 to generations do
+      let v = string_of_int g in
+      ignore
+        (Sh.try_write_batch c
+           (List.map (fun k -> (Wip_util.Ikey.Value, k, v)) cut_keys))
+    done
+  in
+  let is_cut k =
+    let n = String.length k in
+    n > 20 && String.sub k 16 4 = ".cut"
+  in
+  let failures = Atomic.make 0 and torn_cuts = Atomic.make 0 in
   let writer w () =
     for i = 0 to per_writer - 1 do
       let idx = (w * per_writer) + i in
@@ -198,16 +351,27 @@ let test_stress_writers_readers () =
           || String.sub v 0 plen <> prefix
           || int_of_string_opt (String.sub v plen (String.length v - plen))
              = None
-        then Atomic.incr failures)
+        then Atomic.incr failures);
+      (* A limit that may stop on either side of the boundary. *)
+      let b = 1 + Random.int 3 in
+      let limit = 1 + Random.int ((2 * per_side) + 2) in
+      let rows = Sh.scan c ~lo:(cut_lo b) ~hi:"~" ~limit () in
+      if List.length rows > limit then Atomic.incr failures;
+      match List.filter (fun (k, _) -> is_cut k) rows with
+      | (_, v) :: rest ->
+        if List.exists (fun (_, v') -> v' <> v) rest then Atomic.incr torn_cuts
+      | [] -> ()
     done
   in
+  let cutter = Domain.spawn cut_writer in
   let ds =
     List.init writers (fun w -> Domain.spawn (writer w))
     @ List.init readers (fun r -> Domain.spawn (reader r))
   in
-  List.iter Domain.join ds;
+  List.iter Domain.join (cutter :: ds);
   Sh.stop c;
   Alcotest.(check int) "no torn values" 0 (Atomic.get failures);
+  Alcotest.(check int) "consistent scan cuts" 0 (Atomic.get torn_cuts);
   for idx = 0 to disjoint - 1 do
     let k = key_of ~count:disjoint idx in
     let w = idx / per_writer in
@@ -269,6 +433,7 @@ let suite =
     Alcotest.test_case "cross-shard write_batch" `Quick
       test_cross_shard_write_batch;
     Alcotest.test_case "scan across shards" `Quick test_scan_across_shards;
+    Alcotest.test_case "scan lock protocol" `Quick test_scan_lock_protocol;
     Alcotest.test_case "pool compacts in background" `Quick
       test_pool_compacts_in_background;
     Alcotest.test_case "stress writers+readers" `Slow

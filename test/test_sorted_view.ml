@@ -100,6 +100,32 @@ let test_view_add_run () =
     done
   done
 
+(* A positioned walk is a bounded skip: from any seek point it pops at
+   most [seg_size] entries out of the run streams before its first
+   emission, counted at the streams [open_run] hands out. *)
+let test_walk_skip_bounded () =
+  let rng = Rng.create ~seed:7704L in
+  let runs = make_runs rng ~k:6 ~n:5000 in
+  let view = Sorted_view.build (Array.map List.to_seq runs) in
+  let all = Array.of_list (reference_merge runs ~from:"") in
+  let pops = ref 0 in
+  let open_run r ~from =
+    Seq.map (fun kv -> incr pops; kv) (open_run_of runs r ~from)
+  in
+  for _ = 1 to 300 do
+    let from =
+      if Rng.int rng 2 = 0 then fst all.(Rng.int rng (Array.length all))
+      else key (Rng.int rng 400)
+    in
+    pops := 0;
+    match Sorted_view.walk view ~from ~open_run () with
+    | Seq.Nil -> ()
+    | Seq.Cons _ ->
+      if !pops - 1 > Sorted_view.seg_size then
+        Alcotest.failf "walk from %S popped %d entries before its first"
+          (String.escaped from) (!pops - 1)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Ph_index unit tests *)
 
@@ -299,6 +325,7 @@ let suite =
       test_view_matches_merge;
     Alcotest.test_case "add_run matches rebuilt merge" `Quick
       test_view_add_run;
+    Alcotest.test_case "walk skip is bounded" `Quick test_walk_skip_bounded;
     Alcotest.test_case "ph roundtrip + alias rate" `Quick test_ph_roundtrip;
     Alcotest.test_case "ph rejects overweight tables" `Quick
       test_ph_rejects_overweight;

@@ -37,16 +37,64 @@ let test_missing_file () =
   Alcotest.check_raises "missing" Not_found (fun () ->
       ignore (Env.open_file env "nope"))
 
+let temp_root () =
+  let root = Filename.temp_file "wipdb-test" "" in
+  Sys.remove root;
+  root
+
 let test_out_of_bounds_read () =
-  let env = Env.in_memory () in
-  let w = Env.create_file env "f" in
-  Env.append w ~category:Io_stats.Flush "abc";
-  Env.close_writer w;
-  let r = Env.open_file env "f" in
-  (match Env.read r ~category:Io_stats.Read_path ~pos:2 ~len:5 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument");
-  Env.close_reader r
+  let root = temp_root () in
+  List.iter
+    (fun env ->
+      let w = Env.create_file env "f" in
+      Env.append w ~category:Io_stats.Flush "abc";
+      Env.close_writer w;
+      let r = Env.open_file env "f" in
+      List.iter
+        (fun (pos, len) ->
+          match Env.read r ~category:Io_stats.Read_path ~pos ~len with
+          | exception Invalid_argument _ -> ()
+          | _ -> Alcotest.failf "expected Invalid_argument at (%d, %d)" pos len)
+        [ (2, 5); (3, 1); (-1, 1); (0, -1); (4, 0) ];
+      Env.close_reader r;
+      Env.delete env "f")
+    [ Env.in_memory (); Env.posix ~root ];
+  Unix.rmdir root
+
+(* Positioned posix reads return exactly the bytes the in-memory Env holds,
+   whether two readers of one file interleave or two domains share one. *)
+let test_posix_positioned_reads () =
+  let root = temp_root () in
+  let posix = Env.posix ~root and mem = Env.in_memory () in
+  let size = 200_000 in
+  let data = String.init size (fun i -> Char.chr ((i * 7919) lxor (i lsr 8) land 0xff)) in
+  List.iter
+    (fun env ->
+      let w = Env.create_file env "t" in
+      Env.append w ~category:Io_stats.Flush data;
+      Env.close_writer w)
+    [ posix; mem ];
+  let want = Env.open_file mem "t" in
+  let r1 = Env.open_file posix "t" and r2 = Env.open_file posix "t" in
+  Alcotest.(check int) "size" size (Env.file_size r1);
+  let check rng r =
+    let pos = Random.State.int rng size in
+    let len = Random.State.int rng (min 70_000 (size - pos + 1)) in
+    let read r = Env.read r ~category:Io_stats.Read_path ~pos ~len in
+    if read r <> read want then Alcotest.failf "read (%d, %d) differs" pos len
+  in
+  let rng = Random.State.make [| 42 |] in
+  for i = 1 to 500 do
+    check rng (if i mod 2 = 0 then r1 else r2)
+  done;
+  let shared seed () =
+    let rng = Random.State.make [| seed |] in
+    for _ = 1 to 300 do check rng r1 done
+  in
+  List.iter Domain.join [ Domain.spawn (shared 1); Domain.spawn (shared 2) ];
+  List.iter Env.close_reader [ r1; r2; want ];
+  Env.delete posix "t";
+  Unix.rmdir root
 
 let test_stats_accounting () =
   let env = Env.in_memory () in
@@ -110,8 +158,7 @@ let test_total_live_bytes () =
   Alcotest.(check int) "after delete" 7 (Env.total_live_bytes env)
 
 let test_posix_roundtrip () =
-  let root = Filename.temp_file "wipdb-test" "" in
-  Sys.remove root;
+  let root = temp_root () in
   let env = Env.posix ~root in
   let w = Env.create_file env "data.bin" in
   Env.append w ~category:Io_stats.Flush "persisted";
@@ -137,4 +184,6 @@ let suite =
     Alcotest.test_case "snapshot diff" `Quick test_stats_snapshot_diff;
     Alcotest.test_case "total live bytes" `Quick test_total_live_bytes;
     Alcotest.test_case "posix roundtrip" `Quick test_posix_roundtrip;
+    Alcotest.test_case "posix positioned reads" `Quick
+      test_posix_positioned_reads;
   ]
