@@ -13,9 +13,14 @@
       off in the same process: scan ns/entry, point-get ns/op and restart
       probes/op, view rebuild cost, and index block footprint.
 
+   3. Short scans — seeded zipfian scans of 1–100 entries over a cached
+      WipDB store, reporting the device read-path bytes each scan costs:
+      an exact count on the in-memory Env, which moves only when the block
+      cache keeps (or drops) what scans read.
+
    Everything lands in BENCH_readpath.json; tools/readpath_gate compares
-   the machine-independent fields (probes/op, on/off speedups) against the
-   committed baseline. *)
+   the machine-independent fields (probes/op, on/off speedups, short-scan
+   bytes) against the committed baseline. *)
 
 open Harness
 module Table = Wip_sstable.Table
@@ -70,12 +75,13 @@ let point_gets ~ops ~keys reader =
          = None
       then failwith ("lost key " ^ k))
 
-let scan_pass ~category ?fill_cache reader =
+(* A filling pass: point admission, so the blocks land as a get's would. *)
+let scan_pass ~category reader =
   let n = ref 0 in
   let t0 = Unix.gettimeofday () in
   Seq.iter
     (fun _ -> incr n)
-    (Table.Reader.stream reader ~category ?fill_cache ());
+    (Table.Reader.stream reader ~category ~admit:Block_cache.Point ());
   (float_of_int !n /. (Unix.gettimeofday () -. t0), !n)
 
 (* ------------------------------------------------------------------ *)
@@ -257,6 +263,61 @@ let run_engines () =
     measure "PebblesDB" flsm_arm;
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Short scans over a cached store *)
+
+let short_scan_keys = 20_000
+
+let short_scan_count = 4_000
+
+(* Device read-path bytes per scan, after as many warm-up scans (which
+   also build the buckets' sorted views). Single-threaded on the in-memory
+   Env, so the count is exact and repeats. *)
+let short_scans () =
+  let env = Env.in_memory () in
+  let cfg =
+    {
+      Wipdb.Config.default with
+      Wipdb.Config.name = "short-scan";
+      memtable_bytes = 64 * 1024;
+      memtable_items = 640;
+      block_cache_bytes = 1024 * 1024;
+    }
+  in
+  let st = Wipdb.Store.create ~env cfg in
+  let stride = 1_000_000_000 / short_scan_keys in
+  for i = 0 to short_scan_keys - 1 do
+    Wipdb.Store.put st ~key:(ekey (i * 7919 mod short_scan_keys * stride))
+      ~value
+  done;
+  Wipdb.Store.flush st;
+  Wipdb.Store.maintenance st ();
+  let zipf =
+    Wip_workload.Distribution.make
+      (Wip_workload.Distribution.Zipfian { theta = 0.99; scrambled = true })
+      ~space:(Int64.of_int short_scan_keys) ~seed:17L
+  in
+  let rng = Wip_util.Rng.create ~seed:23L in
+  let scan () =
+    let start = Int64.to_int (Wip_workload.Distribution.next zipf) in
+    let limit = 1 + Wip_util.Rng.int rng 100 in
+    let got =
+      Wipdb.Store.scan st ~lo:(ekey (start * stride)) ~hi:"\255" ~limit ()
+    in
+    if List.length got <> min limit (short_scan_keys - start) then
+      failwith "short scan returned the wrong number of entries"
+  in
+  for _ = 1 to short_scan_count do
+    scan ()
+  done;
+  let stats = Env.stats env in
+  let before = Io_stats.read_by stats Io_stats.Read_path in
+  for _ = 1 to short_scan_count do
+    scan ()
+  done;
+  float_of_int (Io_stats.read_by stats Io_stats.Read_path - before)
+  /. float_of_int short_scan_count
+
 let run ~ops () =
   let keys = max 10_000 ops in
   section
@@ -314,7 +375,7 @@ let run ~ops () =
        (List.map
           (fun r ->
             Table.Reader.stream r ~category:(Io_stats.Compaction_read 0)
-              ~fill_cache:false ())
+              ~admit:Block_cache.Bypass ())
           runs));
   let merge_dt = Unix.gettimeofday () -. t0 in
   let merge_ops = float_of_int !merged /. merge_dt in
@@ -340,6 +401,13 @@ let run ~ops () =
     cc.Block_cache.c_hits cc.Block_cache.c_misses cc.Block_cache.c_bypasses;
 
   let engines = run_engines () in
+
+  section
+    (Printf.sprintf "readpath: %d zipfian scans of 1-100 entries, %d keys"
+       short_scan_count short_scan_keys);
+  let short_scan_bytes = short_scans () in
+  row "%-28s %14.1f device bytes/scan" "short scan (WipDB, cached)"
+    short_scan_bytes;
 
   (* Machine-readable trail for cross-PR comparison. *)
   let json = "BENCH_readpath.json" in
@@ -367,6 +435,7 @@ let run ~ops () =
   "block_fetches": %d,
   "cache_hits": %d,
   "cache_misses": %d,
+  "short_scan_read_path_bytes_per_scan": %.1f,
   "engines": {
 %s
   }
@@ -378,7 +447,7 @@ let run ~ops () =
     (Io_stats.ph_false_hit_count stats)
     (Io_stats.ph_fallback_count stats)
     (Io_stats.block_fetch_count stats)
-    cc.Block_cache.c_hits cc.Block_cache.c_misses
+    cc.Block_cache.c_hits cc.Block_cache.c_misses short_scan_bytes
     (String.concat ",\n"
        (List.map (fun (name, arms) -> engine_json name arms) engines));
   close_out oc;

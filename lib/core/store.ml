@@ -5,6 +5,7 @@ module Table = Wip_sstable.Table
 module Merge_iter = Wip_sstable.Merge_iter
 module Sorted_view = Wip_sstable.Sorted_view
 module Memtable = Wip_memtable.Memtable
+module Block_cache = Wip_storage.Block_cache
 module Wal = Wip_wal.Wal
 module Manifest = Wip_manifest.Manifest
 module Intf = Wip_kv.Store_intf
@@ -287,23 +288,26 @@ let log_remove_table t bucket level (meta : Table.meta) =
   Manifest.append t.manifest
     (Manifest.Remove_table { bucket = bucket.id; level; name = meta.Table.name })
 
-(* Encoded-entry stream over one table. Compaction/split readers pass
-   ~fill_cache:false: a sequential pass must not evict the point-read
-   working set from the block cache. *)
-let table_seq t ~category ?(fill_cache = true) meta =
-  Table.Reader.stream (reader_of t meta) ~category ~fill_cache ()
+(* Encoded-entry stream over one whole table, for compaction, split and
+   view build: a sequential pass bypasses the block cache, so it can
+   neither evict the read working set nor fill the cache with blocks no
+   read asked for. *)
+let table_seq t ~category meta =
+  Table.Reader.stream (reader_of t meta) ~category ~admit:Block_cache.Bypass
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* Sorted views (REMIX-style; see Sorted_view and DESIGN.md).
 
-   The view's run streams are always scan-resistant (~fill_cache:false):
-   replaying a whole bucket must not evict the point-get working set. *)
+   Building or extending a view replays whole runs and bypasses the block
+   cache; a walk reads only the blocks its scan returns, under the scan
+   admission class. *)
 
 let invalidate_view bucket = bucket.view <- None
 
-let view_open_run t (runs : Table.meta array) r ~from =
+let view_open_run t ~admit (runs : Table.meta array) r ~from =
   Table.Reader.stream (reader_of t runs.(r)) ~category:Io_stats.Read_path
-    ~fill_cache:false ~from ()
+    ~admit ~from ()
 
 let bucket_tables bucket = Array.to_list bucket.levels |> List.concat
 
@@ -326,7 +330,7 @@ let bucket_view t bucket =
           Sorted_view.build
             (Array.map
                (fun m ->
-                 table_seq t ~category:Io_stats.Read_path ~fill_cache:false m)
+                 table_seq t ~category:Io_stats.Read_path m)
                runs)
         in
         Io_stats.record_view_rebuild (io_stats t)
@@ -351,8 +355,9 @@ let view_note_flush t bucket (meta : Table.meta) =
     else begin
       let started = Unix.gettimeofday () in
       let view' =
-        Sorted_view.add_run view ~open_run:(view_open_run t runs)
-          (table_seq t ~category:Io_stats.Read_path ~fill_cache:false meta)
+        Sorted_view.add_run view
+          ~open_run:(view_open_run t ~admit:Block_cache.Bypass runs)
+          (table_seq t ~category:Io_stats.Read_path meta)
       in
       Io_stats.record_view_rebuild (io_stats t)
         ~ns:(int_of_float ((Unix.gettimeofday () -. started) *. 1e9));
@@ -386,14 +391,15 @@ let flush_bucket t bucket =
        whose WAL record is still buffered; sync the log first so a crash
        after the flush replays the whole batch instead of applying half. *)
     Wal.sync t.wal;
-    let entries = Memtable.sorted_entries bucket.memtable in
     let builder =
       Table.Builder.create t.env ~name:(fresh_table_name t)
         ~category:Io_stats.Flush ~bits_per_key:t.cfg.Config.bits_per_key
-        ~ph_index:t.cfg.Config.ph_index ~expected_keys:(Array.length entries)
-        ()
+        ~ph_index:t.cfg.Config.ph_index
+        ~expected_keys:(Memtable.count bucket.memtable) ()
     in
-    Array.iter (fun (ik, v) -> Table.Builder.add builder ik v) entries;
+    Seq.iter
+      (fun (key, value) -> Table.Builder.add_encoded builder ~key ~value)
+      (Memtable.entries bucket.memtable);
     let meta = Table.Builder.finish builder in
     bucket.levels.(0) <- meta :: bucket.levels.(0);
     view_note_flush t bucket meta;
@@ -422,8 +428,7 @@ let compact_level t bucket level =
     let seqs =
       List.map
         (fun m ->
-          table_seq t ~category:(Io_stats.Compaction_read level)
-            ~fill_cache:false m)
+          table_seq t ~category:(Io_stats.Compaction_read level) m)
         inputs
     in
     let entries =
@@ -473,7 +478,8 @@ let choose_splitters t bucket =
       let sample = ref [] in
       (* Evenly spaced block boundaries approximate key ordinals. *)
       let keys =
-        Table.Reader.stream reader ~category:Io_stats.Split ~fill_cache:false ()
+        Table.Reader.stream reader ~category:Io_stats.Split
+          ~admit:Block_cache.Bypass ()
         |> Seq.map fst
       in
       (* Taking every (count/n)-th key exactly would re-read the table; the
@@ -521,7 +527,7 @@ let split_bucket t bucket =
       Array.to_list bucket.levels
       |> List.concat_map
            (List.map (fun m ->
-                table_seq t ~category:Io_stats.Split ~fill_cache:false m))
+                table_seq t ~category:Io_stats.Split m))
     in
     let entries =
       Merge_iter.compact ~dedup_user_keys:true ~drop_tombstones:true
@@ -587,7 +593,6 @@ let split_bucket t bucket =
     (* Build the new buckets; each takes the output table whose range falls
        in its boundaries as its last level, and inherits the old MemTable's
        items that belong to it. *)
-    let old_entries = Memtable.sorted_entries bucket.memtable in
     let new_buckets =
       List.map
         (fun lo ->
@@ -616,12 +621,13 @@ let split_bucket t bucket =
           log_add_table t b lvl meta
         end)
       outputs;
-    Array.iter
-      (fun ((ik : Ikey.t), v) ->
+    Seq.iter
+      (fun (k, v) ->
+        let ik = Ikey.decode k in
         let b = new_bucket_for ik.Ikey.user_key in
         (* Capacity cannot be exceeded: the old table held all of these. *)
         ignore (Memtable.try_add b.memtable ik v))
-      old_entries;
+      (Memtable.entries bucket.memtable);
     (* Retire the old bucket. Log every edit of the split first, make them
        durable, and only then delete the retired files — recovery either
        sees the whole split or none of it, never a manifest pointing at
@@ -662,7 +668,7 @@ let merge_buckets t left right =
         Array.to_list b.levels
         |> List.concat_map
              (List.map (fun m ->
-                  table_seq t ~category:Io_stats.Split ~fill_cache:false m)))
+                  table_seq t ~category:Io_stats.Split m)))
       [ left; right ]
   in
   let entries =
@@ -702,9 +708,9 @@ let merge_buckets t left right =
   else Table.Builder.abandon builder;
   List.iter
     (fun b ->
-      Array.iter
-        (fun ((ik : Ikey.t), v) -> ignore (Memtable.try_add merged.memtable ik v))
-        (Memtable.sorted_entries b.memtable);
+      Seq.iter
+        (fun (k, v) -> ignore (Memtable.try_add merged.memtable (Ikey.decode k) v))
+        (Memtable.entries b.memtable);
       Array.iteri
         (fun level tables ->
           List.iter (fun m -> log_remove_table t b level m) tables)
@@ -789,8 +795,7 @@ let collapse_last_level t bucket =
     let seqs =
       List.map
         (fun m ->
-          table_seq t ~category:(Io_stats.Compaction_read level)
-            ~fill_cache:false m)
+          table_seq t ~category:(Io_stats.Compaction_read level) m)
         inputs
     in
     let entries =
@@ -1111,28 +1116,23 @@ let visible_seq t ~lo ~hi ~snapshot =
   let bucket_seq b () =
     b.range_queries <- b.range_queries + 1;
     let mem_entries =
-      (* §III-D: sort the hash MemTable into a one-time buffer; entries are
-         encoded here to join the bytewise merge (the MemTable is small, so
-         this is bounded work). *)
-      Memtable.sorted_entries b.memtable
-      |> Array.to_seq
-      |> Seq.filter (fun ((ik : Ikey.t), _) ->
-             Ikey.compare_user ik.Ikey.user_key lo >= 0
-             && Ikey.compare_user ik.Ikey.user_key hi < 0)
-      |> Seq.map (fun (ik, v) -> (Ikey.encode ik, v))
+      (* §III-D: the hash MemTable's sort-to-buffer, built once per version
+         and positioned at [lo] by binary search. *)
+      Memtable.entries ~lo b.memtable
+      |> Seq.take_while (fun (k, _) -> Ikey.compare_encoded_user hi_enc k > 0)
     in
     let table_seqs =
       (* Sorted view first: one selector-driven walk replaces the heap
          merge of the whole run set. Falls through to the per-table merge
          when the flag is off, the bucket has too few (or too many) runs,
-         or the view was just invalidated. Both paths stream with
-         ~fill_cache:false — live and snapshot scans alike are
-         scan-resistant, so a long walk cannot evict the hot-get working
-         set (PR 9 satellite). *)
+         or the view was just invalidated. Both paths read under the scan
+         admission class: their blocks enter the cache on probation, so
+         a long walk cannot evict the hot-get working set. *)
       match bucket_view t b with
       | Some (view, runs) ->
         [
-          Sorted_view.walk view ~from ~open_run:(view_open_run t runs)
+          Sorted_view.walk view ~from
+            ~open_run:(view_open_run t ~admit:Block_cache.Scan runs)
           |> Seq.take_while (fun (k, _) ->
                  Ikey.compare_encoded_user hi_enc k > 0);
         ]
@@ -1145,7 +1145,8 @@ let visible_seq t ~lo ~hi ~snapshot =
                   if Table.overlaps_excl m ~lo ~hi_excl:hi then
                     Some
                       (Table.Reader.stream (reader_of t m)
-                         ~category:Io_stats.Read_path ~fill_cache:false ~from
+                         ~category:Io_stats.Read_path
+                         ~admit:Block_cache.Scan ~from
                          ()
                       |> Seq.take_while (fun (k, _) ->
                              Ikey.compare_encoded_user hi_enc k > 0))

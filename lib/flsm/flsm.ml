@@ -5,6 +5,7 @@ module Table = Wip_sstable.Table
 module Merge_iter = Wip_sstable.Merge_iter
 module Sorted_view = Wip_sstable.Sorted_view
 module Skiplist = Wip_memtable.Skiplist
+module Block_cache = Wip_storage.Block_cache
 module Wal = Wip_wal.Wal
 module Manifest = Wip_manifest.Manifest
 
@@ -170,14 +171,20 @@ let log_watermark t =
 (* ------------------------------------------------------------------ *)
 (* Sorted view (REMIX-style; see Sorted_view and DESIGN.md). One view over
    every live fragment — guards partition the key space but do not change
-   the merge: a frozen merge of all fragments replays any range. Streams
-   are scan-resistant (~fill_cache:false). *)
+   the merge: a frozen merge of all fragments replays any range. Building
+   or extending the view bypasses the block cache; a walk reads under the
+   scan admission class. *)
 
 let invalidate_view t = t.view <- None
 
-let view_open_run t (runs : Table.meta array) r ~from =
+(* A whole-table pass (view build, compaction): bypasses the block cache. *)
+let table_seq t ~category meta =
+  Table.Reader.stream (reader_of t meta) ~category ~admit:Block_cache.Bypass
+    ()
+
+let view_open_run t ~admit (runs : Table.meta array) r ~from =
   Table.Reader.stream (reader_of t runs.(r)) ~category:Io_stats.Read_path
-    ~fill_cache:false ~from ()
+    ~admit ~from ()
 
 let all_tables t =
   t.l0
@@ -199,11 +206,7 @@ let store_view t =
         let started = Unix.gettimeofday () in
         let view =
           Sorted_view.build
-            (Array.map
-               (fun m ->
-                 Table.Reader.stream (reader_of t m)
-                   ~category:Io_stats.Read_path ~fill_cache:false ())
-               runs)
+            (Array.map (table_seq t ~category:Io_stats.Read_path) runs)
         in
         Io_stats.record_view_rebuild (io_stats t)
           ~ns:(int_of_float ((Unix.gettimeofday () -. started) *. 1e9));
@@ -225,9 +228,9 @@ let view_note_flush t (meta : Table.meta) =
     else begin
       let started = Unix.gettimeofday () in
       let view' =
-        Sorted_view.add_run view ~open_run:(view_open_run t runs)
-          (Table.Reader.stream (reader_of t meta)
-             ~category:Io_stats.Read_path ~fill_cache:false ())
+        Sorted_view.add_run view
+          ~open_run:(view_open_run t ~admit:Block_cache.Bypass runs)
+          (table_seq t ~category:Io_stats.Read_path meta)
       in
       Io_stats.record_view_rebuild (io_stats t)
         ~ns:(int_of_float ((Unix.gettimeofday () -. started) *. 1e9));
@@ -283,7 +286,8 @@ let rec split_fragment t ~category (meta : Table.meta) ~at =
     Seq.iter
       (fun (key, value) ->
         if pred key then Table.Builder.add_encoded b ~key ~value)
-      (Table.Reader.stream reader ~category:Io_stats.Split ~fill_cache:false ());
+      (Table.Reader.stream reader ~category:Io_stats.Split
+         ~admit:Block_cache.Bypass ());
     if Table.Builder.entry_count b > 0 then Some (Table.Builder.finish b)
     else begin
       Table.Builder.abandon b;
@@ -404,9 +408,6 @@ let flush_mem t =
     t.mem <- Skiplist.create ();
     ignore (Wal.reclaim t.wal ~persisted_below:(Int64.add t.seq 1L))
   end
-
-let table_seq t ~category meta =
-  Table.Reader.stream (reader_of t meta) ~category ~fill_cache:false ()
 
 (* Partition a merged (encoded) entry sequence by the guards of [level],
    appending one fragment per span. *)
@@ -780,17 +781,17 @@ let scan_seq t ~lo ~hi ?(limit = max_int) ~snapshot () =
   let from = Ikey.encode_seek lo ~seq:Ikey.max_seq in
   let hi_enc = Ikey.encode_user hi in
   let mem_seq =
-    Skiplist.to_sorted_seq t.mem
-    |> Seq.filter (fun ((ik : Ikey.t), _) ->
-           Ikey.compare_user ik.Ikey.user_key lo >= 0
-           && Ikey.compare_user ik.Ikey.user_key hi < 0)
+    Skiplist.to_sorted_seq ~lo t.mem
+    |> Seq.take_while (fun ((ik : Ikey.t), _) ->
+           Ikey.compare_user ik.Ikey.user_key hi < 0)
     |> Seq.map (fun (ik, v) -> (Ikey.encode ik, v))
   in
   let frag_seqs =
     match store_view t with
     | Some (view, runs) ->
       [
-        Sorted_view.walk view ~from ~open_run:(view_open_run t runs)
+        Sorted_view.walk view ~from
+          ~open_run:(view_open_run t ~admit:Block_cache.Scan runs)
         |> Seq.take_while (fun (k, _) ->
                Ikey.compare_encoded_user hi_enc k > 0);
       ]
@@ -802,7 +803,8 @@ let scan_seq t ~lo ~hi ?(limit = max_int) ~snapshot () =
           if Table.overlaps_excl m ~lo ~hi_excl:hi then
             Some
               (Table.Reader.stream (reader_of t m)
-                 ~category:Io_stats.Read_path ~fill_cache:false ~from ()
+                 ~category:Io_stats.Read_path ~admit:Block_cache.Scan
+                 ~from ()
               |> Seq.take_while (fun (k, _) ->
                      Ikey.compare_encoded_user hi_enc k > 0))
           else None)

@@ -2,7 +2,11 @@ module Ikey = Wip_util.Ikey
 
 let slots_per_entry = 8
 
-type item = { ikey : Ikey.t; value : string }
+(* [entry] = (Ikey.encode ikey, value): keys are encoded once, at insert,
+   and the pair is shared by every sorted buffer built from the table. *)
+type item = { ikey : Ikey.t; entry : string * string }
+
+let empty_item = { ikey = Ikey.make "" ~seq:0L; entry = ("", "") }
 
 type t = {
   (* Directory: entry [e], slot [s] lives at tags.(e * 8 + s) / refs.(e * 8 + s).
@@ -15,6 +19,10 @@ type t = {
   capacity_items : int;
   mutable byte_size : int;
   mutable probes : int;
+  mutable sorted : (string * string) array option;
+      (* the current version's sort-to-buffer, dropped by the next insert
+         and never mutated once built; guarded_by: caller *)
+  mutable sorts : int; (* guarded_by: caller *)
 }
 
 let next_pow2 n =
@@ -31,11 +39,13 @@ let create ~capacity_items =
     tags = Array.make (entry_count * slots_per_entry) 0;
     refs = Array.make (entry_count * slots_per_entry) 0;
     entry_count;
-    items = Array.make (min capacity_items 64) { ikey = Ikey.make "" ~seq:0L; value = "" };
+    items = Array.make (min capacity_items 64) empty_item;
     item_count = 0;
     capacity_items;
     byte_size = 0;
     probes = 0;
+    sorted = None;
+    sorts = 0;
   }
 
 let entry_of t user_key =
@@ -45,8 +55,7 @@ let grow_items t =
   let cap = Array.length t.items in
   if t.item_count = cap then begin
     let bigger =
-      Array.make (min t.capacity_items (max 64 (cap * 2)))
-        { ikey = Ikey.make "" ~seq:0L; value = "" }
+      Array.make (min t.capacity_items (max 64 (cap * 2))) empty_item
     in
     Array.blit t.items 0 bigger 0 cap;
     t.items <- bigger
@@ -69,7 +78,8 @@ let try_add t ikey value =
     | None -> false (* entry overflow: freeze the table *)
     | Some s ->
       grow_items t;
-      t.items.(t.item_count) <- { ikey; value };
+      t.items.(t.item_count) <- { ikey; entry = (Ikey.encode ikey, value) };
+      t.sorted <- None;
       t.tags.(base + s) <- Wip_util.Hashing.tag16 ikey.Ikey.user_key;
       t.refs.(base + s) <- t.item_count;
       t.item_count <- t.item_count + 1;
@@ -94,7 +104,7 @@ let find t user_key ~snapshot =
         if
           String.equal item.ikey.Ikey.user_key user_key
           && Int64.compare item.ikey.Ikey.seq snapshot <= 0
-        then Some (item.ikey.Ikey.kind, item.value)
+        then Some (item.ikey.Ikey.kind, snd item.entry)
         else scan (s - 1)
     end
   in
@@ -115,16 +125,24 @@ let find_with_seq t user_key ~snapshot =
         if
           String.equal item.ikey.Ikey.user_key user_key
           && Int64.compare item.ikey.Ikey.seq snapshot <= 0
-        then Some (item.ikey.Ikey.kind, item.value, item.ikey.Ikey.seq)
+        then Some (item.ikey.Ikey.kind, snd item.entry, item.ikey.Ikey.seq)
         else scan (s - 1)
     end
   in
   scan (slots_per_entry - 1)
 
-let to_sorted_entries t =
-  let arr = Array.init t.item_count (fun i -> t.items.(i)) in
-  Array.sort (fun a b -> Ikey.compare a.ikey b.ikey) arr;
-  Array.map (fun it -> (it.ikey, it.value)) arr
+let sorted t =
+  match t.sorted with
+  | Some buf -> buf
+  | None ->
+    let buf = Array.init t.item_count (fun i -> t.items.(i).entry) in
+    (* Encoded keys are memcomparable and unique (one seq per write). *)
+    Array.sort (fun (a, _) (b, _) -> String.compare a b) buf;
+    t.sorts <- t.sorts + 1;
+    t.sorted <- Some buf;
+    buf
+
+let sorts t = t.sorts
 
 let count t = t.item_count
 

@@ -28,10 +28,15 @@ val find_with_seq :
   (Wip_util.Ikey.kind * string * int64) option
 (** {!find} that also reports the matched version's sequence number. *)
 
-val to_sorted_entries : t -> (Wip_util.Ikey.t * string) array
-(** Sort-on-demand: copies the arena into a fresh buffer sorted by internal
-    key (the paper's one-time-use buffer for range search / flush). The
-    table itself is not modified. *)
+val sorted : t -> (string * string) array
+(** The paper's sort-to-buffer for range search and flush: every entry as
+    [(Ikey.encode key, value)], in internal-key order. Sorted at most once
+    per version — the buffer is kept and shared until the next successful
+    {!try_add} — and never mutated once returned, so callers must not
+    mutate it either. *)
+
+val sorts : t -> int
+(** Buffers built so far: at most one per version of the table. *)
 
 val count : t -> int
 

@@ -59,31 +59,30 @@ let find_with_seq t user_key ~snapshot =
   | I_hash h -> Hash_memtable.find_with_seq h user_key ~snapshot
   | I_sorted s -> Skiplist.find_with_seq s user_key ~snapshot
 
-let sorted_entries t =
+let entries ?lo t =
   match t.impl with
-  | I_hash h -> Hash_memtable.to_sorted_entries h
-  | I_sorted s -> Array.of_seq (Skiplist.to_sorted_seq s)
+  | I_hash h ->
+    let buf = Hash_memtable.sorted h in
+    (* Binary search for the first entry >= [target]. *)
+    let rec first target a b =
+      if a >= b then a
+      else
+        let mid = (a + b) / 2 in
+        if String.compare (fst buf.(mid)) target < 0 then first target (mid + 1) b
+        else first target a mid
+    in
+    let n = Array.length buf in
+    let start =
+      match lo with
+      | None -> 0
+      | Some lo -> first (Ikey.encode_seek lo ~seq:Ikey.max_seq) 0 n
+    in
+    Seq.init (n - start) (fun i -> buf.(start + i))
+  | I_sorted s ->
+    Skiplist.to_sorted_seq ?lo s |> Seq.map (fun (ik, v) -> (Ikey.encode ik, v))
 
-let range t ~lo ~hi ~snapshot =
-  let entries = sorted_entries t in
-  let acc = ref [] in
-  let last_key = ref None in
-  Array.iter
-    (fun ((k : Ikey.t), v) ->
-      if
-        Ikey.compare_user k.Ikey.user_key lo >= 0
-        && Ikey.compare_user k.Ikey.user_key hi < 0
-        && Int64.compare k.Ikey.seq snapshot <= 0
-        && not
-             (match !last_key with
-             | Some prev -> String.equal prev k.Ikey.user_key
-             | None -> false)
-      then begin
-        last_key := Some k.Ikey.user_key;
-        acc := (k.Ikey.user_key, (k.Ikey.kind, v, k.Ikey.seq)) :: !acc
-      end)
-    entries;
-  List.rev !acc
+let sorts t =
+  match t.impl with I_hash h -> Hash_memtable.sorts h | I_sorted _ -> 0
 
 let probes t =
   match t.impl with

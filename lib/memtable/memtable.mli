@@ -27,14 +27,18 @@ val find_with_seq :
 (** {!find} that also reports the found version's sequence number — the
     transaction layer validates commit read/write sets against it. *)
 
-val sorted_entries : t -> (Wip_util.Ikey.t * string) array
-(** For flushing and range search. Hash tables sort into a one-time buffer;
-    skiplists just materialize their order. *)
+val entries : ?lo:string -> t -> (string * string) Seq.t
+(** Every version as [(Ikey.encode key, value)] in internal-key order, from
+    the first whose user key is [>= lo] (default: all) — the input of
+    flush, split and range scans. A hash table serves it from its
+    sort-to-buffer (§III-D), built at most once per version and found by
+    binary search; later inserts build a new buffer and never touch this
+    one, so the sequence keeps yielding the version it was taken from. A
+    skiplist is walked in place from one seek and may also yield entries
+    inserted later (their sequence numbers exceed any earlier snapshot). *)
 
-val range : t -> lo:string -> hi:string -> snapshot:int64
-  -> (string * (Wip_util.Ikey.kind * string * int64)) list
-(** All newest-visible versions (including tombstones, which the store-level
-    merge needs) with [lo <= key < hi], ascending: [(key, (kind, value, seq))]. *)
+val sorts : t -> int
+(** Sort-to-buffer builds so far (0 for a skiplist). *)
 
 val count : t -> int
 

@@ -115,7 +115,7 @@ let find_with_seq t user_key ~snapshot =
   in
   scan before
 
-let to_sorted_seq t =
+let to_sorted_seq ?lo t =
   let rec from node () =
     match node.next.(0) with
     | None -> Seq.Nil
@@ -124,28 +124,9 @@ let to_sorted_seq t =
       | None -> Seq.Nil
       | Some k -> Seq.Cons ((k, next_node.value), from next_node))
   in
-  from t.head
-
-let range t ~lo ~hi ~snapshot =
-  let rec collect seq last_key acc =
-    match seq () with
-    | Seq.Nil -> List.rev acc
-    | Seq.Cons ((k, v), rest) ->
-      if Ikey.compare_user k.Ikey.user_key lo < 0 then collect rest last_key acc
-      else if Ikey.compare_user k.Ikey.user_key hi >= 0 then List.rev acc
-      else if Int64.compare k.Ikey.seq snapshot > 0 then
-        collect rest last_key acc
-      else if (match last_key with
-               | Some prev_key -> String.equal prev_key k.Ikey.user_key
-               | None -> false)
-      then collect rest last_key acc
-      else
-        let last_key = Some k.Ikey.user_key in
-        (match k.Ikey.kind with
-         | Ikey.Value -> collect rest last_key ((k.Ikey.user_key, v) :: acc)
-         | Ikey.Deletion -> collect rest last_key acc)
-  in
-  collect (to_sorted_seq t) None []
+  match lo with
+  | None -> from t.head
+  | Some lo -> from (node_before t (Ikey.make lo ~seq:Ikey.max_seq) None)
 
 let count t = t.count
 

@@ -21,14 +21,10 @@ val find_with_seq :
   (Wip_util.Ikey.kind * string * int64) option
 (** {!find} that also reports the matched version's sequence number. *)
 
-val to_sorted_seq : t -> (Wip_util.Ikey.t * string) Seq.t
-(** All entries in internal-key order. *)
-
-val range : t -> lo:string -> hi:string -> snapshot:int64
-  -> (string * string) list
-(** Newest visible (non-deleted) value per user key with [lo <= key < hi],
-    ascending. Tombstoned keys are reported nowhere; shadowed old versions
-    are skipped. *)
+val to_sorted_seq : ?lo:string -> t -> (Wip_util.Ikey.t * string) Seq.t
+(** Entries in internal-key order, from the first whose user key is
+    [>= lo] (one seek; default: all entries). The walk is lazy over the
+    live list, so it also meets entries inserted after it started. *)
 
 val count : t -> int
 (** Number of stored entries (versions, not distinct user keys). *)

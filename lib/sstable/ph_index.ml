@@ -78,91 +78,91 @@ let get_fixed16 s off =
   lor (Char.code (String.unsafe_get s (off + 1)) lsl 8)
 
 (* [keys] are the escaped-user key slices (newest version first occurrence),
-   [locators.(i)] = (block lsl 16) lor entry for keys.(i). *)
+   [locators.(i)] = (block lsl 16) lor entry for keys.(i). Every key is
+   hashed once up front; buckets are index ranges of one [members] array,
+   so the displacement search allocates nothing per attempt. *)
 let build ~keys ~locators =
   let n = Array.length keys in
-  if n = 0 || n > capacity || Array.length locators <> n then None
+  let overweight l = l lsr 16 > max_ordinal || l land 0xFFFF > max_ordinal in
+  if n = 0 || n > capacity || Array.length locators <> n
+     || Array.exists overweight locators
+  then None
   else begin
     let m = max 2 (n * 123 / 100) in
     let b = max 1 ((n + 3) / 4) in
-    (* Bucketize. *)
-    let buckets = Array.make b [] in
-    let ok = ref true in
+    let bucket_of = Array.make n 0 and fp = Array.make n 0 in
+    let h1 = Array.make n 0 and h2 = Array.make n 0 in
     Array.iteri
       (fun i k ->
-        if locators.(i) lsr 16 > max_ordinal || locators.(i) land 0xFFFF > max_ordinal
-        then ok := false
-        else begin
-          let ha = Hashing.hash64 ~seed:seed_bucket k in
-          buckets.(pos64 ha mod b) <- i :: buckets.(pos64 ha mod b)
-        end)
+        let ha = Hashing.hash64 ~seed:seed_bucket k in
+        bucket_of.(i) <- pos64 ha mod b;
+        fp.(i) <- fingerprint ha;
+        let x, y = slot_params (Hashing.hash64 ~seed:seed_slot k) ~m in
+        h1.(i) <- x;
+        h2.(i) <- y)
       keys;
-    if not !ok then None
-    else begin
-      let order = Array.init b (fun i -> i) in
-      Array.sort
-        (fun x y ->
-          Int.compare (List.length buckets.(y)) (List.length buckets.(x)))
-        order;
-      let slots = Array.make m (-1) in
-      let disp = Array.make b 0 in
-      let place bucket_keys d =
-        (* All keys of the bucket must land on distinct free slots at
-           displacement d; returns the slots or None. *)
-        let rec go acc = function
-          | [] -> Some acc
-          | i :: rest ->
-            let hb = Hashing.hash64 ~seed:seed_slot keys.(i) in
-            let h1, h2 = slot_params hb ~m in
-            let s = slot_of ~h1 ~h2 ~m d in
-            if slots.(s) >= 0 || List.exists (fun (s', _) -> s' = s) acc then
-              None
-            else go ((s, i) :: acc) rest
-        in
-        go [] bucket_keys
-      in
-      let rec search bi =
-        if bi >= b then true
-        else
-          let bucket = buckets.(order.(bi)) in
-          if bucket = [] then search (bi + 1)
-          else begin
-            let rec try_d d =
-              if d > max_displacement then false
-              else
-                match place bucket d with
-                | Some placed ->
-                  List.iter (fun (s, i) -> slots.(s) <- i) placed;
-                  disp.(order.(bi)) <- d;
-                  true
-                | None -> try_d (d + 1)
-            in
-            try_d 0 && search (bi + 1)
-          end
-      in
-      if not (search 0) then None
-      else begin
-        let buf = Buffer.create (16 + (2 * b) + (slot_bytes * m)) in
-        Coding.put_varint buf n;
-        Coding.put_varint buf m;
-        Coding.put_varint buf b;
-        Array.iter (fun d -> put_fixed16 buf d) disp;
-        Array.iter
-          (fun i ->
-            if i < 0 then begin
-              Buffer.add_char buf '\000';
-              put_fixed16 buf 0;
-              put_fixed16 buf 0
-            end
-            else begin
-              let ha = Hashing.hash64 ~seed:seed_bucket keys.(i) in
-              Buffer.add_char buf (Char.chr (fingerprint ha));
-              put_fixed16 buf (locators.(i) lsr 16);
-              put_fixed16 buf (locators.(i) land 0xFFFF)
-            end)
-          slots;
-        Some (Buffer.contents buf)
+    (* Bucket k's keys are members.(start.(k) .. start.(k+1) - 1). *)
+    let start = Array.make (b + 1) 0 in
+    Array.iter (fun k -> start.(k + 1) <- start.(k + 1) + 1) bucket_of;
+    for k = 1 to b do
+      start.(k) <- start.(k) + start.(k - 1)
+    done;
+    let members = Array.make n 0 and next = Array.sub start 0 b in
+    Array.iteri
+      (fun i k ->
+        members.(next.(k)) <- i;
+        next.(k) <- next.(k) + 1)
+      bucket_of;
+    let size k = start.(k + 1) - start.(k) in
+    (* Largest buckets first; Array.sort is deterministic, so equal sizes
+       keep the order every earlier build produced. *)
+    let order = Array.init b (fun i -> i) in
+    Array.sort (fun x y -> Int.compare (size y) (size x)) order;
+    let slots = Array.make m (-1) in
+    let disp = Array.make b 0 in
+    let taken = Array.make (Array.fold_left max 0 (Array.init b size)) 0 in
+    (* Whether keys j.. of bucket k land on distinct free slots at
+       displacement d, left in taken.(j .. size k - 1). The closures close
+       over the arrays only, so an attempt allocates nothing. *)
+    let rec clash s c j = c < j && (taken.(c) = s || clash s (c + 1) j) in
+    let rec fits k d j =
+      j = size k
+      ||
+      let i = members.(start.(k) + j) in
+      let s = slot_of ~h1:h1.(i) ~h2:h2.(i) ~m d in
+      slots.(s) < 0
+      && (not (clash s 0 j))
+      && begin
+           taken.(j) <- s;
+           fits k d (j + 1)
+         end
+    in
+    let rec place k d =
+      if d > max_displacement then false
+      else if fits k d 0 then begin
+        for j = 0 to size k - 1 do
+          slots.(taken.(j)) <- members.(start.(k) + j)
+        done;
+        disp.(k) <- d;
+        true
       end
+      else place k (d + 1)
+    in
+    if not (Array.for_all (fun k -> size k = 0 || place k 0) order) then None
+    else begin
+      let buf = Buffer.create (16 + (2 * b) + (slot_bytes * m)) in
+      Coding.put_varint buf n;
+      Coding.put_varint buf m;
+      Coding.put_varint buf b;
+      Array.iter (fun d -> put_fixed16 buf d) disp;
+      Array.iter
+        (fun i ->
+          let fp, loc = if i < 0 then (0, 0) else (fp.(i), locators.(i)) in
+          Buffer.add_char buf (Char.chr fp);
+          put_fixed16 buf (loc lsr 16);
+          put_fixed16 buf (loc land 0xFFFF))
+        slots;
+      Some (Buffer.contents buf)
     end
   end
 

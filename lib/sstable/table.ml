@@ -315,7 +315,7 @@ module Reader = struct
      checksum is verified on the first device fetch of each block and
      skipped on repeats — the cost of a CRC pass over every block on every
      cold scan would otherwise dominate the scan itself. *)
-  let block_cursor t ~category ?(fill_cache = true) slot =
+  let block_cursor t ~category ?(admit = Wip_storage.Block_cache.Point) slot =
     let handle : Table_format.block_handle = snd t.index.(slot) in
     Io_stats.record_block_fetch (stats t);
     guard ~file:t.meta.name @@ fun () ->
@@ -331,19 +331,14 @@ module Reader = struct
       match t.cache with
       | None -> fetch ()
       | Some cache -> (
-        let find =
-          if fill_cache then Wip_storage.Block_cache.find
-          else Wip_storage.Block_cache.find_no_fill
-        in
-        match find cache ~file:t.meta.name ~offset:handle.offset with
+        let file = t.meta.name and offset = handle.offset in
+        match Wip_storage.Block_cache.find ~admit cache ~file ~offset with
         | Some sealed -> sealed
         | None ->
           let sealed = fetch () in
-          if fill_cache then
-            Wip_storage.Block_cache.add cache ~file:t.meta.name
-              ~offset:handle.offset
-              ~charge:(Table_format.payload_length sealed)
-              sealed;
+          Wip_storage.Block_cache.add ~admit cache ~file ~offset
+            ~charge:(Table_format.payload_length sealed)
+            sealed;
           sealed)
     in
     Block.Cursor.create ~len:(Table_format.payload_length sealed) sealed
@@ -459,7 +454,7 @@ module Reader = struct
      cursor per block. Ephemeral by construction — every internal consumer is
      single-pass (flush, compaction, split, scan assembly), and the public
      store API returns lists, so nothing ever re-forces a prefix. *)
-  let stream t ~category ?(fill_cache = true) ?(from = "") () =
+  let stream t ~category ~admit ?(from = "") () =
     let n = Array.length t.index in
     let start_slot =
       if from = "" then 0
@@ -468,7 +463,7 @@ module Reader = struct
     let rec from_slot slot seek_target () =
       if slot >= n then Seq.Nil
       else begin
-        let cur = block_cursor t ~category ~fill_cache slot in
+        let cur = block_cursor t ~category ~admit slot in
         guard ~file:t.meta.name @@ fun () ->
         let positioned =
           match seek_target with
@@ -488,7 +483,8 @@ module Reader = struct
 
   let iter_from t ~category ?(lo = "") () =
     let from = if lo = "" then "" else Ikey.encode_seek lo ~seq:Ikey.max_seq in
-    stream t ~category ~from () |> Seq.map (fun (k, v) -> (Ikey.decode k, v))
+    stream t ~category ~admit:Wip_storage.Block_cache.Scan ~from ()
+    |> Seq.map (fun (k, v) -> (Ikey.decode k, v))
 
   let close t = Env.close_reader t.reader
 end

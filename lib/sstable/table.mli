@@ -117,17 +117,17 @@ module Reader : sig
   val stream :
     t ->
     category:Wip_storage.Io_stats.category ->
-    ?fill_cache:bool ->
+    admit:Wip_storage.Block_cache.admission ->
     ?from:string ->
     unit ->
     (string * string) Seq.t
   (** Encoded entries in order, starting at the first entry [>= from]
       (an encoded seek key; [""] means the table start). Blocks are fetched
-      lazily, decoded through one reusable {!Block.Cursor} each, and with
-      [~fill_cache:false] the pass neither populates nor reorders the block
-      cache (scan-resistant mode for compaction/split readers). The
-      sequence is one-shot: it owns mutable cursors, so force it at most
-      once. *)
+      lazily, decoded through one reusable {!Block.Cursor} each, and
+      consult the block cache under [admit]: range scans pass [Scan],
+      compaction, split and view build and replay pass [Bypass] (see
+      {!Wip_storage.Block_cache}). The sequence is one-shot: it owns
+      mutable cursors, so force it at most once. *)
 
   val iter_from :
     t ->

@@ -1,31 +1,44 @@
-(** LRU block cache.
+(** Segmented LRU block cache.
 
     Caches raw (already CRC-verified) data blocks keyed by
     [(file name, offset)], bounded by a byte capacity. Table readers consult
     it before issuing device reads, so repeated point reads and scans over
     hot ranges skip the device entirely — the effect the paper relies on
     when it notes that freshly written, immediately read items are served
-    from a cache (§III-G). *)
+    from a cache (§III-G).
+
+    Every read names an {!admission} class. Point reads insert at the
+    most-recently-used end of a {e protected} segment; scans insert into a
+    {e probation} segment that is evicted first, and a second hit promotes
+    a probation block to protected; sequential maintenance readers bypass
+    the cache. Protected overflow demotes its least-recently-used blocks to
+    the head of probation, so with no scan traffic the protected-then-
+    probation order is exactly one LRU list. *)
 
 type t
 
+type admission =
+  | Point  (** insert protected; hits promote *)
+  | Scan  (** insert on probation; hits promote *)
+  | Bypass  (** never insert, never reorder; misses count as bypasses *)
+
 val create : capacity_bytes:int -> t
 
-val find : t -> file:string -> offset:int -> string option
-(** Marks the entry most-recently-used on a hit. *)
+val find : ?admit:admission -> t -> file:string -> offset:int -> string option
+(** [admit] defaults to [Point]. A [Point] or [Scan] hit moves the entry to
+    the most-recently-used end of the protected segment and a miss counts
+    in {!misses}; a [Bypass] hit leaves the order alone and a miss counts
+    in {!bypasses}. *)
 
-val find_no_fill : t -> file:string -> offset:int -> string option
-(** Scan-resistant probe: a hit counts in {!hits} but does not promote the
-    entry; a miss counts in {!bypasses} instead of {!misses}. Sequential
-    readers (compaction, splits) use this so one pass over a table neither
-    pollutes the recency order nor skews the point-read hit rate. *)
-
-val add : t -> file:string -> offset:int -> ?charge:int -> string -> unit
-(** Inserts (replacing any previous entry for the key) and evicts
-    least-recently-used entries until the total charge fits the capacity.
-    [charge] (default: the value's length) is what the entry counts
-    against the capacity — a sealed block is charged its payload only.
-    Values charged more than the whole capacity are not cached; such
+val add :
+  ?admit:admission -> t -> file:string -> offset:int -> ?charge:int ->
+  string -> unit
+(** Inserts (replacing any previous entry for the key) at the head of the
+    segment [admit] names — [Bypass] inserts nothing — and evicts from the
+    probation tail, then the protected tail, until the total charge fits
+    the capacity. [charge] (default: the value's length) is what the entry
+    counts against the capacity — a sealed block is charged its payload
+    only. Values charged more than the whole capacity are not cached; such
     inserts count in {!rejections} rather than silently vanishing. *)
 
 val evict_file : t -> string -> unit
@@ -51,7 +64,7 @@ val hits : t -> int
 val misses : t -> int
 
 val bypasses : t -> int
-(** Misses of {!find_no_fill} probes (deliberate non-filling traffic). *)
+(** Misses of [Bypass] probes (deliberate non-filling traffic). *)
 
 val rejections : t -> int
 (** Inserts dropped because the value alone exceeded the capacity. *)

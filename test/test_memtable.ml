@@ -57,23 +57,48 @@ let test_skiplist_sorted_iteration () =
   in
   Alcotest.(check bool) "sorted by internal key" true (sorted entries)
 
+(* Newest visible version per user key in [lo, hi) at [snapshot], from an
+   internal-key-ordered sequence: the visibility rule a scan applies on top
+   of the memtable's positioned order. *)
+let newest_visible ~hi ~snapshot entries =
+  let rec go last seq =
+    match seq () with
+    | Seq.Nil -> []
+    | Seq.Cons (((k : Ikey.t), v), rest) ->
+      if Ikey.compare_user k.Ikey.user_key hi >= 0 then []
+      else if Int64.compare k.Ikey.seq snapshot > 0 then go last rest
+      else if last = Some k.Ikey.user_key then go last rest
+      else (k.Ikey.user_key, (k.Ikey.kind, v)) :: go (Some k.Ikey.user_key) rest
+  in
+  go None entries
+
+let values =
+  List.filter_map (fun (k, (kind, v)) ->
+      if kind = Ikey.Value then Some (k, v) else None)
+
 let test_skiplist_range () =
   let s = Skiplist.create () in
+  Skiplist.add s (ik "0" 6) "below lo";
   Skiplist.add s (ik "a" 1) "va";
   Skiplist.add s (ik "b" 2) "vb-old";
   Skiplist.add s (ik "b" 3) "vb-new";
   Skiplist.add s (ik ~kind:Ikey.Deletion "c" 4) "";
   Skiplist.add s (ik "d" 5) "vd";
-  let r = Skiplist.range s ~lo:"a" ~hi:"d" ~snapshot:10L in
+  let range snapshot =
+    values (newest_visible ~hi:"d" ~snapshot (Skiplist.to_sorted_seq ~lo:"a" s))
+  in
   Alcotest.(check (list (pair string string)))
     "newest visible, tombstones dropped"
     [ ("a", "va"); ("b", "vb-new") ]
-    r;
-  let r = Skiplist.range s ~lo:"a" ~hi:"d" ~snapshot:2L in
+    (range 10L);
   Alcotest.(check (list (pair string string)))
     "old snapshot sees old version"
     [ ("a", "va"); ("b", "vb-old") ]
-    r
+    (range 2L);
+  Alcotest.(check int) "seek lands on lo's newest version" 3
+    (match Skiplist.to_sorted_seq ~lo:"b" s () with
+    | Seq.Cons ((k, _), _) -> Int64.to_int k.Ikey.seq
+    | Seq.Nil -> -1)
 
 (* ------------------------------------------------------------------ *)
 (* Hash memtable *)
@@ -128,7 +153,7 @@ let test_hash_entry_overflow_freezes () =
   (* 1000-item capacity gives 256 entries * 8 slots = 2048 slots, but uneven
      hashing can overflow one entry early; either way it must not crash and
      sorted output must contain exactly what was accepted. *)
-  let entries = Hash_memtable.to_sorted_entries h in
+  let entries = Hash_memtable.sorted h in
   Alcotest.(check int) "sorted output size" (Hash_memtable.count h)
     (Array.length entries);
   ignore !full
@@ -143,11 +168,15 @@ let test_hash_sorted_entries () =
          (ik (Printf.sprintf "%06d" (Wip_util.Rng.int rng 100000)) i)
          ("v" ^ string_of_int i))
   done;
-  let entries = Hash_memtable.to_sorted_entries h in
+  let entries = Hash_memtable.sorted h in
   Alcotest.(check int) "count" n (Array.length entries);
   for i = 1 to Array.length entries - 1 do
-    if Ikey.compare (fst entries.(i - 1)) (fst entries.(i)) >= 0 then
-      Alcotest.fail "not sorted"
+    if
+      Ikey.compare
+        (Ikey.decode (fst entries.(i - 1)))
+        (Ikey.decode (fst entries.(i)))
+      >= 0
+    then Alcotest.fail "not sorted"
   done
 
 (* ------------------------------------------------------------------ *)
@@ -224,11 +253,91 @@ let test_memtable_range_includes_tombstones () =
   in
   ignore (Memtable.try_add mt (ik "a" 1) "va");
   ignore (Memtable.try_add mt (ik ~kind:Ikey.Deletion "b" 2) "");
-  let r = Memtable.range mt ~lo:"a" ~hi:"z" ~snapshot:10L in
+  let r =
+    newest_visible ~hi:"z" ~snapshot:10L
+      (Memtable.entries ~lo:"a" mt |> Seq.map (fun (k, v) -> (Ikey.decode k, v)))
+  in
   Alcotest.(check int) "two results incl tombstone" 2 (List.length r);
   (match List.assoc "b" r with
-  | Ikey.Deletion, _, _ -> ()
+  | Ikey.Deletion, _ -> ()
   | _ -> Alcotest.fail "b should be a tombstone")
+
+(* The sort-to-buffer against a model: the entries inserted so far, sorted
+   afresh. Ops are (0, k) = read from lo = key k, otherwise insert key k
+   (op 1 writes a tombstone). *)
+let buffer_ops =
+  QCheck.(list_of_size Gen.(0 -- 80) (pair (int_bound 3) (int_bound 40)))
+
+let key_of k = Printf.sprintf "%03d" k
+
+let run_buffer_ops structure ops ~on_read =
+  let mt =
+    Memtable.create ~structure ~capacity_items:10_000 ~capacity_bytes:(1 lsl 30)
+  in
+  let model = ref [] in
+  List.iteri
+    (fun i (op, k) ->
+      if op = 0 then on_read mt (key_of k) !model
+      else begin
+        let kind = if op = 1 then Ikey.Deletion else Ikey.Value in
+        let ikey = ik ~kind (key_of k) (i + 1) and v = "v" ^ string_of_int i in
+        if Memtable.try_add mt ikey v then
+          model := (Ikey.encode ikey, v) :: !model
+      end)
+    ops;
+  mt
+
+let fresh_sort model ~lo =
+  List.sort (fun (a, _) (b, _) -> String.compare a b) model
+  |> List.filter (fun (k, _) ->
+         Ikey.compare_user (Ikey.user_key_of_encoded k) lo >= 0)
+
+let qcheck_buffer_reads_equal_fresh_sort =
+  QCheck.Test.make ~name:"buffered reads equal a fresh sort" ~count:200
+    buffer_ops (fun ops ->
+      List.iter
+        (fun structure ->
+          ignore
+            (run_buffer_ops structure ops ~on_read:(fun mt lo model ->
+                 if List.of_seq (Memtable.entries ~lo mt) <> fresh_sort model ~lo
+                 then QCheck.Test.fail_reportf "read from %s differs" lo)))
+        [ Memtable.Hash; Memtable.Sorted ];
+      true)
+
+let qcheck_one_sort_per_version =
+  QCheck.Test.make ~name:"one sort per memtable version" ~count:200 buffer_ops
+    (fun ops ->
+      (* A version is the table between two inserts; count those read.
+         Each read is a positioned scan plus a whole-table pass, as a flush
+         or split takes it. *)
+      let versions = ref 0 and last_read = ref (-1) in
+      let mt =
+        run_buffer_ops Memtable.Hash ops ~on_read:(fun mt lo model ->
+            ignore (Seq.length (Memtable.entries ~lo mt));
+            ignore (Seq.length (Memtable.entries mt));
+            if List.length model <> !last_read then begin
+              incr versions;
+              last_read := List.length model
+            end)
+      in
+      Memtable.sorts mt = !versions)
+
+let qcheck_sequence_keeps_its_version =
+  QCheck.Test.make ~name:"a taken sequence keeps its version" ~count:200
+    QCheck.(pair buffer_ops buffer_ops)
+    (fun (before, after) ->
+      let mt = run_buffer_ops Memtable.Hash before ~on_read:(fun _ _ _ -> ()) in
+      let taken = Memtable.entries ~lo:"010" mt in
+      let want = List.of_seq (Memtable.entries ~lo:"010" mt) in
+      (* Force one entry, then write more into the same table. *)
+      let rest =
+        match taken () with Seq.Nil -> Seq.empty | Seq.Cons (e, rest) -> Seq.cons e rest
+      in
+      List.iteri
+        (fun i (_, k) ->
+          ignore (Memtable.try_add mt (ik (key_of k) (10_000 + i)) "later"))
+        after;
+      List.of_seq rest = want)
 
 let qcheck_hash_vs_skiplist =
   QCheck.Test.make ~name:"hash and skiplist memtables agree" ~count:50
@@ -280,4 +389,7 @@ let suite =
     Alcotest.test_case "memtable range tombstones" `Quick
       test_memtable_range_includes_tombstones;
     QCheck_alcotest.to_alcotest qcheck_hash_vs_skiplist;
+    QCheck_alcotest.to_alcotest qcheck_buffer_reads_equal_fresh_sort;
+    QCheck_alcotest.to_alcotest qcheck_one_sort_per_version;
+    QCheck_alcotest.to_alcotest qcheck_sequence_keeps_its_version;
   ]

@@ -67,22 +67,24 @@ let test_open_charged_to_table_meta () =
     (Io_stats.read_by stats Io_stats.Manifest);
   Table.Reader.close r
 
-(* A fill_cache:false pass over the whole table (the compaction/split/sample
+(* A Bypass pass over the whole table (the compaction/split/view-build
    reader mode) must leave the cache untouched and count as bypass traffic;
-   a normal pass populates it. *)
+   a scan pass populates it. *)
 let test_stream_scan_resistance () =
   let env = Env.in_memory () in
   let cache = Block_cache.create ~capacity_bytes:(1 lsl 20) in
   let r = build_table ~cache env 2000 in
   let drain s = Seq.iter (fun _ -> ()) s in
   drain (Table.Reader.stream r ~category:(Io_stats.Compaction_read 0)
-           ~fill_cache:false ());
+           ~admit:Block_cache.Bypass ());
   Alcotest.(check int) "cold pass caches nothing" 0
     (Block_cache.entry_count cache);
   Alcotest.(check bool) "misses counted as bypasses" true
     (Block_cache.bypasses cache > 0);
   Alcotest.(check int) "not as misses" 0 (Block_cache.misses cache);
-  drain (Table.Reader.stream r ~category:Io_stats.Read_path ());
+  drain
+    (Table.Reader.stream r ~category:Io_stats.Read_path
+       ~admit:Block_cache.Scan ());
   Alcotest.(check bool) "filling pass populates" true
     (Block_cache.entry_count cache > 0);
   (* With every block now resident, another non-filling pass is pure
@@ -90,22 +92,22 @@ let test_stream_scan_resistance () =
   let stats = Env.stats env in
   let device0 = Io_stats.read_by stats (Io_stats.Compaction_read 0) in
   drain (Table.Reader.stream r ~category:(Io_stats.Compaction_read 0)
-           ~fill_cache:false ());
+           ~admit:Block_cache.Bypass ());
   Alcotest.(check int) "warm non-filling pass reads no device bytes" device0
     (Io_stats.read_by stats (Io_stats.Compaction_read 0))
 
-(* find_no_fill hits must not promote the entry in the LRU order. *)
-let test_find_no_fill_does_not_promote () =
+(* Bypass hits must not promote the entry in the LRU order. *)
+let test_bypass_does_not_promote () =
   let c = Block_cache.create ~capacity_bytes:30 in
   Block_cache.add c ~file:"f" ~offset:0 (String.make 10 'a');
   Block_cache.add c ~file:"f" ~offset:1 (String.make 10 'b');
   Block_cache.add c ~file:"f" ~offset:2 (String.make 10 'c');
   (* A promoting find would rescue offset 0 from the next eviction. *)
   Alcotest.(check bool) "no-fill hit" true
-    (Block_cache.find_no_fill c ~file:"f" ~offset:0 <> None);
+    (Block_cache.find ~admit:Block_cache.Bypass c ~file:"f" ~offset:0 <> None);
   Block_cache.add c ~file:"f" ~offset:3 (String.make 10 'd');
   Alcotest.(check bool) "oldest still evicted" true
-    (Block_cache.find_no_fill c ~file:"f" ~offset:0 = None);
+    (Block_cache.find ~admit:Block_cache.Bypass c ~file:"f" ~offset:0 = None);
   Alcotest.(check int) "hits counted" 1 (Block_cache.hits c);
   Alcotest.(check int) "probe misses are bypasses" 1 (Block_cache.bypasses c);
   Alcotest.(check int) "not misses" 0 (Block_cache.misses c)
@@ -193,7 +195,7 @@ let suite =
     Alcotest.test_case "table_meta accounting" `Quick
       test_open_charged_to_table_meta;
     Alcotest.test_case "scan resistance" `Quick test_stream_scan_resistance;
-    Alcotest.test_case "no-fill LRU" `Quick test_find_no_fill_does_not_promote;
+    Alcotest.test_case "no-fill LRU" `Quick test_bypass_does_not_promote;
     Alcotest.test_case "rejections" `Quick test_oversized_add_counts_rejection;
     Alcotest.test_case "bloom accounting" `Quick test_bloom_accounting;
     Alcotest.test_case "store hot get" `Quick test_store_hot_get_no_decode;

@@ -174,6 +174,53 @@ let test_ph_rejects_overweight () =
   Alcotest.(check bool) "empty key set" true
     (Ph_index.build ~keys:[||] ~locators:[||] = None)
 
+(* The builder hashes each key once and places buckets without allocating;
+   its blocks must equal the original construction's byte for byte, since
+   a different block would change every table file written. Key sets are
+   distinct, sized log-uniformly over 1..20000, with short, long and
+   binary keys. *)
+let test_ph_build_matches_reference () =
+  let rng = Rng.create ~seed:0x9417L in
+  let sets = 400 in
+  let built = ref 0 in
+  for set = 1 to sets do
+    let n = max 1 (int_of_float (exp (Rng.float rng *. log 20_000.0))) in
+    let key i =
+      match set mod 3 with
+      | 0 -> Printf.sprintf "k%08d" (i * 7 + Rng.int rng 7)
+      | 1 ->
+        Printf.sprintf "%d-%s" i
+          (Bytes.to_string (Rng.bytes rng (Rng.int rng 24)))
+      | _ -> Printf.sprintf "user/%d/%x" i (Rng.int rng 0xFFFFFF)
+    in
+    let keys = Array.init n key in
+    let locators =
+      Array.init n (fun _ -> (Rng.int rng 0x10000 lsl 16) lor Rng.int rng 0x10000)
+    in
+    let want = Ph_index_reference.build ~keys ~locators in
+    let got = Ph_index.build ~keys ~locators in
+    if not (Option.equal String.equal got want) then
+      Alcotest.failf "set %d (%d keys): build differs from the reference" set n;
+    if Option.is_some got then incr built
+  done;
+  (* Tiny sets can be unplaceable (two keys, two slots, equal h1 parity):
+     both builders say None there. Most sets must still compare blocks. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d sets indexed" !built sets)
+    true
+    (!built * 10 >= sets * 9);
+  (* An overweight locator anywhere is a None from both. *)
+  let keys = Array.init 1000 (Printf.sprintf "key-%04d") in
+  List.iter
+    (fun bad ->
+      let locators = Array.init 1000 (fun i -> i) in
+      locators.(Rng.int rng 1000) <- bad;
+      Alcotest.(check bool) "overweight: reference None" true
+        (Ph_index_reference.build ~keys ~locators = None);
+      Alcotest.(check bool) "overweight: None" true
+        (Ph_index.build ~keys ~locators = None))
+    [ 0x1_0000 lsl 16; max_int ]
+
 let test_ph_malformed () =
   let raises s =
     match Ph_index.read s with
@@ -330,6 +377,8 @@ let suite =
     Alcotest.test_case "ph rejects overweight tables" `Quick
       test_ph_rejects_overweight;
     Alcotest.test_case "ph rejects malformed blocks" `Quick test_ph_malformed;
+    Alcotest.test_case "ph build matches reference" `Quick
+      test_ph_build_matches_reference;
     Alcotest.test_case "table ph path equals binary path" `Quick
       test_table_ph_equals_binary;
     Alcotest.test_case "store scans: accelerators on = off" `Quick

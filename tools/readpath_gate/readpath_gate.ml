@@ -13,6 +13,10 @@
      - scan_speedup (per engine): the on/off ratio cancels the machine's
        per-entry cost; it falls only if the sorted-view replay stopped
        beating the heap merge. Budget: baseline * 0.9.
+     - short_scan_read_path_bytes_per_scan: device bytes per short zipfian
+       scan over a cached store, an exact count on the in-memory Env; it
+       rises only if the block cache stopped keeping what scans read.
+       Budget: baseline * 1.1 plus 64 bytes.
 
    Usage: readpath_gate BASELINE.json FRESH.json *)
 
@@ -168,6 +172,17 @@ let gate_probes ~what b f =
     Printf.printf "%-46s missing field\n" what;
     incr failures
 
+(* Short-scan device bytes may not exceed baseline * 1.1 + 64. *)
+let gate_bytes ~what b f =
+  match (b, f) with
+  | Some b, Some f ->
+    check ~what ~baseline:b ~fresh:f
+      ~ok:(f <= (b *. 1.1) +. 64.0)
+      ~budget:"<= 1.1x + 64"
+  | _ ->
+    Printf.printf "%-46s missing field\n" what;
+    incr failures
+
 (* scan_speedup may not fall below baseline * 0.9. *)
 let gate_speedup ~what b f =
   match (b, f) with
@@ -192,6 +207,9 @@ let () =
   gate_probes ~what:"point_get_cold_probes_per_op"
     (num_at b [ "point_get_cold_probes_per_op" ])
     (num_at f [ "point_get_cold_probes_per_op" ]);
+  gate_bytes ~what:"short_scan_read_path_bytes_per_scan"
+    (num_at b [ "short_scan_read_path_bytes_per_scan" ])
+    (num_at f [ "short_scan_read_path_bytes_per_scan" ]);
   let engines = engine_names b in
   if engines = [] then begin
     Printf.printf "baseline has no engines object\n";
