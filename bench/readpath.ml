@@ -14,13 +14,15 @@
       probes/op, view rebuild cost, and index block footprint.
 
    3. Short scans — seeded zipfian scans of 1–100 entries over a cached
-      WipDB store, reporting the device read-path bytes each scan costs:
-      an exact count on the in-memory Env, which moves only when the block
-      cache keeps (or drops) what scans read.
+      WipDB store, reporting the device read-path bytes each scan costs
+      and the bytes it allocates per returned row: exact counts on the
+      in-memory Env, which move only when the block cache keeps (or drops)
+      what scans read, or when the range reader copies more than the rows
+      it returns.
 
    Everything lands in BENCH_readpath.json; tools/readpath_gate compares
    the machine-independent fields (probes/op, on/off speedups, short-scan
-   bytes) against the committed baseline. *)
+   bytes and allocation) against the committed baseline. *)
 
 open Harness
 module Table = Wip_sstable.Table
@@ -270,9 +272,10 @@ let short_scan_keys = 20_000
 
 let short_scan_count = 4_000
 
-(* Device read-path bytes per scan, after as many warm-up scans (which
-   also build the buckets' sorted views). Single-threaded on the in-memory
-   Env, so the count is exact and repeats. *)
+(* Device read-path bytes per scan and allocated bytes per returned row,
+   after as many warm-up scans (which also build the buckets' sorted
+   views). Single-threaded on the in-memory Env, so both counts are exact
+   and repeat. *)
 let short_scans () =
   let env = Env.in_memory () in
   let cfg =
@@ -304,19 +307,25 @@ let short_scans () =
     let got =
       Wipdb.Store.scan st ~lo:(ekey (start * stride)) ~hi:"\255" ~limit ()
     in
-    if List.length got <> min limit (short_scan_keys - start) then
-      failwith "short scan returned the wrong number of entries"
+    let n = List.length got in
+    if n <> min limit (short_scan_keys - start) then
+      failwith "short scan returned the wrong number of entries";
+    n
   in
   for _ = 1 to short_scan_count do
-    scan ()
+    ignore (scan ())
   done;
   let stats = Env.stats env in
   let before = Io_stats.read_by stats Io_stats.Read_path in
+  let alloc0 = Gc.allocated_bytes () in
+  let rows = ref 0 in
   for _ = 1 to short_scan_count do
-    scan ()
+    rows := !rows + scan ()
   done;
-  float_of_int (Io_stats.read_by stats Io_stats.Read_path - before)
-  /. float_of_int short_scan_count
+  let alloc = Gc.allocated_bytes () -. alloc0 in
+  ( float_of_int (Io_stats.read_by stats Io_stats.Read_path - before)
+    /. float_of_int short_scan_count,
+    alloc /. float_of_int (max 1 !rows) )
 
 let run ~ops () =
   let keys = max 10_000 ops in
@@ -405,9 +414,9 @@ let run ~ops () =
   section
     (Printf.sprintf "readpath: %d zipfian scans of 1-100 entries, %d keys"
        short_scan_count short_scan_keys);
-  let short_scan_bytes = short_scans () in
-  row "%-28s %14.1f device bytes/scan" "short scan (WipDB, cached)"
-    short_scan_bytes;
+  let short_scan_bytes, short_scan_alloc = short_scans () in
+  row "%-28s %14.1f device bytes/scan %8.1f alloc B/row"
+    "short scan (WipDB, cached)" short_scan_bytes short_scan_alloc;
 
   (* Machine-readable trail for cross-PR comparison. *)
   let json = "BENCH_readpath.json" in
@@ -436,6 +445,7 @@ let run ~ops () =
   "cache_hits": %d,
   "cache_misses": %d,
   "short_scan_read_path_bytes_per_scan": %.1f,
+  "short_scan_alloc_bytes_per_row": %.1f,
   "engines": {
 %s
   }
@@ -448,6 +458,7 @@ let run ~ops () =
     (Io_stats.ph_fallback_count stats)
     (Io_stats.block_fetch_count stats)
     cc.Block_cache.c_hits cc.Block_cache.c_misses short_scan_bytes
+    short_scan_alloc
     (String.concat ",\n"
        (List.map (fun (name, arms) -> engine_json name arms) engines));
   close_out oc;

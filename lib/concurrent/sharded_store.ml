@@ -577,16 +577,18 @@ module Make (S : Wip_kv.Store_intf.S) = struct
       then []
       else begin
         let sh = t.shards.(i) in
-        let rest rows =
-          visit (i + 1) (Option.map (fun l -> l - List.length rows) limit)
+        (* [rows] is copied only when a later shard contributes. *)
+        let with_rest rows =
+          match
+            visit (i + 1) (Option.map (fun l -> l - List.length rows) limit)
+          with
+          | [] -> rows
+          | more -> rows @ more
         in
         if hold then
-          Sync.with_lock sh.lock (fun () ->
-              let rows = read i sh.store limit in
-              rows @ rest rows)
+          Sync.with_lock sh.lock (fun () -> with_rest (read i sh.store limit))
         else
-          let rows = Sync.with_lock sh.lock (fun () -> read i sh.store limit) in
-          rows @ rest rows
+          with_rest (Sync.with_lock sh.lock (fun () -> read i sh.store limit))
       end
     in
     if String.compare lo hi >= 0 then []

@@ -4,6 +4,7 @@ module Io_stats = Wip_storage.Io_stats
 module Table = Wip_sstable.Table
 module Merge_iter = Wip_sstable.Merge_iter
 module Sorted_view = Wip_sstable.Sorted_view
+module Range_reader = Wip_sstable.Range_reader
 module Memtable = Wip_memtable.Memtable
 module Block_cache = Wip_storage.Block_cache
 module Wal = Wip_wal.Wal
@@ -297,72 +298,30 @@ let table_seq t ~category meta =
     ()
 
 (* ------------------------------------------------------------------ *)
-(* Sorted views (REMIX-style; see Sorted_view and DESIGN.md).
-
-   Building or extending a view replays whole runs and bypasses the block
-   cache; a walk reads only the blocks its scan returns, under the scan
-   admission class. *)
+(* Sorted views (REMIX-style; see Sorted_view and DESIGN.md), one per
+   bucket, built at the first scan that finds enough runs and extended at
+   flush. Building or extending a view replays whole runs and bypasses the
+   block cache; a walk reads only the blocks its scan returns, under the
+   scan admission class. *)
 
 let invalidate_view bucket = bucket.view <- None
 
-let view_open_run t ~admit (runs : Table.meta array) r ~from =
-  Table.Reader.stream (reader_of t runs.(r)) ~category:Io_stats.Read_path
-    ~admit ~from ()
-
 let bucket_tables bucket = Array.to_list bucket.levels |> List.concat
 
-(* The view of [bucket], building it on demand when the flag is on and the
-   run count is in the profitable window. Returns the pair a walk needs. *)
 let bucket_view t bucket =
-  match bucket.view with
-  | Some vr -> Some vr
-  | None ->
-    if not t.cfg.Config.sorted_view then None
-    else begin
-      let tables = bucket_tables bucket in
-      let n = List.length tables in
-      if n < t.cfg.Config.sorted_view_min_runs || n > Sorted_view.max_runs
-      then None
-      else begin
-        let runs = Array.of_list tables in
-        let started = Unix.gettimeofday () in
-        let view =
-          Sorted_view.build
-            (Array.map
-               (fun m ->
-                 table_seq t ~category:Io_stats.Read_path m)
-               runs)
-        in
-        Io_stats.record_view_rebuild (io_stats t)
-          ~ns:(int_of_float ((Unix.gettimeofday () -. started) *. 1e9));
-        let vr = (view, runs) in
-        bucket.view <- Some vr;
-        Some vr
-      end
-    end
+  if Option.is_none bucket.view then
+    bucket.view <-
+      Sorted_view.build ~enabled:t.cfg.Config.sorted_view
+        ~min_runs:t.cfg.Config.sorted_view_min_runs ~stats:(io_stats t)
+        ~stream:(table_seq t ~category:Io_stats.Read_path)
+        (bucket_tables bucket);
+  bucket.view
 
-(* Flush site: extend an existing view with the new run instead of dropping
-   it — a 2-way merge of the view's replay against the just-flushed table.
-   Buckets that are never scanned never have a view and never pay this. *)
-let view_note_flush t bucket (meta : Table.meta) =
-  match bucket.view with
-  | None -> ()
-  | Some (view, runs) ->
-    if
-      (not t.cfg.Config.sorted_view)
-      || Sorted_view.run_count view >= Sorted_view.max_runs
-    then invalidate_view bucket
-    else begin
-      let started = Unix.gettimeofday () in
-      let view' =
-        Sorted_view.add_run view
-          ~open_run:(view_open_run t ~admit:Block_cache.Bypass runs)
-          (table_seq t ~category:Io_stats.Read_path meta)
-      in
-      Io_stats.record_view_rebuild (io_stats t)
-        ~ns:(int_of_float ((Unix.gettimeofday () -. started) *. 1e9));
-      bucket.view <- Some (view', Array.append runs [| meta |])
-    end
+let view_note_flush t bucket meta =
+  bucket.view <-
+    Sorted_view.extend ~enabled:t.cfg.Config.sorted_view ~stats:(io_stats t)
+      ~stream:(table_seq t ~category:Io_stats.Read_path)
+      bucket.view meta
 
 (* ------------------------------------------------------------------ *)
 (* Flush (minor compaction): MemTable -> one level-0 LevelTable *)
@@ -1088,112 +1047,47 @@ let newest_seq t key =
 (* [get]/[scan]/[get_at]/[scan_at] are defined in the resilience section
    below, wrapping the [_seq] versions with corruption quarantine. *)
 
-(* Lazy stream of visible (key, value) pairs with lo <= key < hi at the
-   given snapshot — newest visible version per key, tombstones elided.
-
-   Bucket key ranges are disjoint (the bucket-sort invariant), so the stream
-   is the concatenation of per-bucket merges in bucket order; a consumer
-   that stops early never touches later buckets' data blocks. Per-bucket
-   state (table handles, the sorted MemTable buffer of §III-D) is captured
-   when the bucket is first reached. A caller that must interleave the
-   stream with writes pins a {!snapshot} first: tables retired by a
-   concurrent compaction then stay readable (on every Env, POSIX included)
-   until the snapshot releases. *)
-let visible_seq t ~lo ~hi ~snapshot =
-  (* The buckets from [lo]'s owner up to [hi], reached lazily. The last
-     bucket's upper bound is unbounded — no sentinel string, so arbitrarily
-     large user keys (e.g. 17+ bytes of 0xff) stay in scope. *)
+(* The range reader over the buckets from [lo]'s owner up to [hi]. Bucket
+   key ranges are disjoint (the bucket-sort invariant), so the buckets are
+   its sources in order, each reached lazily — table handles, the sorted
+   MemTable buffer of §III-D and the view are captured then — and a read
+   that stops early never touches later buckets' data blocks. A caller that must
+   interleave the stream with writes pins a {!snapshot} first: tables
+   retired by a concurrent compaction then stay readable (on every Env,
+   POSIX included) until the snapshot releases. *)
+let range_reader t ~lo ~hi ?limit ~snapshot () =
   let buckets = t.buckets in
-  let rec relevant i () =
+  (* The last bucket's upper bound is unbounded — no sentinel string, so
+     arbitrarily large user keys (e.g. 17+ bytes of 0xff) stay in scope. *)
+  let rec sources i () =
     if i >= Array.length buckets || String.compare buckets.(i).lo hi >= 0
     then Seq.Nil
-    else Seq.Cons (buckets.(i), relevant (i + 1))
-  in
-  (* Encoded range bounds, computed once: tables seek [from] directly and the
-     take-while compares [hi_enc] against each entry's escaped-user prefix. *)
-  let from = Ikey.encode_seek lo ~seq:Ikey.max_seq in
-  let hi_enc = Ikey.encode_user hi in
-  let bucket_seq b () =
-    b.range_queries <- b.range_queries + 1;
-    let mem_entries =
-      (* §III-D: the hash MemTable's sort-to-buffer, built once per version
-         and positioned at [lo] by binary search. *)
-      Memtable.entries ~lo b.memtable
-      |> Seq.take_while (fun (k, _) -> Ikey.compare_encoded_user hi_enc k > 0)
-    in
-    let table_seqs =
+    else begin
+      let b = buckets.(i) in
+      b.range_queries <- b.range_queries + 1;
       (* Sorted view first: one selector-driven walk replaces the heap
-         merge of the whole run set. Falls through to the per-table merge
-         when the flag is off, the bucket has too few (or too many) runs,
-         or the view was just invalidated. Both paths read under the scan
-         admission class: their blocks enter the cache on probation, so
-         a long walk cannot evict the hot-get working set. *)
-      match bucket_view t b with
-      | Some (view, runs) ->
-        [
-          Sorted_view.walk view ~from
-            ~open_run:(view_open_run t ~admit:Block_cache.Scan runs)
-          |> Seq.take_while (fun (k, _) ->
-                 Ikey.compare_encoded_user hi_enc k > 0);
-        ]
-      | None ->
-        Array.to_list b.levels
-        |> List.concat_map
-             (List.filter_map (fun (m : Table.meta) ->
-                  (* Exclusive bound: a table whose smallest key equals [hi]
-                     holds nothing in [lo, hi) — never open or stream it. *)
-                  if Table.overlaps_excl m ~lo ~hi_excl:hi then
-                    Some
-                      (Table.Reader.stream (reader_of t m)
-                         ~category:Io_stats.Read_path
-                         ~admit:Block_cache.Scan ~from
-                         ()
-                      |> Seq.take_while (fun (k, _) ->
-                             Ikey.compare_encoded_user hi_enc k > 0))
-                  else None))
-    in
-    (Merge_iter.compact ~dedup_user_keys:true ~drop_tombstones:false
-       ~snapshot_floor:snapshot
-       (mem_entries :: table_seqs))
-      ()
+         merge of the whole run set. Falls back to the heap when the flag
+         is off, the bucket has too few (or too many) runs, or the view
+         was just invalidated. *)
+      let source =
+        Range_reader.source ~reader:(reader_of t) ~lo ~hi
+          ~mem:(Memtable.entries ~lo b.memtable) (bucket_view t b)
+          (fun () -> bucket_tables b)
+      in
+      Seq.Cons (source, sources (i + 1))
+    end
   in
-  let merged = Seq.flat_map bucket_seq (relevant (bucket_index buckets lo)) in
-  (* Entries newer than the snapshot are skipped (§III-D sequence-number
-     rule); among the rest the first (newest) version per user key decides,
-     and tombstones are dropped. Only emitted keys get unescaped. *)
-  let rec visible last seq () =
-    match seq () with
-    | Seq.Nil -> Seq.Nil
-    | Seq.Cons ((k, v), rest) ->
-      if Int64.compare (Ikey.encoded_seq k) snapshot > 0 then
-        visible last rest ()
-      else begin
-        let dup =
-          match last with
-          | Some prev -> Ikey.encoded_same_user prev k
-          | None -> false
-        in
-        let last = Some k in
-        if dup then visible last rest ()
-        else
-          match Ikey.encoded_kind k with
-          | Ikey.Value ->
-            Seq.Cons ((Ikey.user_key_of_encoded k, v), visible last rest)
-          | Ikey.Deletion -> visible last rest ()
-      end
-  in
-  visible None merged
+  Range_reader.create ~hi ~snapshot ?limit
+    (sources (bucket_index buckets lo))
 
 let iter_range t ?snapshot ~lo ~hi () =
   let snapshot =
     match snapshot with Some s -> s.Intf.snap_seq | None -> t.seq
   in
-  visible_seq t ~lo ~hi ~snapshot
+  Range_reader.to_seq (range_reader t ~lo ~hi ~snapshot ())
 
-(* Seq.take raises on a negative count; a negative limit means "nothing". *)
-let scan_at_seq t ~lo ~hi ?(limit = max_int) ~snapshot () =
-  visible_seq t ~lo ~hi ~snapshot |> Seq.take (max 0 limit) |> List.of_seq
-
+let scan_at_seq t ~lo ~hi ?limit ~snapshot () =
+  Range_reader.to_list (range_reader t ~lo ~hi ?limit ~snapshot ())
 
 (* ------------------------------------------------------------------ *)
 (* Recovery *)

@@ -4,6 +4,7 @@ module Io_stats = Wip_storage.Io_stats
 module Table = Wip_sstable.Table
 module Merge_iter = Wip_sstable.Merge_iter
 module Sorted_view = Wip_sstable.Sorted_view
+module Range_reader = Wip_sstable.Range_reader
 module Skiplist = Wip_memtable.Skiplist
 module Block_cache = Wip_storage.Block_cache
 module Wal = Wip_wal.Wal
@@ -167,56 +168,24 @@ let table_seq t ~category meta =
   Table.Reader.stream (reader_of t meta) ~category ~admit:Block_cache.Bypass
     ()
 
-let view_open_run t ~admit (runs : Table.meta array) r ~from =
-  Table.Reader.stream (reader_of t runs.(r)) ~category:Io_stats.Read_path
-    ~admit ~from ()
-
 let all_tables t = Array.to_list t.levels |> List.concat
 
 let store_view t =
-  match t.view with
-  | Some vr -> Some vr
-  | None ->
-    if not t.cfg.sorted_view then None
-    else begin
-      let tables = all_tables t in
-      let n = List.length tables in
-      if n < t.cfg.sorted_view_min_runs || n > Sorted_view.max_runs then None
-      else begin
-        let runs = Array.of_list tables in
-        let started = Unix.gettimeofday () in
-        let view =
-          Sorted_view.build
-            (Array.map (table_seq t ~category:Io_stats.Read_path) runs)
-        in
-        Io_stats.record_view_rebuild (io_stats t)
-          ~ns:(int_of_float ((Unix.gettimeofday () -. started) *. 1e9));
-        let vr = (view, runs) in
-        t.view <- Some vr;
-        Some vr
-      end
-    end
+  if Option.is_none t.view then
+    t.view <-
+      Sorted_view.build ~enabled:t.cfg.sorted_view
+        ~min_runs:t.cfg.sorted_view_min_runs ~stats:(io_stats t)
+        ~stream:(table_seq t ~category:Io_stats.Read_path)
+        (all_tables t);
+  t.view
 
 (* Flush site: extend an existing view with the new L0 run instead of
-   dropping it. Stores that are never scanned never have a view and never
-   pay this. *)
-let view_note_flush t (meta : Table.meta) =
-  match t.view with
-  | None -> ()
-  | Some (view, runs) ->
-    if (not t.cfg.sorted_view) || Sorted_view.run_count view >= Sorted_view.max_runs
-    then invalidate_view t
-    else begin
-      let started = Unix.gettimeofday () in
-      let view' =
-        Sorted_view.add_run view
-          ~open_run:(view_open_run t ~admit:Block_cache.Bypass runs)
-          (table_seq t ~category:Io_stats.Read_path meta)
-      in
-      Io_stats.record_view_rebuild (io_stats t)
-        ~ns:(int_of_float ((Unix.gettimeofday () -. started) *. 1e9));
-      t.view <- Some (view', Array.append runs [| meta |])
-    end
+   dropping it. *)
+let view_note_flush t meta =
+  t.view <-
+    Sorted_view.extend ~enabled:t.cfg.sorted_view ~stats:(io_stats t)
+      ~stream:(table_seq t ~category:Io_stats.Read_path)
+      t.view meta
 
 (* ------------------------------------------------------------------ *)
 (* Writing *)
@@ -613,70 +582,17 @@ let get t key = get_seq t key ~snapshot:t.seq
 let get_at t key ~snapshot =
   get_seq t key ~snapshot:snapshot.Wip_kv.Store_intf.snap_seq
 
-let scan_seq t ~lo ~hi ?(limit = max_int) ~snapshot () =
-  let from = Ikey.encode_seek lo ~seq:Ikey.max_seq in
-  let hi_enc = Ikey.encode_user hi in
-  let mem_seq =
+(* One source — a single key space — for the shared range reader. *)
+let scan_seq t ~lo ~hi ?limit ~snapshot () =
+  let mem =
     Skiplist.to_sorted_seq ~lo t.mem
-    |> Seq.take_while (fun ((ik : Ikey.t), _) ->
-           Ikey.compare_user ik.Ikey.user_key hi < 0)
     |> Seq.map (fun (ik, v) -> (Ikey.encode ik, v))
   in
-  let table_seqs =
-    match store_view t with
-    | Some (view, runs) ->
-      [
-        Sorted_view.walk view ~from
-          ~open_run:(view_open_run t ~admit:Block_cache.Scan runs)
-        |> Seq.take_while (fun (k, _) ->
-               Ikey.compare_encoded_user hi_enc k > 0);
-      ]
-    | None ->
-      Array.to_list t.levels
-      |> List.concat_map (fun level ->
-             List.filter_map
-               (fun m ->
-                 (* Exclusive bound: a table starting exactly at [hi] holds
-                    nothing in [lo, hi). *)
-                 if Table.overlaps_excl m ~lo ~hi_excl:hi then
-                   Some
-                     (Table.Reader.stream (reader_of t m)
-                        ~category:Io_stats.Read_path
-                        ~admit:Block_cache.Scan ~from
-                        ()
-                     |> Seq.take_while (fun (k, _) ->
-                            Ikey.compare_encoded_user hi_enc k > 0))
-                 else None)
-               level)
-  in
-  let merged =
-    Merge_iter.compact ~dedup_user_keys:true ~drop_tombstones:false
-      ~snapshot_floor:snapshot
-      (mem_seq :: table_seqs)
-  in
-  let out = ref [] and n = ref 0 and last = ref None in
-  (try
-     Seq.iter
-       (fun (k, v) ->
-         if !n >= limit then raise Exit;
-         if Int64.compare (Ikey.encoded_seq k) snapshot <= 0 then begin
-           let dup =
-             match !last with
-             | Some prev -> Ikey.encoded_same_user prev k
-             | None -> false
-           in
-           if not dup then begin
-             last := Some k;
-             match Ikey.encoded_kind k with
-             | Ikey.Value ->
-               out := (Ikey.user_key_of_encoded k, v) :: !out;
-               incr n
-             | Ikey.Deletion -> ()
-           end
-         end)
-       merged
-   with Exit -> ());
-  List.rev !out
+  Range_reader.to_list
+    (Range_reader.create ~hi ~snapshot ?limit
+       (Seq.return
+          (Range_reader.source ~reader:(reader_of t) ~lo ~hi ~mem (store_view t)
+             (fun () -> all_tables t))))
 
 let scan t ~lo ~hi ?limit () = scan_seq t ~lo ~hi ?limit ~snapshot:t.seq ()
 

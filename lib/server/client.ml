@@ -1,9 +1,8 @@
 type t = {
   fd : Unix.file_descr;
-  chunk : Bytes.t;
   (* A client handle is single-threaded by contract — callers own the
      request/response pairing; nothing here is shared. *)
-  mutable data : string; (* unconsumed response bytes; guarded_by: caller *)
+  inbox : Netio.inbox; (* unconsumed response bytes *)
   mutable next_id : int; (* guarded_by: caller *)
 }
 
@@ -27,7 +26,7 @@ let connect ?(addr = "127.0.0.1") ~port () =
    with e ->
      Netio.close_quietly fd;
      raise e);
-  { fd; chunk = Bytes.create 65536; data = ""; next_id = 1 }
+  { fd; inbox = Netio.inbox (); next_id = 1 }
 
 let close t = Netio.close_quietly t.fd
 
@@ -37,18 +36,14 @@ let send t req =
   Netio.write_all t.fd (Protocol.encode_request ~id req);
   id
 
-let rec recv t =
-  match Protocol.decode_response t.data ~pos:0 with
-  | Protocol.Frame { id; payload; next } ->
-    t.data <- String.sub t.data next (String.length t.data - next);
-    Ok (id, payload)
+let recv t =
+  match
+    Netio.next_frame t.inbox ~read:(Netio.read_fd t.fd)
+      ~decode:Protocol.decode_response
+  with
+  | Protocol.Frame { id; payload; _ } -> Ok (id, payload)
   | Protocol.Fail e -> Error (Protocol_failure e)
-  | Protocol.Need_more -> (
-    match Netio.read_chunk t.fd t.chunk with
-    | None -> Error Disconnected
-    | Some n ->
-      t.data <- t.data ^ Bytes.sub_string t.chunk 0 n;
-      recv t)
+  | Protocol.Need_more -> Error Disconnected
 
 (* Synchronous round-trip: with no other request outstanding, the next
    response must answer ours. *)
@@ -65,44 +60,36 @@ let request t req =
              (Protocol.Malformed { detail = "response id mismatch" }))
       else Ok resp)
 
-let ping t =
-  match request t Protocol.Ping with
-  | Ok Protocol.Pong -> Ok ()
+(* [request] answered as [expect] wants; a typed refusal or any other
+   shape is an error. *)
+let call t req expect =
+  match request t req with
   | Ok (Protocol.Error e) -> Error (Wire e)
-  | Ok r -> Error (Unexpected r)
+  | Ok r -> ( match expect r with Some v -> Ok v | None -> Error (Unexpected r))
   | Error _ as e -> e
+
+let ping t = call t Protocol.Ping (function Protocol.Pong -> Some () | _ -> None)
 
 let get t key =
-  match request t (Protocol.Get { key }) with
-  | Ok (Protocol.Value { value }) -> Ok (Some value)
-  | Ok Protocol.Not_found -> Ok None
-  | Ok (Protocol.Error e) -> Error (Wire e)
-  | Ok r -> Error (Unexpected r)
-  | Error _ as e -> e
+  call t (Protocol.Get { key }) (function
+    | Protocol.Value { value } -> Some (Some value)
+    | Protocol.Not_found -> Some None
+    | _ -> None)
 
-let expect_ack = function
-  | Ok Protocol.Ack -> Ok ()
-  | Ok (Protocol.Error e) -> Error (Wire e)
-  | Ok r -> Error (Unexpected r)
-  | Error _ as e -> e
+let ack t req = call t req (function Protocol.Ack -> Some () | _ -> None)
 
-let put t ~key ~value = expect_ack (request t (Protocol.Put { key; value }))
+let put t ~key ~value = ack t (Protocol.Put { key; value })
 
-let delete t ~key = expect_ack (request t (Protocol.Delete { key }))
+let delete t ~key = ack t (Protocol.Delete { key })
 
-let write_batch t items =
-  expect_ack (request t (Protocol.Write_batch items))
+let write_batch t items = ack t (Protocol.Write_batch items)
 
 let scan t ~lo ~hi ?limit () =
-  match request t (Protocol.Scan { lo; hi; limit }) with
-  | Ok (Protocol.Entries entries) -> Ok entries
-  | Ok (Protocol.Error e) -> Error (Wire e)
-  | Ok r -> Error (Unexpected r)
-  | Error _ as e -> e
+  call t (Protocol.Scan { lo; hi; limit }) (function
+    | Protocol.Entries entries -> Some entries
+    | _ -> None)
 
 let stats t =
-  match request t Protocol.Stats with
-  | Ok (Protocol.Stats_reply kvs) -> Ok kvs
-  | Ok (Protocol.Error e) -> Error (Wire e)
-  | Ok r -> Error (Unexpected r)
-  | Error _ as e -> e
+  call t Protocol.Stats (function
+    | Protocol.Stats_reply kvs -> Some kvs
+    | _ -> None)

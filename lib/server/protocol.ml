@@ -92,108 +92,127 @@ let err_bad_request = 3
 
 let err_txn_conflict = 4
 
-let put_kind buf kind =
-  Buffer.add_char buf
-    (match kind with Ikey.Value -> '\001' | Ikey.Deletion -> '\000')
+(* ------------------------------------------------------------------ *)
+(* Encoding. A frame body is written by one function run twice over a
+   writer: first in sizing mode (positions advance, nothing is written),
+   then into a buffer of exactly the frame's size whose 8-byte header is
+   filled in place — each payload byte is copied once. *)
 
-let put_items buf items =
-  Coding.put_varint buf (List.length items);
-  List.iter
-    (fun (kind, key, value) ->
-      put_kind buf kind;
-      Coding.put_length_prefixed buf key;
-      Coding.put_length_prefixed buf value)
-    items
+type writer = {
+  buf : Bytes.t;
+  sizing : bool;
+  mutable p : int; (* guarded_by: none — local to one encode call *)
+}
 
-(* [body] writes tag + payload into [buf]; the frame wrapper prepends
-   length and id. *)
+let put_byte w c =
+  if not w.sizing then Bytes.unsafe_set w.buf w.p (Char.unsafe_chr c);
+  w.p <- w.p + 1
+
+let rec put_varint w v =
+  if v < 0x80 then put_byte w v
+  else begin
+    put_byte w (0x80 lor (v land 0x7f));
+    put_varint w (v lsr 7)
+  end
+
+let put_string w s =
+  let n = String.length s in
+  put_varint w n;
+  if not w.sizing then Bytes.blit_string s 0 w.buf w.p n;
+  w.p <- w.p + n
+
 let frame ~id body =
-  let buf = Buffer.create 64 in
-  body buf;
-  let payload = Buffer.contents buf in
-  let out = Buffer.create (String.length payload + 8) in
-  Coding.put_fixed32 out (String.length payload + 4);
-  Coding.put_fixed32 out (id land 0xffffffff);
-  Buffer.add_string out payload;
-  Buffer.contents out
+  let sizing = { buf = Bytes.empty; sizing = true; p = 0 } in
+  body sizing;
+  let w = { buf = Bytes.create (8 + sizing.p); sizing = false; p = 8 } in
+  Bytes.set_int32_le w.buf 0 (Int32.of_int (sizing.p + 4));
+  Bytes.set_int32_le w.buf 4 (Int32.of_int (id land 0xffffffff));
+  body w;
+  Bytes.unsafe_to_string w.buf
 
 let encode_request ~id req =
-  frame ~id (fun buf ->
+  frame ~id (fun w ->
       match req with
-      | Ping -> Buffer.add_char buf (Char.chr tag_ping)
+      | Ping -> put_byte w tag_ping
       | Get { key } ->
-        Buffer.add_char buf (Char.chr tag_get);
-        Coding.put_length_prefixed buf key
+        put_byte w tag_get;
+        put_string w key
       | Put { key; value } ->
-        Buffer.add_char buf (Char.chr tag_put);
-        Coding.put_length_prefixed buf key;
-        Coding.put_length_prefixed buf value
+        put_byte w tag_put;
+        put_string w key;
+        put_string w value
       | Delete { key } ->
-        Buffer.add_char buf (Char.chr tag_delete);
-        Coding.put_length_prefixed buf key
+        put_byte w tag_delete;
+        put_string w key
       | Write_batch items ->
-        Buffer.add_char buf (Char.chr tag_write_batch);
-        put_items buf items
+        put_byte w tag_write_batch;
+        put_varint w (List.length items);
+        List.iter
+          (fun (kind, key, value) ->
+            put_byte w (match kind with Ikey.Value -> 1 | Ikey.Deletion -> 0);
+            put_string w key;
+            put_string w value)
+          items
       | Scan { lo; hi; limit } ->
-        Buffer.add_char buf (Char.chr tag_scan);
-        Coding.put_length_prefixed buf lo;
-        Coding.put_length_prefixed buf hi;
+        put_byte w tag_scan;
+        put_string w lo;
+        put_string w hi;
         (* 0 = unlimited; a real limit is stored off by one. A negative
            limit means "nothing" and is clamped to 0 entries — it must not
            collide with the unlimited encoding or go negative on the wire. *)
-        Coding.put_varint buf
+        put_varint w
           (match limit with
           | None -> 0
           | Some l when l < 0 -> 1
           | Some l -> l + 1)
-      | Stats -> Buffer.add_char buf (Char.chr tag_stats))
+      | Stats -> put_byte w tag_stats)
 
 let encode_response ~id resp =
-  frame ~id (fun buf ->
+  frame ~id (fun w ->
       match resp with
-      | Ack -> Buffer.add_char buf (Char.chr tag_ack)
+      | Ack -> put_byte w tag_ack
       | Value { value } ->
-        Buffer.add_char buf (Char.chr tag_value);
-        Coding.put_length_prefixed buf value
-      | Not_found -> Buffer.add_char buf (Char.chr tag_not_found)
+        put_byte w tag_value;
+        put_string w value
+      | Not_found -> put_byte w tag_not_found
       | Entries entries ->
-        Buffer.add_char buf (Char.chr tag_entries);
-        Coding.put_varint buf (List.length entries);
+        put_byte w tag_entries;
+        put_varint w (List.length entries);
         List.iter
           (fun (key, value) ->
-            Coding.put_length_prefixed buf key;
-            Coding.put_length_prefixed buf value)
+            put_string w key;
+            put_string w value)
           entries
-      | Pong -> Buffer.add_char buf (Char.chr tag_pong)
+      | Pong -> put_byte w tag_pong
       | Stats_reply kvs ->
-        Buffer.add_char buf (Char.chr tag_stats_reply);
-        Coding.put_varint buf (List.length kvs);
+        put_byte w tag_stats_reply;
+        put_varint w (List.length kvs);
         List.iter
           (fun (name, v) ->
-            Coding.put_length_prefixed buf name;
-            Coding.put_fixed64 buf v)
+            put_string w name;
+            if not w.sizing then Bytes.set_int64_le w.buf w.p v;
+            w.p <- w.p + 8)
           kvs
-      | Error err ->
-        Buffer.add_char buf (Char.chr tag_error);
-        (match err with
+      | Error err -> (
+        put_byte w tag_error;
+        match err with
         | Backpressure { shard; debt_bytes } ->
-          Buffer.add_char buf (Char.chr err_backpressure);
-          Coding.put_varint buf shard;
-          Coding.put_varint buf debt_bytes
+          put_byte w err_backpressure;
+          put_varint w shard;
+          put_varint w debt_bytes
         | Store_degraded { reason } ->
-          Buffer.add_char buf (Char.chr err_degraded);
-          Coding.put_length_prefixed buf reason
+          put_byte w err_degraded;
+          put_string w reason
         | Bad_request { message } ->
-          Buffer.add_char buf (Char.chr err_bad_request);
-          Coding.put_length_prefixed buf message
+          put_byte w err_bad_request;
+          put_string w message
         | Txn_conflict { key } ->
-          Buffer.add_char buf (Char.chr err_txn_conflict);
-          Coding.put_length_prefixed buf key))
+          put_byte w err_txn_conflict;
+          put_string w key))
 
 (* ------------------------------------------------------------------ *)
-(* Decoding. Every read is over the frame body only; Coding raises
-   Invalid_argument on truncated input, which the [run] wrapper converts to
-   the typed {!Truncated}. *)
+(* Decoding. A reader walks the frame body in place, bounded by the
+   frame's end: only decoded keys and values are copied out. *)
 
 type 'a decoded =
   | Frame of { id : int; payload : 'a; next : int }
@@ -204,153 +223,140 @@ exception Bad of protocol_error
 
 let fail e = raise (Bad e)
 
-(* A body parser gets (body, off) and returns (value, off'). *)
-let get_kind body p =
-  match body.[p] with
-  | '\001' -> (Ikey.Value, p + 1)
-  | '\000' -> (Ikey.Deletion, p + 1)
-  | c -> fail (Malformed { detail = Printf.sprintf "kind byte %d" (Char.code c) })
+type reader = {
+  s : string;
+  mutable r : int; (* guarded_by: none — local to one decode call *)
+  lim : int;
+}
 
-let get_items body p =
-  let count, p = Coding.get_varint body p in
-  if count < 0 || count > max_frame_bytes then
-    fail (Malformed { detail = "item count" });
-  let rec loop i p acc =
-    if i = count then (List.rev acc, p)
-    else begin
-      let kind, p = get_kind body p in
-      let key, p = Coding.get_length_prefixed body p in
-      let value, p = Coding.get_length_prefixed body p in
-      loop (i + 1) p ((kind, key, value) :: acc)
-    end
-  in
-  loop 0 p []
+let get_byte rd =
+  if rd.r >= rd.lim then fail Truncated;
+  let c = Char.code (String.unsafe_get rd.s rd.r) in
+  rd.r <- rd.r + 1;
+  c
 
-let parse_request body p =
-  let tag = Char.code body.[p] in
-  let p = p + 1 in
-  if tag = tag_ping then (Ping, p)
-  else if tag = tag_get then begin
-    let key, p = Coding.get_length_prefixed body p in
-    (Get { key }, p)
-  end
+let rec get_varint_from rd shift acc =
+  if shift > 63 then fail Truncated;
+  let byte = get_byte rd in
+  let acc = acc lor ((byte land 0x7f) lsl shift) in
+  if byte < 0x80 then acc else get_varint_from rd (shift + 7) acc
+
+let get_varint rd = get_varint_from rd 0 0
+
+let get_string rd =
+  let n = get_varint rd in
+  if n < 0 || n > rd.lim - rd.r then fail Truncated;
+  let v = String.sub rd.s rd.r n in
+  rd.r <- rd.r + n;
+  v
+
+let get_fixed64 rd =
+  if rd.lim - rd.r < 8 then fail Truncated;
+  let v = Coding.get_fixed64 rd.s rd.r in
+  rd.r <- rd.r + 8;
+  v
+
+(* A counted list; elements are read in order. *)
+let get_list rd ~what get =
+  let count = get_varint rd in
+  if count < 0 || count > max_frame_bytes then fail (Malformed { detail = what });
+  List.init count (fun _ -> get rd)
+
+let get_kind rd =
+  match get_byte rd with
+  | 1 -> Ikey.Value
+  | 0 -> Ikey.Deletion
+  | c -> fail (Malformed { detail = Printf.sprintf "kind byte %d" c })
+
+(* Fields are bound in wire order: tuple components evaluate in no fixed
+   order. *)
+let get_item rd =
+  let kind = get_kind rd in
+  let key = get_string rd in
+  (kind, key, get_string rd)
+
+let get_entry rd =
+  let key = get_string rd in
+  (key, get_string rd)
+
+let get_stat rd =
+  let name = get_string rd in
+  (name, get_fixed64 rd)
+
+let parse_request rd =
+  let tag = get_byte rd in
+  if tag = tag_ping then Ping
+  else if tag = tag_get then Get { key = get_string rd }
   else if tag = tag_put then begin
-    let key, p = Coding.get_length_prefixed body p in
-    let value, p = Coding.get_length_prefixed body p in
-    (Put { key; value }, p)
+    let key = get_string rd in
+    let value = get_string rd in
+    Put { key; value }
   end
-  else if tag = tag_delete then begin
-    let key, p = Coding.get_length_prefixed body p in
-    (Delete { key }, p)
-  end
-  else if tag = tag_write_batch then begin
-    let items, p = get_items body p in
-    (Write_batch items, p)
-  end
+  else if tag = tag_delete then Delete { key = get_string rd }
+  else if tag = tag_write_batch then
+    Write_batch (get_list rd ~what:"item count" get_item)
   else if tag = tag_scan then begin
-    let lo, p = Coding.get_length_prefixed body p in
-    let hi, p = Coding.get_length_prefixed body p in
-    let raw, p = Coding.get_varint body p in
+    let lo = get_string rd in
+    let hi = get_string rd in
+    let raw = get_varint rd in
     (* 0 = unlimited; otherwise off-by-one. A negative raw (an overflowed
        varint, or a client smuggling a negative limit) is a grammar
-       violation — reject it here so it can never reach Seq.take. *)
+       violation — reject it here so it can never reach the engine. *)
     if raw < 0 then fail (Malformed { detail = "negative scan limit" });
-    let limit = if raw = 0 then None else Some (raw - 1) in
-    (Scan { lo; hi; limit }, p)
+    Scan { lo; hi; limit = (if raw = 0 then None else Some (raw - 1)) }
   end
-  else if tag = tag_stats then (Stats, p)
+  else if tag = tag_stats then Stats
   else fail (Bad_tag { tag })
 
-let parse_error body p =
-  let code = Char.code body.[p] in
-  let p = p + 1 in
+let parse_error rd =
+  let code = get_byte rd in
   if code = err_backpressure then begin
-    let shard, p = Coding.get_varint body p in
-    let debt_bytes, p = Coding.get_varint body p in
-    (Backpressure { shard; debt_bytes }, p)
+    let shard = get_varint rd in
+    let debt_bytes = get_varint rd in
+    Backpressure { shard; debt_bytes }
   end
-  else if code = err_degraded then begin
-    let reason, p = Coding.get_length_prefixed body p in
-    (Store_degraded { reason }, p)
-  end
-  else if code = err_bad_request then begin
-    let message, p = Coding.get_length_prefixed body p in
-    (Bad_request { message }, p)
-  end
-  else if code = err_txn_conflict then begin
-    let key, p = Coding.get_length_prefixed body p in
-    (Txn_conflict { key }, p)
-  end
+  else if code = err_degraded then Store_degraded { reason = get_string rd }
+  else if code = err_bad_request then Bad_request { message = get_string rd }
+  else if code = err_txn_conflict then Txn_conflict { key = get_string rd }
   else fail (Malformed { detail = Printf.sprintf "error code %d" code })
 
-let parse_response body p =
-  let tag = Char.code body.[p] in
-  let p = p + 1 in
-  if tag = tag_ack then (Ack, p)
-  else if tag = tag_value then begin
-    let value, p = Coding.get_length_prefixed body p in
-    (Value { value }, p)
-  end
-  else if tag = tag_not_found then (Not_found, p)
-  else if tag = tag_entries then begin
-    let count, p = Coding.get_varint body p in
-    if count < 0 || count > max_frame_bytes then
-      fail (Malformed { detail = "entry count" });
-    let rec loop i p acc =
-      if i = count then (Entries (List.rev acc), p)
-      else begin
-        let key, p = Coding.get_length_prefixed body p in
-        let value, p = Coding.get_length_prefixed body p in
-        loop (i + 1) p ((key, value) :: acc)
-      end
-    in
-    loop 0 p []
-  end
-  else if tag = tag_pong then (Pong, p)
-  else if tag = tag_stats_reply then begin
-    let count, p = Coding.get_varint body p in
-    if count < 0 || count > max_frame_bytes then
-      fail (Malformed { detail = "stats count" });
-    let rec loop i p acc =
-      if i = count then (Stats_reply (List.rev acc), p)
-      else begin
-        let name, p = Coding.get_length_prefixed body p in
-        let v = Coding.get_fixed64 body p in
-        loop (i + 1) (p + 8) ((name, v) :: acc)
-      end
-    in
-    loop 0 p []
-  end
-  else if tag = tag_error then begin
-    let err, p = parse_error body p in
-    (Error err, p)
-  end
+let parse_response rd =
+  let tag = get_byte rd in
+  if tag = tag_ack then Ack
+  else if tag = tag_value then Value { value = get_string rd }
+  else if tag = tag_not_found then Not_found
+  else if tag = tag_entries then Entries (get_list rd ~what:"entry count" get_entry)
+  else if tag = tag_pong then Pong
+  else if tag = tag_stats_reply then
+    Stats_reply (get_list rd ~what:"stats count" get_stat)
+  else if tag = tag_error then Error (parse_error rd)
   else fail (Bad_tag { tag })
 
 (* Shared framing: length, id, then [parse] over exactly the declared
-   body. Anything [parse] leaves unconsumed is a grammar violation. *)
-let decode parse s ~pos =
-  let n = String.length s in
-  if pos < 0 || pos > n then Fail (Malformed { detail = "bad scan offset" })
-  else if pos + 4 > n then Need_more
+   body, read in place. Anything [parse] leaves unconsumed is a grammar
+   violation. *)
+let decode parse s ~pos ~stop =
+  let stop = Option.value stop ~default:(String.length s) in
+  if pos < 0 || pos > stop || stop > String.length s then
+    Fail (Malformed { detail = "bad scan offset" })
+  else if pos + 4 > stop then Need_more
   else begin
     let len = Coding.get_fixed32 s pos in
     if len > max_frame_bytes then Fail (Oversized { len })
     else if len < 5 then Fail (Malformed { detail = "frame too short" })
-    else if pos + 4 + len > n then Need_more
+    else if pos + 4 + len > stop then Need_more
     else begin
       let id = Coding.get_fixed32 s (pos + 4) in
-      let body = String.sub s (pos + 8) (len - 4) in
-      match parse body 0 with
-      | payload, p ->
-        if p <> String.length body then
+      let rd = { s; r = pos + 8; lim = pos + 4 + len } in
+      match parse rd with
+      | payload ->
+        if rd.r <> rd.lim then
           Fail (Malformed { detail = "trailing bytes in frame" })
-        else Frame { id; payload; next = pos + 4 + len }
+        else Frame { id; payload; next = rd.lim }
       | exception Bad e -> Fail e
-      | exception Invalid_argument _ -> Fail Truncated
     end
   end
 
-let decode_request s ~pos = decode parse_request s ~pos
+let decode_request ?stop s ~pos = decode parse_request s ~pos ~stop
 
-let decode_response s ~pos = decode parse_response s ~pos
+let decode_response ?stop s ~pos = decode parse_response s ~pos ~stop

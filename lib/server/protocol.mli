@@ -68,7 +68,8 @@ val max_frame_bytes : int
 val write_error_to_wire : Wip_kv.Store_intf.write_error -> wire_error
 
 val encode_request : id:int -> request -> string
-(** Complete frame, length prefix included. [id] is truncated to 32 bits. *)
+(** Complete frame, length prefix included, in one allocation of exactly
+    the frame's size. [id] is truncated to 32 bits. *)
 
 val encode_response : id:int -> response -> string
 
@@ -79,6 +80,10 @@ type 'a decoded =
       (** the buffer ends mid-frame — read more bytes and retry *)
   | Fail of protocol_error
 
-val decode_request : string -> pos:int -> request decoded
+val decode_request : ?stop:int -> string -> pos:int -> request decoded
+(** Decode the frame starting at [pos], reading no further than [stop]
+    (default: the end of the string) — the buffered input of a stream
+    reader. The body is parsed in place; only keys and values are copied
+    out. *)
 
-val decode_response : string -> pos:int -> response decoded
+val decode_response : ?stop:int -> string -> pos:int -> response decoded

@@ -162,22 +162,13 @@ let unregister t conn =
       t.conns <- List.filter (fun c -> not (c == conn)) t.conns)
 
 let reader t conn () =
-  let chunk = Bytes.create 65536 in
-  (* [data] holds unconsumed input; [pos] the scan offset into it. The
-     consumed prefix is dropped whenever more input is needed. *)
-  let rec loop data pos =
-    match Protocol.decode_request data ~pos with
-    | Protocol.Frame { id; payload; next } ->
+  let inbox = Netio.inbox () in
+  let read = Netio.read_fd conn.fd in
+  let rec loop () =
+    match Netio.next_frame inbox ~read ~decode:Protocol.decode_request with
+    | Protocol.Frame { id; payload; _ } ->
       enqueue t conn ~id payload;
-      loop data next
-    | Protocol.Need_more -> (
-      let data =
-        if pos = 0 then data
-        else String.sub data pos (String.length data - pos)
-      in
-      match Netio.read_chunk conn.fd chunk with
-      | None -> ()
-      | Some n -> loop (data ^ Bytes.sub_string chunk 0 n) 0)
+      loop ()
     | Protocol.Fail e ->
       (* Typed decode failure. The stream is unsynchronized from here, so
          answer (id 0 — the frame's own id may be the corrupt part) and
@@ -186,8 +177,9 @@ let reader t conn () =
         (Protocol.Error
            (Protocol.Bad_request
               { message = Protocol.protocol_error_to_string e }))
+    | Protocol.Need_more -> ()
   in
-  (try loop "" 0 with Unix.Unix_error _ -> ());
+  (try loop () with Unix.Unix_error _ -> ());
   unregister t conn
 
 (* ------------------------------------------------------------------ *)

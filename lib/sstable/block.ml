@@ -90,42 +90,13 @@ let decode_all raw =
   in
   loop 0 "" []
 
-let seek raw ~compare =
-  let count, restart_base = restart_info raw in
-  (* Binary search restarts for the last restart whose key has compare < 0. *)
-  let key_at_restart i =
-    let off = restart_offset raw restart_base i in
-    let key, _v, _next = decode_entry raw ~prev_key:"" off in
-    key
-  in
-  let rec bsearch lo hi =
-    (* invariant: restart lo's key compares < 0 (or lo = 0); hi's >= 0 or hi = count *)
-    if hi - lo <= 1 then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if compare (key_at_restart mid) < 0 then bsearch mid hi else bsearch lo mid
-  in
-  if count = 0 then None
-  else begin
-    let start =
-      if compare (key_at_restart 0) >= 0 then 0
-      else bsearch 0 count
-    in
-    let rec scan off prev_key =
-      if off >= restart_base then None
-      else
-        let key, value, off' = decode_entry raw ~prev_key off in
-        if compare key >= 0 then Some (key, value) else scan off' key
-    in
-    scan (restart_offset raw restart_base start) ""
-  end
-
 module Cursor = struct
   type t = {
     raw : string;
     restart_base : int;
     restart_count : int;
     mutable pos : int; (* offset of the next entry to parse *)
+    mutable p : int; (* parse offset, advanced by [varint] *)
     mutable key_buf : Bytes.t; (* reused across entries; prefix in place *)
     mutable key_len : int;
     mutable val_off : int;
@@ -141,6 +112,7 @@ module Cursor = struct
       restart_base;
       restart_count;
       pos = 0;
+      p = 0;
       key_buf = Bytes.create 64;
       key_len = 0;
       val_off = 0;
@@ -148,7 +120,17 @@ module Cursor = struct
       valid = false;
     }
 
-  let valid t = t.valid
+  (* Stepping and seeking allocate nothing: varints decode in place into
+     [t.p] (no result tuple) and every loop below is a top-level function,
+     so no closure is built per call. *)
+  let rec varint_from t shift acc =
+    if shift > 63 then invalid_arg "Block.Cursor: overlong varint";
+    let byte = Char.code t.raw.[t.p] in
+    t.p <- t.p + 1;
+    let acc = acc lor ((byte land 0x7f) lsl shift) in
+    if byte < 0x80 then acc else varint_from t (shift + 7) acc
+
+  let varint t = varint_from t 0 0
 
   let reserve t n =
     if Bytes.length t.key_buf < n then begin
@@ -163,9 +145,11 @@ module Cursor = struct
       false
     end
     else begin
-      let shared, off = Coding.get_varint t.raw t.pos in
-      let unshared, off = Coding.get_varint t.raw off in
-      let vlen, off = Coding.get_varint t.raw off in
+      t.p <- t.pos;
+      let shared = varint t in
+      let unshared = varint t in
+      let vlen = varint t in
+      let off = t.p in
       if (t.valid && shared > t.key_len) || (not t.valid) && shared > 0 then
         invalid_arg "Block.Cursor: shared prefix without predecessor";
       if off + unshared + vlen > t.restart_base then
@@ -193,43 +177,49 @@ module Cursor = struct
 
   let value t = String.sub t.raw t.val_off t.val_len
 
-  let value_length t = t.val_len
+  let rec compare_raw_from raw off len target lt i n =
+    if i = n then Int.compare len lt
+    else
+      let c =
+        Char.compare
+          (String.unsafe_get raw (off + i))
+          (String.unsafe_get target i)
+      in
+      if c <> 0 then c else compare_raw_from raw off len target lt (i + 1) n
 
   let compare_key t target =
     let lt = String.length target in
-    let n = min t.key_len lt in
-    let rec loop i =
-      if i = n then Int.compare t.key_len lt
-      else
-        let c =
-          Char.compare (Bytes.unsafe_get t.key_buf i) (String.unsafe_get target i)
-        in
-        if c <> 0 then c else loop (i + 1)
-    in
-    loop 0
+    compare_raw_from
+      (Bytes.unsafe_to_string t.key_buf)
+      0 t.key_len target lt 0 (min t.key_len lt)
 
   (* Compare the key stored at restart [i] against [target] straight out of
      the raw block: restart entries carry their full key (shared = 0), so no
      reconstruction or copy is needed. *)
   let compare_restart t i target =
-    let off = restart_offset t.raw t.restart_base i in
-    let shared, off = Coding.get_varint t.raw off in
-    let unshared, off = Coding.get_varint t.raw off in
-    let _vlen, off = Coding.get_varint t.raw off in
+    Atomic.incr seek_probe_count;
+    t.p <- restart_offset t.raw t.restart_base i;
+    let shared = varint t in
+    let unshared = varint t in
+    let _vlen = varint t in
     if shared <> 0 then invalid_arg "Block.Cursor: restart with shared prefix";
     let lt = String.length target in
-    let n = min unshared lt in
-    let rec loop i =
-      if i = n then Int.compare unshared lt
-      else
-        let c =
-          Char.compare
-            (String.unsafe_get t.raw (off + i))
-            (String.unsafe_get target i)
-        in
-        if c <> 0 then c else loop (i + 1)
-    in
-    loop 0
+    compare_raw_from t.raw t.p unshared target lt 0 (min unshared lt)
+
+  (* Last restart in [lo, hi) whose key is < target; restart [lo]'s is. *)
+  let rec last_restart_below t target lo hi =
+    if hi - lo <= 1 then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if compare_restart t mid target < 0 then last_restart_below t target mid hi
+      else last_restart_below t target lo mid
+
+  let rec scan_to t target =
+    if not (next t) then false
+    else begin
+      Atomic.incr seek_probe_count;
+      compare_key t target >= 0 || scan_to t target
+    end
 
   let seek t target =
     if t.restart_count = 0 || t.restart_base = 0 then begin
@@ -238,35 +228,17 @@ module Cursor = struct
       false
     end
     else begin
-      let probe i =
-        Atomic.incr seek_probe_count;
-        compare_restart t i target
-      in
       let start =
-        if probe 0 >= 0 then 0
-        else begin
-          (* last restart whose key < target *)
-          let rec bs lo hi =
-            if hi - lo <= 1 then lo
-            else
-              let mid = (lo + hi) / 2 in
-              if probe mid < 0 then bs mid hi else bs lo mid
-          in
-          bs 0 t.restart_count
-        end
+        if compare_restart t 0 target >= 0 then 0
+        else last_restart_below t target 0 t.restart_count
       in
       t.pos <- restart_offset t.raw t.restart_base start;
       t.key_len <- 0;
       t.valid <- false;
-      let rec scan () =
-        if not (next t) then false
-        else begin
-          Atomic.incr seek_probe_count;
-          if compare_key t target >= 0 then true else scan ()
-        end
-      in
-      scan ()
+      scan_to t target
     end
+
+  let rec step t k = k = 0 || (next t && step t (k - 1))
 
   (* Jump to entry ordinal [n] without any key comparison: restart
      [n / restart_interval] then step [n mod restart_interval] entries.
@@ -283,7 +255,6 @@ module Cursor = struct
       t.pos <- restart_offset t.raw t.restart_base r;
       t.key_len <- 0;
       t.valid <- false;
-      let rec step k = k = 0 || (next t && step (k - 1)) in
-      step ((n mod Table_format.restart_interval) + 1)
+      step t ((n mod Table_format.restart_interval) + 1)
     end
 end

@@ -8,8 +8,7 @@
 
     Hot paths read blocks through {!Cursor}, which reconstructs prefix-shared
     keys in place into one reusable buffer and compares keys without
-    materializing them; {!decode_all} and {!seek} remain for tests and
-    tools. *)
+    materializing them; {!decode_all} remains for tests and tools. *)
 
 module Builder : sig
   type t
@@ -38,8 +37,6 @@ module Cursor : sig
   (** Positioned before the first entry; call {!next} or {!seek}. The block
       is the first [len] bytes of the string (default: all of it), so a
       sealed block is read in place. *)
-
-  val valid : t -> bool
 
   val next : t -> bool
   (** Advance to the next entry; [false] (and invalid) at the end. *)
@@ -73,8 +70,6 @@ module Cursor : sig
 
   val value : t -> string
   (** The current value (fresh string). *)
-
-  val value_length : t -> int
 end
 
 val decode_all : string -> (string * string) list
@@ -90,10 +85,3 @@ val seek_probe_count : int Atomic.t
     steps). {!Cursor.seek_ordinal} never bumps it; the readpath bench
     reports the per-get difference between the binary-search and
     perfect-hash point paths. *)
-
-val seek : string -> compare:(string -> int) -> (string * string) option
-(** [seek raw ~compare] returns the first entry whose key [k] satisfies
-    [compare k >= 0] — i.e. [compare] is [fun k -> some_order k target]
-    negated... concretely: pass [compare = fun k -> cmp k] where [cmp k < 0]
-    while [k] precedes the target. Uses restart-point binary search then a
-    linear scan. *)

@@ -7,7 +7,7 @@ module Ikey = Wip_util.Ikey
    bucket's every sublevel joins the merge. Streams carry *encoded* internal
    keys compared bytewise (the encoding is memcomparable, see
    {!Wip_util.Ikey}), so merging materializes no [Ikey.t] records. *)
-type ('k, 'v) stream = { head : 'k * 'v; tail : ('k * 'v) Seq.t }
+type 'v stream = { head : string * 'v; tail : (string * 'v) Seq.t }
 
 let stream_of_seq seq =
   match seq () with
@@ -15,57 +15,50 @@ let stream_of_seq seq =
   | Seq.Cons (head, tail) -> Some { head; tail }
 
 (* Non-empty heap; the whole heap is a [heap option]. *)
-type ('k, 'v) heap = Node of ('k, 'v) stream * ('k, 'v) heap list
+type 'v heap = Node of 'v stream * 'v heap list
 
-let meld ~compare (Node (sa, ca) as a) (Node (sb, cb) as b) =
-  if compare (fst sa.head) (fst sb.head) <= 0 then Node (sa, b :: ca)
+let meld (Node (sa, ca) as a) (Node (sb, cb) as b) =
+  if String.compare (fst sa.head) (fst sb.head) <= 0 then Node (sa, b :: ca)
   else Node (sb, a :: cb)
 
-let insert ~compare s = function
+let insert s = function
   | None -> Some (Node (s, []))
-  | Some h -> Some (meld ~compare (Node (s, [])) h)
+  | Some h -> Some (meld (Node (s, [])) h)
 
 (* Standard two-pass pairing: meld children pairwise left to right, then
    fold the pair melds together right to left. *)
-let rec merge_pairs ~compare = function
+let rec merge_pairs = function
   | [] -> None
   | [ h ] -> Some h
   | a :: b :: rest -> (
-    let ab = meld ~compare a b in
-    match merge_pairs ~compare rest with
+    let ab = meld a b in
+    match merge_pairs rest with
     | None -> Some ab
-    | Some r -> Some (meld ~compare ab r))
+    | Some r -> Some (meld ab r))
 
-let merge_by ~compare seqs =
+let merge seqs =
   match List.filter_map stream_of_seq seqs with
   | [] -> Seq.empty
   | [ s ] ->
     (* One live source — its order is already the merged order, so hand the
        underlying sequence back with no per-element heap bookkeeping. The
-       common case is a store scan over a sorted view plus an empty
-       memtable. *)
+       common case is a whole-table pass over a single run. *)
     fun () -> Seq.Cons (s.head, s.tail)
   | streams ->
-    let heap =
-      List.fold_left (fun acc s -> insert ~compare s acc) None streams
-    in
+    let heap = List.fold_left (fun acc s -> insert s acc) None streams in
     let rec next heap () =
       match heap with
       | None -> Seq.Nil
       | Some (Node (s, children)) ->
-        let rest = merge_pairs ~compare children in
+        let rest = merge_pairs children in
         let heap' =
           match stream_of_seq s.tail with
-          | Some s' -> insert ~compare s' rest
+          | Some s' -> insert s' rest
           | None -> rest
         in
         Seq.Cons (s.head, next heap')
     in
     next heap
-
-let compare_encoded (a : string) b = String.compare a b
-
-let merge seqs = merge_by ~compare:compare_encoded seqs
 
 let compact ?(dedup_user_keys = true) ?(drop_tombstones = false)
     ?(snapshot_floor = Int64.max_int) seqs =

@@ -1,20 +1,13 @@
 (** K-way merge of ordered sequences (pairing heap).
 
-    The store-facing entry points ({!merge}, {!compact}) operate on
-    {e encoded} internal keys — raw strings in memcomparable form (see
-    {!Wip_util.Ikey}) compared with [String.compare] — so flush, compaction
-    and split streams never materialize an [Ikey.t] per element.
-    {!merge_by} is the generic core for other orderings (e.g. plain user-key
-    merges across shards). *)
+    Both entry points operate on {e encoded} internal keys — raw strings in
+    memcomparable form (see {!Wip_util.Ikey}) compared with
+    [String.compare] — so flush, compaction and split streams never
+    materialize an [Ikey.t] per element. *)
 
-val merge_by :
-  compare:('k -> 'k -> int) -> ('k * 'v) Seq.t list -> ('k * 'v) Seq.t
-(** Inputs must each be sorted by [compare] on their first components; the
-    merged output preserves that order (stable across inputs only up to
-    [compare]-equality). *)
-
-val merge : (string * string) Seq.t list -> (string * string) Seq.t
-(** {!merge_by} with [String.compare] — encoded internal-key order. *)
+val merge : (string * 'v) Seq.t list -> (string * 'v) Seq.t
+(** Inputs must each be sorted by key; the merged output preserves that
+    order (stable across inputs only up to key equality). *)
 
 val compact :
   ?dedup_user_keys:bool ->

@@ -6,10 +6,9 @@
    once and replays it for free: it stores, for the concatenation of all
    runs in sorted order, one byte per entry naming the source run (the
    selector array) and one full encoded key every [seg_size] entries (the
-   anchor array). A walk then binary-searches the anchors, opens one cursor
-   stream per run positioned at the segment anchor, and pops streams in
-   selector order — zero comparisons per entry after the bounded skip into
-   the first segment.
+   anchor array). A walk then binary-searches the anchors, seeks one cursor
+   per run to the segment anchor, and pops cursors in selector order — zero
+   comparisons per entry after the bounded skip into the first segment.
 
    Anchor positioning is sound because encoded internal keys are unique
    within a store (the sequence trailer differs even for rewrites of one
@@ -18,15 +17,13 @@
    entries the selector prefix already consumed.
 
    The view holds no cursors and no table handles — only anchors, selectors
-   and a run count. Callers own the mapping from run index to a stream
-   (engines close over [Table.Reader.stream] on the run set the view was
-   built against) and must invalidate the view whenever that run set
-   changes; [walk] raises [Stale_view] if a run ends before the selectors
-   say it should, which only happens on a missed invalidation.
+   and a run count. Callers own the mapping from run index to a table (the
+   run set the view was built against) and must invalidate the view
+   whenever that run set changes; the walk ({!Range_reader}) raises
+   [Stale_view] if a run ends before the selectors say it should, which
+   only happens on a missed invalidation.
 
-   Cost: 1 byte/entry + ~key_size/seg_size bytes/entry. A build is one heap
-   merge of the runs (the same work a single full scan pays today); add_run
-   is a 2-way merge of the existing view's replay against the new run. *)
+   Cost: 1 byte/entry + ~key_size/seg_size bytes/entry. *)
 
 exception Stale_view
 
@@ -48,10 +45,6 @@ let entry_count t = t.count
 
 let run_count t = t.run_count
 
-let byte_size t =
-  Bytes.length t.selectors
-  + Array.fold_left (fun a k -> a + String.length k + 8) 0 t.anchors
-
 (* Build from a merged (key, run_index) sequence. *)
 let of_tagged ~run_count tagged =
   let selectors = Buffer.create 4096 in
@@ -72,92 +65,75 @@ let of_tagged ~run_count tagged =
 
 let tag run seq = Seq.map (fun (k, _v) -> (k, run)) seq
 
-let build runs =
-  let k = Array.length runs in
-  if k > max_runs then invalid_arg "Sorted_view.build: too many runs";
-  of_tagged ~run_count:k
-    (Merge_iter.merge_by ~compare:String.compare
-       (List.init k (fun r -> tag r runs.(r))))
+(* One heap merge of the runs' whole streams, tagged by run. *)
+let of_streams streams =
+  of_tagged ~run_count:(Array.length streams)
+    (Merge_iter.merge (List.mapi tag (Array.to_list streams)))
 
-(* Replay the view as a (key, run) sequence by popping the runs' own
-   streams in selector order — the primitive under both [walk] and
-   [add_run]. [start] is an entry index whose key is >= the position every
-   stream in [streams] is seeked to. *)
-let replay t ~streams ~start =
+(* Where a walk toward [from] starts: the first entry of the greatest
+   segment whose anchor is <= [from] (0 if none), and that anchor — every
+   run seeks to it, and at most [seg_size] entries precede [from]. *)
+let position t ~from =
+  let rec bs lo hi =
+    if hi - lo <= 1 then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if String.compare t.anchors.(mid) from <= 0 then bs mid hi else bs lo mid
+  in
+  if t.count = 0 then (0, "")
+  else
+    let seg = bs 0 (Array.length t.anchors) in
+    (seg * seg_size, t.anchors.(seg))
+
+let selector t i = Bytes.get_uint8 t.selectors i
+
+(* Extend with one run: replay the view — pop the old runs' streams in
+   selector order, no comparisons — and 2-way merge that against the new
+   run's stream. *)
+let add_run t streams run =
+  let streams = Array.map ref streams in
   let pop r =
     match !(streams.(r)) () with
     | Seq.Nil -> raise Stale_view
-    | Seq.Cons (kv, tail) ->
+    | Seq.Cons ((k, _), tail) ->
       streams.(r) := tail;
-      kv
+      k
   in
-  let rec go i () =
+  let rec existing i () =
     if i >= t.count then Seq.Nil
     else
       let r = Bytes.get_uint8 t.selectors i in
-      Seq.Cons ((pop r, r), go (i + 1))
+      Seq.Cons ((pop r, r), existing (i + 1))
   in
-  go start
-
-(* Greatest segment whose anchor is <= target (0 if none). *)
-let seek_segment t target =
-  let n = Array.length t.anchors in
-  if n = 0 || String.compare t.anchors.(0) target >= 0 then 0
-  else begin
-    let rec bs lo hi =
-      if hi - lo <= 1 then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if String.compare t.anchors.(mid) target <= 0 then bs mid hi
-        else bs lo mid
-    in
-    bs 0 n
-  end
-
-let walk t ~from ~open_run =
-  if t.count = 0 then Seq.empty
-  else
-    (* Delay stream creation until the walk is actually consumed, matching
-       the laziness of the heap-merge path it replaces. The replay here is
-       fused rather than layered over [replay]: the per-entry cost is the
-       whole point of the view, and a tag tuple plus a [Seq.map fst] node
-       per entry would give a third of the heap merge's work back. *)
-    fun () ->
-     let seg = seek_segment t from in
-     let anchor = t.anchors.(seg) in
-     let streams =
-       Array.init t.run_count (fun r -> ref (open_run r ~from:anchor))
-     in
-     let pop r =
-       match !(streams.(r)) () with
-       | Seq.Nil -> raise Stale_view
-       | Seq.Cons (kv, tail) ->
-         streams.(r) := tail;
-         kv
-     in
-     let rec go i () =
-       if i >= t.count then Seq.Nil
-       else Seq.Cons (pop (Bytes.get_uint8 t.selectors i), go (i + 1))
-     in
-     (* At most seg_size entries precede [from] within the segment. *)
-     let rec skip i =
-       if i >= t.count then Seq.Nil
-       else
-         let kv = pop (Bytes.get_uint8 t.selectors i) in
-         if String.compare (fst kv) from >= 0 then Seq.Cons (kv, go (i + 1))
-         else skip (i + 1)
-     in
-     skip (seg * seg_size)
-
-let add_run t ~open_run run =
-  if t.run_count >= max_runs then invalid_arg "Sorted_view.add_run: full";
-  let existing () =
-    let streams =
-      Array.init t.run_count (fun r -> ref (open_run r ~from:""))
-    in
-    replay t ~streams ~start:0 ()
-  in
-  let existing = Seq.map (fun (kv, r) -> (fst kv, r)) existing in
   of_tagged ~run_count:(t.run_count + 1)
-    (Merge_iter.merge_by ~compare:String.compare
-       [ existing; tag t.run_count run ])
+    (Merge_iter.merge [ existing 0; tag t.run_count run ])
+
+(* ------------------------------------------------------------------ *)
+(* An engine's cached view: the view plus the run set it was built over.
+   Building or extending replays whole runs through [stream] (the engine's
+   cache-bypassing table stream) and is timed into the env's stats. *)
+
+let timed stats f =
+  let started = Unix.gettimeofday () in
+  let v = f () in
+  Wip_storage.Io_stats.record_view_rebuild stats
+    ~ns:(int_of_float ((Unix.gettimeofday () -. started) *. 1e9));
+  v
+
+let build ~enabled ~min_runs ~stats ~stream tables =
+  let n = List.length tables in
+  if (not enabled) || n < min_runs || n > max_runs then None
+  else
+    let runs = Array.of_list tables in
+    Some (timed stats (fun () -> of_streams (Array.map stream runs)), runs)
+
+let extend ~enabled ~stats ~stream cached meta =
+  match cached with
+  | None -> None
+  | Some (view, runs) ->
+    if (not enabled) || run_count view >= max_runs then None
+    else
+      Some
+        ( timed stats (fun () ->
+              add_run view (Array.map (fun m -> stream m) runs) (stream meta)),
+          Array.append runs [| meta |] )

@@ -300,15 +300,6 @@ module Reader = struct
     Io_stats.record_bloom_probe (stats t) ~negative:(not maybe);
     maybe
 
-  let may_contain t user_key =
-    let eu = Ikey.encode_user user_key in
-    let maybe =
-      Wip_bloom.Bloom.mem_encoded_sub t.filter eu ~pos:0
-        ~len:(String.length eu)
-    in
-    Io_stats.record_bloom_probe (stats t) ~negative:(not maybe);
-    maybe
-
   (* Data blocks are addressed by index ordinal and read through a cursor
      over the sealed bytes in place, so the device read is the only copy;
      the cache holds sealed blocks too, charged their payload bytes. The
@@ -360,6 +351,67 @@ module Reader = struct
       if i >= n then None else Some i
     end
 
+  (* A run cursor: one {!Block.Cursor} per block, entered lazily. The first
+     [next] seeks (index binary search, one block fetch), so a merge that
+     never pops a run never fetches its blocks. *)
+  module Cursor = struct
+    type reader = t
+
+    type t = {
+      reader : reader;
+      category : Io_stats.category;
+      admit : Wip_storage.Block_cache.admission;
+      from : string; (* encoded seek key; "" = the table start *)
+      mutable slot : int; (* block ordinal; -1 until the first [next] *)
+      mutable blk : Block.Cursor.t option;
+    }
+
+    let create reader ~category ~admit ?(from = "") () =
+      { reader; category; admit; from; slot = -1; blk = None }
+
+    let position c cur ~seek =
+      try if seek then Block.Cursor.seek cur c.from else Block.Cursor.next cur
+      with Invalid_argument detail ->
+        raise (Env.Corruption { file = c.reader.meta.name; detail })
+
+    let rec enter c slot ~seek =
+      c.slot <- slot;
+      if slot >= Array.length c.reader.index then begin
+        c.blk <- None;
+        false
+      end
+      else begin
+        let cur = block_cursor c.reader ~category:c.category ~admit:c.admit slot in
+        c.blk <- Some cur;
+        position c cur ~seek || enter c (slot + 1) ~seek:false
+      end
+
+    let next c =
+      match c.blk with
+      | Some cur -> position c cur ~seek:false || enter c (c.slot + 1) ~seek:false
+      | None -> (
+        c.slot < 0
+        &&
+        match if c.from = "" then Some 0 else index_slot c.reader c.from with
+        | Some slot -> enter c slot ~seek:(c.from <> "")
+        | None -> enter c (Array.length c.reader.index) ~seek:false)
+
+    let block c =
+      match c.blk with
+      | Some cur -> cur
+      | None -> invalid_arg "Table.Reader.Cursor: not positioned"
+  end
+
+  (* The entry under [cur] answers [target] iff it shares the user key. *)
+  let answer cur target ~miss =
+    let buf = Block.Cursor.key_bytes cur and len = Block.Cursor.key_length cur in
+    if Ikey.encoded_same_user_bytes buf ~len target then
+      Some
+        ( Ikey.encoded_kind_bytes buf ~len,
+          Block.Cursor.value cur,
+          Int64.of_int (Ikey.encoded_seq_int_bytes buf ~len) )
+    else miss ()
+
   (* Perfect-hash point path: the ph index locates the newest version of the
      target's user key directly — one ordinal jump, zero key comparisons to
      position. From there the cursor steps forward (sequences are encoded
@@ -390,24 +442,14 @@ module Reader = struct
         then false_hit ()
         else begin
           let rec advance cur blk =
-            if Block.Cursor.compare_key cur target >= 0 then begin
-              let buf = Block.Cursor.key_bytes cur in
-              let len = Block.Cursor.key_length cur in
-              if Ikey.encoded_same_user_bytes buf ~len target then
-                Some
-                  ( Ikey.encoded_kind_bytes buf ~len,
-                    Block.Cursor.value cur,
-                    Ikey.encoded_seq_bytes buf ~len )
-              else miss () (* every version is newer than the snapshot *)
-            end
+            (* A different user key here means every version of the target
+               is newer than the snapshot. *)
+            if Block.Cursor.compare_key cur target >= 0 then answer cur target ~miss
             else if Block.Cursor.next cur then advance cur blk
+            else if blk + 1 >= Array.length t.index then miss ()
             else begin
-              let blk = blk + 1 in
-              if blk >= Array.length t.index then miss ()
-              else begin
-                let cur = block_cursor t ~category blk in
-                if Block.Cursor.next cur then advance cur blk else miss ()
-              end
+              let cur = block_cursor t ~category (blk + 1) in
+              if Block.Cursor.next cur then advance cur (blk + 1) else miss ()
             end
           in
           advance cur blk
@@ -434,57 +476,23 @@ module Reader = struct
         | Some slot ->
           let cur = block_cursor t ~category slot in
           guard ~file:t.meta.name @@ fun () ->
-          if not (Block.Cursor.seek cur target) then miss ()
-          else begin
-            let buf = Block.Cursor.key_bytes cur in
-            let len = Block.Cursor.key_length cur in
-            if not (Ikey.encoded_same_user_bytes buf ~len target) then miss ()
-            else
-              Some
-                ( Ikey.encoded_kind_bytes buf ~len,
-                  Block.Cursor.value cur,
-                  Ikey.encoded_seq_bytes buf ~len )
-          end)
+          if Block.Cursor.seek cur target then answer cur target ~miss
+          else miss ())
     end
 
   let get t ~category user_key ~snapshot =
     get_encoded t ~category (Ikey.encode_seek user_key ~seq:snapshot)
 
-  (* One-shot sequence over encoded entries: lazy block loads, one mutable
-     cursor per block. Ephemeral by construction — every internal consumer is
-     single-pass (flush, compaction, split, scan assembly), and the public
-     store API returns lists, so nothing ever re-forces a prefix. *)
-  let stream t ~category ~admit ?(from = "") () =
-    let n = Array.length t.index in
-    let start_slot =
-      if from = "" then 0
-      else match index_slot t from with Some s -> s | None -> n
+  (* The one-shot sequence flush, compaction, split and view build read. *)
+  let stream t ~category ~admit ?from () =
+    let c = Cursor.create t ~category ~admit ?from () in
+    let rec go () =
+      if Cursor.next c then
+        let b = Cursor.block c in
+        Seq.Cons ((Block.Cursor.key b, Block.Cursor.value b), go)
+      else Seq.Nil
     in
-    let rec from_slot slot seek_target () =
-      if slot >= n then Seq.Nil
-      else begin
-        let cur = block_cursor t ~category ~admit slot in
-        guard ~file:t.meta.name @@ fun () ->
-        let positioned =
-          match seek_target with
-          | Some target -> Block.Cursor.seek cur target
-          | None -> Block.Cursor.next cur
-        in
-        if positioned then step cur slot ()
-        else from_slot (slot + 1) None ()
-      end
-    and step cur slot () =
-      let entry = (Block.Cursor.key cur, Block.Cursor.value cur) in
-      let more = guard ~file:t.meta.name (fun () -> Block.Cursor.next cur) in
-      if more then Seq.Cons (entry, step cur slot)
-      else Seq.Cons (entry, from_slot (slot + 1) None)
-    in
-    from_slot start_slot (if from = "" then None else Some from)
-
-  let iter_from t ~category ?(lo = "") () =
-    let from = if lo = "" then "" else Ikey.encode_seek lo ~seq:Ikey.max_seq in
-    stream t ~category ~admit:Wip_storage.Block_cache.Scan ~from ()
-    |> Seq.map (fun (k, v) -> (Ikey.decode k, v))
+    go
 
   let close t = Env.close_reader t.reader
 end

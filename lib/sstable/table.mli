@@ -108,11 +108,36 @@ module Reader : sig
       (maybe-answer but no entry) is recorded in the env's
       {!Wip_storage.Io_stats.t}. *)
 
-  val may_contain : t -> string -> bool
-  (** Bloom-filter check only (records the probe in the env stats). *)
-
   val may_contain_encoded : t -> string -> bool
-  (** {!may_contain} taking an encoded (seek) key instead of a user key. *)
+  (** Bloom-filter check only (records the probe in the env stats) for an
+      encoded (seek) key. *)
+
+  (** A run cursor: the table's encoded entries in order from the first
+      [>= from] (an encoded seek key; default: the table start). Creating
+      one reads nothing — the first {!Cursor.next} seeks — and blocks are
+      read lazily under [admit] ([Scan] for range reads, [Bypass] for
+      whole-table passes; see {!Wip_storage.Block_cache}). Stepping
+      allocates only at block boundaries; damaged bytes raise
+      {!Wip_storage.Env.Corruption}. *)
+  module Cursor : sig
+    type reader := t
+
+    type t
+
+    val create :
+      reader ->
+      category:Wip_storage.Io_stats.category ->
+      admit:Wip_storage.Block_cache.admission ->
+      ?from:string ->
+      unit ->
+      t
+
+    val next : t -> bool
+    (** Position on the next entry; [false] once the table is exhausted. *)
+
+    val block : t -> Block.Cursor.t
+    (** The block cursor holding the current entry, valid until [next]. *)
+  end
 
   val stream :
     t ->
@@ -121,23 +146,8 @@ module Reader : sig
     ?from:string ->
     unit ->
     (string * string) Seq.t
-  (** Encoded entries in order, starting at the first entry [>= from]
-      (an encoded seek key; [""] means the table start). Blocks are fetched
-      lazily, decoded through one reusable {!Block.Cursor} each, and
-      consult the block cache under [admit]: range scans pass [Scan],
-      compaction, split and view build and replay pass [Bypass] (see
-      {!Wip_storage.Block_cache}). The sequence is one-shot: it owns
-      mutable cursors, so force it at most once. *)
-
-  val iter_from :
-    t ->
-    category:Wip_storage.Io_stats.category ->
-    ?lo:string ->
-    unit ->
-    (Wip_util.Ikey.t * string) Seq.t
-  (** Decoding convenience over {!stream} (one {!Wip_util.Ikey.t} per
-      entry); [lo] is a user key. Test/tool use — hot paths consume
-      {!stream}. *)
+  (** {!Cursor} as a one-shot sequence of fresh [(key, value)] pairs, for
+      flush, compaction, split and view build. Force it at most once. *)
 
   val close : t -> unit
 end

@@ -85,32 +85,34 @@ let encode_seek user_key ~seq = encode { user_key; seq; kind = Value }
 
 let bad detail = invalid_arg ("Ikey.decode: " ^ detail)
 
-let unescape s ulen =
-  (* [s.[0 .. ulen)] is the escaped user key without its terminator. *)
-  let buf = Buffer.create ulen in
-  let i = ref 0 in
-  while !i < ulen do
-    let c = String.unsafe_get s !i in
-    if c = '\x00' then begin
-      if !i + 1 >= ulen || s.[!i + 1] <> '\xff' then bad "bad escape";
-      Buffer.add_char buf '\x00';
-      i := !i + 2
-    end
-    else begin
-      Buffer.add_char buf c;
-      incr i
-    end
+(* [b.[0 .. ulen)] is the escaped user key without its terminator. Every
+   0x00 in it opens a 0x00 0xFF escape, so the unescaped key is one exact
+   allocation of [ulen] minus the NUL count. *)
+let unescape b ulen =
+  let nuls = ref 0 in
+  for i = 0 to ulen - 1 do
+    if Bytes.unsafe_get b i = '\x00' then incr nuls
   done;
-  Buffer.contents buf
+  let out = Bytes.create (ulen - !nuls) in
+  let i = ref 0 in
+  for j = 0 to Bytes.length out - 1 do
+    let c = Bytes.unsafe_get b !i in
+    if c = '\x00' && (!i + 1 >= ulen || Bytes.get b (!i + 1) <> '\xff') then
+      bad "bad escape";
+    Bytes.unsafe_set out j c;
+    i := !i + if c = '\x00' then 2 else 1
+  done;
+  if !i <> ulen then bad "bad escape";
+  Bytes.unsafe_to_string out
 
-let check_terminator s n =
-  if n < trailer_length + 2 then bad "too short";
-  if s.[n - 10] <> '\x00' || s.[n - 9] <> '\x01' then bad "missing terminator"
+let user_key_of_encoded_bytes b ~len =
+  if len < trailer_length + 2 then bad "too short";
+  if Bytes.get b (len - 10) <> '\x00' || Bytes.get b (len - 9) <> '\x01' then
+    bad "missing terminator";
+  unescape b (len - trailer_length - 2)
 
 let user_key_of_encoded s =
-  let n = String.length s in
-  check_terminator s n;
-  unescape s (n - trailer_length - 2)
+  user_key_of_encoded_bytes (Bytes.unsafe_of_string s) ~len:(String.length s)
 
 let decode_trailer s n =
   let inv = ref 0L in
@@ -121,8 +123,7 @@ let decode_trailer s n =
 
 let decode s =
   let n = String.length s in
-  check_terminator s n;
-  let user_key = unescape s (n - trailer_length - 2) in
+  let user_key = user_key_of_encoded s in
   let trailer = decode_trailer s n in
   let seq = Int64.shift_right_logical trailer 8 in
   let kind =
@@ -181,13 +182,15 @@ let compare_encoded_user eu s =
 
 (* Bytes-buffer variants for Block.Cursor's reusable key buffer. *)
 
-let encoded_seq_bytes b ~len =
-  let inv = ref 0L in
-  for i = len - 8 to len - 1 do
-    inv :=
-      Int64.(logor (shift_left !inv 8) (of_int (Char.code (Bytes.unsafe_get b i))))
-  done;
-  Int64.shift_right_logical (Int64.lognot !inv) 8
+(* The first seven trailer bytes are the complemented sequence number, so it
+   reads into an immediate int (56 bits) with no Int64 box. *)
+let rec seq_int_from b i stop acc =
+  if i = stop then acc
+  else
+    seq_int_from b (i + 1) stop
+      ((acc lsl 8) lor (0xff - Char.code (Bytes.unsafe_get b i)))
+
+let encoded_seq_int_bytes b ~len = seq_int_from b (len - 8) (len - 1) 0
 
 let encoded_kind_bytes b ~len =
   kind_of_last_byte (Char.code (Bytes.unsafe_get b (len - 1)))

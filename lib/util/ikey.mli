@@ -64,13 +64,17 @@ val compare_encoded_user : string -> string -> int
     [compare_user u (decode enc).user_key]. *)
 
 val user_key_of_encoded : string -> string
-(** Unescaped user key of an encoded key (allocates; off the hot path). *)
+(** Unescaped user key of an encoded key: one exact-size allocation. *)
 
-val encoded_seq_bytes : Bytes.t -> len:int -> int64
+val encoded_seq_int_bytes : Bytes.t -> len:int -> int
 (** {!encoded_seq} over the first [len] bytes of a buffer (a
-    [Block.Cursor]'s reusable key buffer). *)
+    [Block.Cursor]'s reusable key buffer), as an immediate [int]: sequences
+    fit in 56 bits, so per-entry snapshot checks allocate nothing. *)
 
 val encoded_kind_bytes : Bytes.t -> len:int -> kind
+
+val user_key_of_encoded_bytes : Bytes.t -> len:int -> string
+(** {!user_key_of_encoded} over the first [len] bytes of a buffer. *)
 
 val encoded_same_user_bytes : Bytes.t -> len:int -> string -> bool
 (** [encoded_same_user_bytes buf ~len enc]: whether the encoded key held in

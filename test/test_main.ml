@@ -19,6 +19,7 @@ let () =
       ("readpath", Test_readpath.suite);
       ("iterator", Test_iterator.suite);
       ("sorted-view", Test_sorted_view.suite);
+      ("range-reader", Test_range_reader.suite);
       ("snapshot", Test_snapshot.suite);
       ("concurrent", Test_concurrent.suite);
       ("sharded", Test_sharded.suite);

@@ -348,8 +348,198 @@ let test_no_acked_write_lost_across_outage () =
   Alcotest.(check bool) "the run acked something before the outage" true
     (not (Queue.is_empty acked))
 
+(* ------------------------------------------------------------------ *)
+(* Stream framing: the inbox both ends read through *)
+
+module Netio = Wip_server.Netio
+
+let requests =
+  [
+    Protocol.Get { key = "alpha" };
+    Protocol.Put { key = "k\000"; value = String.make 40 '\255' };
+    Protocol.Scan { lo = ""; hi = "z"; limit = Some 3 };
+  ]
+
+let responses =
+  [
+    Protocol.Value { value = "one" };
+    Protocol.Entries [ ("a", "1"); ("b\000", "") ];
+    Protocol.Not_found;
+  ]
+
+let frames encode items =
+  String.concat "" (List.mapi (fun i x -> encode ~id:(i + 1) x) items)
+
+(* [read] over [s] in the pieces the cut points make (empty ones skipped:
+   a read of 0 bytes means end of input), then end of input. *)
+let pieces_reader s cuts =
+  let bounds = ref (cuts @ [ String.length s ]) and pos = ref 0 in
+  let rec read buf off len =
+    match !bounds with
+    | [] -> 0
+    | b :: rest when b <= !pos ->
+      bounds := rest;
+      read buf off len
+    | b :: _ ->
+      let n = min len (b - !pos) in
+      Bytes.blit_string s !pos buf off n;
+      pos := !pos + n;
+      n
+  in
+  read
+
+let drain ~decode read =
+  let inbox = Netio.inbox () in
+  let rec go acc =
+    match Netio.next_frame inbox ~read ~decode with
+    | Protocol.Frame { id; payload; _ } -> go ((id, payload) :: acc)
+    | Protocol.Fail e ->
+      Alcotest.failf "decode failed: %s" (Protocol.protocol_error_to_string e)
+    | Protocol.Need_more -> List.rev acc
+  in
+  go []
+
+(* A stream cut anywhere across two reads decodes to the same frames, for
+   both the server's (request) and the client's (response) decoder. *)
+let test_split_at_every_byte () =
+  let check_split name encode decode items =
+    let s = frames encode items in
+    let want = List.mapi (fun i x -> (i + 1, x)) items in
+    for cut = 0 to String.length s do
+      if drain ~decode (pieces_reader s [ cut ]) <> want then
+        Alcotest.failf "%s: split at byte %d decoded differently" name cut
+    done;
+    (* One byte per read as well. *)
+    let every = List.init (String.length s) (fun i -> i + 1) in
+    if drain ~decode (pieces_reader s every) <> want then
+      Alcotest.failf "%s: byte-at-a-time stream decoded differently" name
+  in
+  check_split "requests" Protocol.encode_request Protocol.decode_request requests;
+  check_split "responses" Protocol.encode_response Protocol.decode_response
+    responses
+
+(* The same over real sockets: the server reader gets each request stream
+   in two writes cut at every byte, and [Client.recv] gets each response
+   stream the same way from a raw peer. *)
+let test_split_over_sockets () =
+  let ops =
+    {
+      Server.get = (fun key -> Some ("v:" ^ key));
+      scan = (fun ~lo:_ ~hi:_ ~limit:_ -> []);
+      commit = (fun batches -> Array.map (fun _ -> Ok ()) batches);
+      stats = (fun () -> []);
+    }
+  in
+  let send_split fd s cut =
+    let writer =
+      Thread.create
+        (fun () ->
+          Netio.write_all fd (String.sub s 0 cut);
+          Thread.delay 0.0005;
+          Netio.write_all fd (String.sub s cut (String.length s - cut)))
+        ()
+    in
+    writer
+  in
+  with_server ~group_commit:false ops (fun srv ->
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect ~finally:(fun () -> Netio.close_quietly fd) @@ fun () ->
+      Unix.connect fd
+        (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port srv));
+      let gets = [ Protocol.Get { key = "a" }; Protocol.Get { key = "\255b" } ] in
+      let s = frames Protocol.encode_request gets in
+      let inbox = Netio.inbox () in
+      for cut = 0 to String.length s do
+        let writer = send_split fd s cut in
+        let got =
+          List.init 2 (fun _ ->
+              match
+                Netio.next_frame inbox ~read:(Netio.read_fd fd)
+                  ~decode:Protocol.decode_response
+              with
+              | Protocol.Frame { id; payload; _ } -> (id, payload)
+              | _ -> Alcotest.failf "server reader: no reply at cut %d" cut)
+          |> List.sort compare
+        in
+        Thread.join writer;
+        if
+          got
+          <> [
+               (1, Protocol.Value { value = "v:a" });
+               (2, Protocol.Value { value = "v:\255b" });
+             ]
+        then Alcotest.failf "server reader: split at byte %d answered wrong" cut
+      done);
+  let listen = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Netio.close_quietly listen) @@ fun () ->
+  Unix.bind listen (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen listen 1;
+  let port =
+    match Unix.getsockname listen with Unix.ADDR_INET (_, p) -> p | _ -> 0
+  in
+  let c = Client.connect ~port () in
+  let peer, _ = Unix.accept listen in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close c;
+      Netio.close_quietly peer)
+  @@ fun () ->
+  let s = frames Protocol.encode_response responses in
+  let want = List.mapi (fun i x -> (i + 1, x)) responses in
+  for cut = 0 to String.length s do
+    let writer = send_split peer s cut in
+    let got = List.map (fun _ -> ok "recv" (Client.recv c)) responses in
+    Thread.join writer;
+    if got <> want then
+      Alcotest.failf "Client.recv: split at byte %d decoded differently" cut
+  done
+
+(* 1000 pipelined replies that arrive in one read cost allocation linear in
+   the bytes received: each frame is decoded in place, never by copying the
+   unread tail. *)
+let test_pipelined_replies_allocate_linearly () =
+  let listen = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Netio.close_quietly listen) @@ fun () ->
+  Unix.bind listen (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen listen 1;
+  let port =
+    match Unix.getsockname listen with Unix.ADDR_INET (_, p) -> p | _ -> 0
+  in
+  let c = Client.connect ~port () in
+  let peer, _ = Unix.accept listen in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close c;
+      Netio.close_quietly peer)
+  @@ fun () ->
+  let n = 1000 in
+  let stream =
+    String.concat ""
+      (List.init n (fun i ->
+           Protocol.encode_response ~id:(i + 1)
+             (Protocol.Value { value = Printf.sprintf "value-%020d" i })))
+  in
+  Alcotest.(check bool) "fits one read" true (String.length stream < 65536);
+  Netio.write_all peer stream;
+  let before = Gc.allocated_bytes () in
+  for i = 1 to n do
+    match Client.recv c with
+    | Ok (id, Protocol.Value _) when id = i -> ()
+    | _ -> Alcotest.failf "reply %d lost" i
+  done;
+  let allocated = Gc.allocated_bytes () -. before in
+  let received = float_of_int (String.length stream) in
+  if allocated > (8. *. received) +. 65536. then
+    Alcotest.failf "%.0f bytes allocated for %.0f received" allocated received
+
 let suite =
   [
+    Alcotest.test_case "frames split at every byte decode identically" `Quick
+      test_split_at_every_byte;
+    Alcotest.test_case "split frames over sockets: server reader, Client.recv"
+      `Quick test_split_over_sockets;
+    Alcotest.test_case "pipelined replies allocate linearly" `Quick
+      test_pipelined_replies_allocate_linearly;
     Alcotest.test_case "round trips for every opcode" `Quick test_roundtrips;
     Alcotest.test_case "pipelining: puts overtake a slow scan" `Quick
       test_pipelining;

@@ -1,8 +1,8 @@
 (* Read acceleration: sorted views and the perfect-hash point index.
 
-   - property: a view walk is byte-identical to the pairing-heap reference
-     merge (Merge_iter) from arbitrary seek points, including after an
-     incremental add_run;
+   - property: a range read through a view walk, and through a heap of run
+     cursors, equals the pairing-heap reference merge (Merge_iter) from
+     arbitrary seek points, including after an incremental add_run;
    - property: engine scans with the accelerators on equal the same store
      with them off, under interleaved writes/deletes/flushes/compactions/
      splits, including pinned-snapshot reads;
@@ -14,6 +14,7 @@ module Ikey = Wip_util.Ikey
 module Rng = Wip_util.Rng
 module Merge_iter = Wip_sstable.Merge_iter
 module Sorted_view = Wip_sstable.Sorted_view
+module Range_reader = Wip_sstable.Range_reader
 module Ph_index = Wip_sstable.Ph_index
 module Table = Wip_sstable.Table
 module Io_stats = Wip_storage.Io_stats
@@ -39,91 +40,151 @@ let make_runs rng ~k ~n =
     (fun l -> List.sort (fun (a, _) (b, _) -> String.compare a b) l)
     runs
 
-let reference_merge runs ~from =
-  Merge_iter.merge (Array.to_list runs |> List.map List.to_seq)
-  |> Seq.filter (fun (k, _) -> String.compare k from >= 0)
-  |> List.of_seq
+(* Each run as a table on one in-memory Env, read back through readers. *)
+let tables_written = ref 0
 
-let open_run_of runs r ~from =
-  List.to_seq runs.(r) |> Seq.filter (fun (k, _) -> String.compare k from >= 0)
+let write_runs env runs =
+  Array.map
+    (fun entries ->
+      incr tables_written;
+      let name = Printf.sprintf "run-%d" !tables_written in
+      let b =
+        Table.Builder.create env ~name ~category:Io_stats.Flush
+          ~expected_keys:(List.length entries) ()
+      in
+      List.iter (fun (key, value) -> Table.Builder.add_encoded b ~key ~value) entries;
+      ignore (Table.Builder.finish b);
+      Table.Reader.open_ env ~name)
+    runs
 
-let check_walk name view runs ~from =
-  let got =
-    Sorted_view.walk view ~from ~open_run:(open_run_of runs) |> List.of_seq
+(* What a range read from user key [lo] must return at the newest
+   snapshot: the newest version of every user key [>= lo]. *)
+let reference_rows runs ~lo =
+  let rec dedup last = function
+    | [] -> []
+    | (k, v) :: rest ->
+      let u = (Ikey.decode k).Ikey.user_key in
+      if Some u = last || String.compare u lo < 0 then dedup (Some u) rest
+      else (u, v) :: dedup (Some u) rest
   in
-  let want = reference_merge runs ~from in
-  if got <> want then
-    Alcotest.failf "%s: walk from %S diverged (%d entries vs %d)" name
-      (String.escaped from) (List.length got) (List.length want)
+  dedup None
+    (List.of_seq (Merge_iter.merge (Array.to_list runs |> List.map List.to_seq)))
+
+(* Views are built the way engines build them: through [build] and
+   [extend] over the runs' tables. *)
+let stream_of readers (m : Table.meta) =
+  Table.Reader.stream
+    (List.find
+       (fun r -> String.equal (Table.Reader.meta r).Table.name m.Table.name)
+       (Array.to_list readers))
+    ~category:Io_stats.Read_path ~admit:Wip_storage.Block_cache.Bypass ()
+
+let metas readers = Array.to_list (Array.map Table.Reader.meta readers)
+
+let build_view env readers =
+  match
+    Sorted_view.build ~enabled:true ~min_runs:1
+      ~stats:(Wip_storage.Env.stats env) ~stream:(stream_of readers)
+      (metas readers)
+  with
+  | Some (view, _) -> view
+  | None -> Alcotest.fail "no view built"
+
+(* One source over [readers]: through [view] when given, else a heap. *)
+let reader_of readers (m : Table.meta) =
+  List.find
+    (fun r -> String.equal (Table.Reader.meta r).Table.name m.Table.name)
+    (Array.to_list readers)
+
+let range ?limit ?view readers ~lo =
+  let view = Option.map (fun v -> (v, Array.of_list (metas readers))) view in
+  Range_reader.create ~hi:"\255" ~snapshot:Ikey.max_seq ?limit
+    (Seq.return
+       (Range_reader.source ~reader:(reader_of readers) ~lo ~hi:"\255"
+          ~mem:Seq.empty view (fun () -> metas readers)))
+
+(* The view walk and the heap merge of the same readers both equal the
+   reference. *)
+let check_walk name view readers runs ~lo =
+  let want = reference_rows runs ~lo in
+  let via_view = Range_reader.to_list (range ~view readers ~lo) in
+  let via_heap = Range_reader.to_list (range readers ~lo) in
+  if via_view <> want then
+    Alcotest.failf "%s: walk from %S diverged (%d rows vs %d)" name
+      (String.escaped lo) (List.length via_view) (List.length want);
+  if via_heap <> want then
+    Alcotest.failf "%s: heap from %S diverged (%d rows vs %d)" name
+      (String.escaped lo) (List.length via_heap) (List.length want)
 
 let test_view_matches_merge () =
   let rng = Rng.create ~seed:7701L in
+  let env = Wip_storage.Env.in_memory () in
   for round = 0 to 9 do
     let k = 1 + Rng.int rng 8 in
     let n = Rng.int rng 1500 in
     let runs = make_runs rng ~k ~n in
-    let view = Sorted_view.build (Array.map List.to_seq runs) in
+    let readers = write_runs env runs in
+    let view = build_view env readers in
     Alcotest.(check int)
       (Printf.sprintf "round %d entry count" round)
       n (Sorted_view.entry_count view);
-    check_walk "full" view runs ~from:"";
+    (* A full walk pops every entry of every run exactly once. *)
+    let full = range ~view readers ~lo:"" in
+    ignore (Range_reader.to_list full);
+    Alcotest.(check int) "full walk reads every entry" n
+      (Range_reader.entries_read full);
+    check_walk "full" view readers runs ~lo:"";
     (* Seek from existing keys, keys past the end, and synthetic points. *)
-    let all = reference_merge runs ~from:"" in
     for _ = 1 to 25 do
-      let from =
-        match all with
-        | [] -> key (Rng.int rng 400)
-        | l ->
-          let i = Rng.int rng (List.length l) in
-          fst (List.nth l i)
-      in
-      check_walk "seek" view runs ~from
+      check_walk "seek" view readers runs ~lo:(key (Rng.int rng 401))
     done;
-    check_walk "past end" view runs ~from:"\255\255"
+    check_walk "past end" view readers runs ~lo:"\255\255"
   done
 
 let test_view_add_run () =
   let rng = Rng.create ~seed:7702L in
+  let env = Wip_storage.Env.in_memory () in
   for _ = 0 to 4 do
     let k = 1 + Rng.int rng 5 in
     let runs = make_runs rng ~k:(k + 1) ~n:(200 + Rng.int rng 800) in
-    let base = Array.sub runs 0 k in
-    let view = Sorted_view.build (Array.map List.to_seq base) in
+    let readers = write_runs env runs in
+    let base = Array.sub readers 0 k in
     let view' =
-      Sorted_view.add_run view ~open_run:(open_run_of base)
-        (List.to_seq runs.(k))
+      match
+        Sorted_view.extend ~enabled:true ~stats:(Wip_storage.Env.stats env)
+          ~stream:(stream_of readers)
+          (Some (build_view env base, Array.of_list (metas base)))
+          (Table.Reader.meta readers.(k))
+      with
+      | Some (view, _) -> view
+      | None -> Alcotest.fail "view not extended"
     in
     Alcotest.(check int) "run count" (k + 1) (Sorted_view.run_count view');
-    check_walk "after add_run" view' runs ~from:"";
+    check_walk "after add_run" view' readers runs ~lo:"";
     for _ = 1 to 10 do
-      check_walk "after add_run seek" view' runs ~from:(key (Rng.int rng 400))
+      check_walk "after add_run seek" view' readers runs
+        ~lo:(key (Rng.int rng 400))
     done
   done
 
 (* A positioned walk is a bounded skip: from any seek point it pops at
-   most [seg_size] entries out of the run streams before its first
-   emission, counted at the streams [open_run] hands out. *)
+   most [seg_size] entries out of the run cursors before its first row. *)
 let test_walk_skip_bounded () =
   let rng = Rng.create ~seed:7704L in
+  let env = Wip_storage.Env.in_memory () in
   let runs = make_runs rng ~k:6 ~n:5000 in
-  let view = Sorted_view.build (Array.map List.to_seq runs) in
-  let all = Array.of_list (reference_merge runs ~from:"") in
-  let pops = ref 0 in
-  let open_run r ~from =
-    Seq.map (fun kv -> incr pops; kv) (open_run_of runs r ~from)
-  in
+  let readers = write_runs env runs in
+  let view = build_view env readers in
   for _ = 1 to 300 do
-    let from =
-      if Rng.int rng 2 = 0 then fst all.(Rng.int rng (Array.length all))
-      else key (Rng.int rng 400)
-    in
-    pops := 0;
-    match Sorted_view.walk view ~from ~open_run () with
-    | Seq.Nil -> ()
-    | Seq.Cons _ ->
-      if !pops - 1 > Sorted_view.seg_size then
-        Alcotest.failf "walk from %S popped %d entries before its first"
-          (String.escaped from) (!pops - 1)
+    let lo = key (Rng.int rng 400) in
+    let r = range ~limit:1 ~view readers ~lo in
+    if
+      Range_reader.to_list r <> []
+      && Range_reader.entries_read r - 1 > Sorted_view.seg_size
+    then
+      Alcotest.failf "walk from %S popped %d entries before its first"
+        (String.escaped lo)
+        (Range_reader.entries_read r - 1)
   done
 
 (* ------------------------------------------------------------------ *)

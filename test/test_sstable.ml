@@ -12,6 +12,13 @@ let ik ?(kind = Ikey.Value) key seq = Ikey.make ~kind key ~seq:(Int64.of_int seq
 
 let enc ?kind key seq = Ikey.encode (ik ?kind key seq)
 
+(* A table's decoded entries from user key [lo] (default: all). *)
+let iter_from r ?(lo = "") () =
+  let from = if lo = "" then "" else Ikey.encode_seek lo ~seq:Ikey.max_seq in
+  Table.Reader.stream r ~category:Io_stats.Read_path
+    ~admit:Wip_storage.Block_cache.Scan ~from ()
+  |> Seq.map (fun (k, v) -> (Ikey.decode k, v))
+
 (* ------------------------------------------------------------------ *)
 (* Block layer *)
 
@@ -30,22 +37,15 @@ let test_block_seek () =
   for i = 0 to 99 do
     Block.Builder.add b ~key:(Printf.sprintf "k%04d" (i * 2)) ~value:(string_of_int i)
   done;
-  let raw = Block.Builder.finish b in
-  (* Exact hit *)
-  (match Block.seek raw ~compare:(fun k -> String.compare k "k0050") with
-  | Some (k, _) -> Alcotest.(check string) "exact" "k0050" k
-  | None -> Alcotest.fail "not found");
-  (* Between keys: lands on the next one *)
-  (match Block.seek raw ~compare:(fun k -> String.compare k "k0051") with
-  | Some (k, _) -> Alcotest.(check string) "next" "k0052" k
-  | None -> Alcotest.fail "not found");
-  (* Before the first key *)
-  (match Block.seek raw ~compare:(fun k -> String.compare k "") with
-  | Some (k, _) -> Alcotest.(check string) "first" "k0000" k
-  | None -> Alcotest.fail "not found");
-  (* Past the end *)
-  Alcotest.(check bool) "past end" true
-    (Block.seek raw ~compare:(fun k -> String.compare k "zzz") = None)
+  let cur = Block.Cursor.create (Block.Builder.finish b) in
+  let seek target =
+    if Block.Cursor.seek cur target then Some (Block.Cursor.key cur) else None
+  in
+  Alcotest.(check (option string)) "exact" (Some "k0050") (seek "k0050");
+  Alcotest.(check (option string)) "between keys: the next one" (Some "k0052")
+    (seek "k0051");
+  Alcotest.(check (option string)) "before the first" (Some "k0000") (seek "");
+  Alcotest.(check (option string)) "past the end" None (seek "zzz")
 
 let test_block_seal_unseal () =
   let sealed = Table_format.seal_block "payload" in
@@ -161,7 +161,7 @@ let test_table_iter_from () =
   let _ = build_table env "t3" entries in
   let r = Table.Reader.open_ env ~name:"t3" in
   let from_300 =
-    List.of_seq (Table.Reader.iter_from r ~category:Io_stats.Read_path ~lo:"000300" ())
+    List.of_seq (iter_from r ~lo:"000300" ())
   in
   Alcotest.(check int) "tail size" 350 (List.length from_300);
   (match from_300 with
@@ -169,13 +169,13 @@ let test_table_iter_from () =
     Alcotest.(check string) "first" "000300" first.Ikey.user_key
   | [] -> Alcotest.fail "empty");
   let from_301 =
-    List.of_seq (Table.Reader.iter_from r ~category:Io_stats.Read_path ~lo:"000301" ())
+    List.of_seq (iter_from r ~lo:"000301" ())
   in
   (match from_301 with
   | ((first : Ikey.t), _) :: _ ->
     Alcotest.(check string) "between keys" "000302" first.Ikey.user_key
   | [] -> Alcotest.fail "empty");
-  let all = List.of_seq (Table.Reader.iter_from r ~category:Io_stats.Read_path ()) in
+  let all = List.of_seq (iter_from r ()) in
   Alcotest.(check int) "full scan" 500 (List.length all);
   Table.Reader.close r
 
@@ -367,7 +367,7 @@ let qcheck_table_roundtrip =
       List.iter (fun (ikey, v) -> Table.Builder.add b ikey v) entries;
       let _ = Table.Builder.finish b in
       let r = Table.Reader.open_ env ~name:"q" in
-      let back = List.of_seq (Table.Reader.iter_from r ~category:Io_stats.Read_path ()) in
+      let back = List.of_seq (iter_from r ()) in
       Table.Reader.close r;
       List.length back = List.length entries
       && List.for_all2
@@ -476,8 +476,7 @@ let test_cursor_empty_block () =
   let raw = Block.Builder.finish (Block.Builder.create ()) in
   let cur = Block.Cursor.create raw in
   Alcotest.(check bool) "next on empty" false (Block.Cursor.next cur);
-  Alcotest.(check bool) "seek on empty" false (Block.Cursor.seek cur "x");
-  Alcotest.(check bool) "invalid" false (Block.Cursor.valid cur)
+  Alcotest.(check bool) "seek on empty" false (Block.Cursor.seek cur "x")
 
 let qcheck_cursor_equivalence =
   QCheck.Test.make ~name:"cursor agrees with decode_all on random blocks"
@@ -509,7 +508,7 @@ let test_empty_table () =
     (Table.Reader.get r ~category:Io_stats.Read_path "k" ~snapshot:Int64.max_int
      = None);
   Alcotest.(check int) "iter empty" 0
-    (Seq.length (Table.Reader.iter_from r ~category:Io_stats.Read_path ()));
+    (Seq.length (iter_from r ()));
   Table.Reader.close r
 
 let test_single_entry_table () =
@@ -539,9 +538,53 @@ let test_abandon_removes_file () =
   Table.Builder.abandon b;
   Alcotest.(check bool) "file deleted" false (Env.exists env "gone")
 
+(* Block.Cursor promises that stepping and seeking allocate nothing: over a
+   1000-entry block, a full [next] pass, a [seek] per entry and a
+   [seek_ordinal] per entry together add zero minor words (less the
+   calibrated cost of reading the counter itself). *)
+let test_cursor_steps_allocate_nothing () =
+  let n = 1000 in
+  let b = Block.Builder.create () in
+  let keys = Array.init n (fun i -> enc (Printf.sprintf "user-%06d" i) (n - i)) in
+  Array.iteri (fun i k -> Block.Builder.add b ~key:k ~value:(string_of_int i)) keys;
+  let cur = Block.Cursor.create (Block.Builder.finish b) in
+  (* Warm-up: grow the key buffer to its final size. *)
+  while Block.Cursor.next cur do () done;
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let empty = words (fun () -> ()) in
+  let passes =
+    [
+      ( "next",
+        fun () ->
+          Block.Cursor.rewind cur;
+          while Block.Cursor.next cur do () done );
+      ( "seek",
+        fun () ->
+          for i = 0 to n - 1 do
+            ignore (Block.Cursor.seek cur (Array.unsafe_get keys i))
+          done );
+      ( "seek_ordinal",
+        fun () ->
+          for i = 0 to n - 1 do
+            ignore (Block.Cursor.seek_ordinal cur i)
+          done );
+    ]
+  in
+  List.iter
+    (fun (what, f) ->
+      Alcotest.(check (float 0.)) (what ^ " allocates nothing") 0.
+        (words f -. empty))
+    passes
+
 let suite =
   suite
   @ [
+      Alcotest.test_case "cursor steps allocate nothing" `Quick
+        test_cursor_steps_allocate_nothing;
       Alcotest.test_case "empty table" `Quick test_empty_table;
       Alcotest.test_case "single entry" `Quick test_single_entry_table;
       Alcotest.test_case "abandon" `Quick test_abandon_removes_file;

@@ -69,8 +69,8 @@
      R9  no blocking under a lock: while any lock is lexically held,
          durable Env operations (create_file/append/sync/delete/rename),
          Retry.* re-attempt loops, sleeps (Unix.sleep/sleepf, Thread.delay,
-         Unix.fsync) and socket transfers (Netio.write_all/read_chunk) are
-         findings. [Sync.await] while holding any OTHER lock is also a
+         Unix.fsync) and socket transfers (Netio.write_all / read_fd /
+         next_frame) are findings. [Sync.await] while holding any OTHER lock is also a
          finding — await releases only its own lock. Deliberate leaf-lock
          flush sites (the server's one-frame-per-write socket send) carry a
          justified [lint: allow Rn].
@@ -621,7 +621,8 @@ let blocking_ref lid =
   else if List.mem "Thread" comps && String.equal last "delay" then
     Some "sleep"
   else if
-    List.mem "Netio" comps && List.mem last [ "write_all"; "read_chunk" ]
+    List.mem "Netio" comps
+    && List.mem last [ "write_all"; "read_fd"; "next_frame" ]
   then Some "socket transfer"
   else if
     List.mem "Env" comps

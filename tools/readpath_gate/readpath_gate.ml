@@ -17,6 +17,10 @@
        scan over a cached store, an exact count on the in-memory Env; it
        rises only if the block cache stopped keeping what scans read.
        Budget: baseline * 1.1 plus 64 bytes.
+     - short_scan_alloc_bytes_per_row: bytes allocated by the same scans
+       per returned row, exact in the single-threaded bench; it rises only
+       if the range reader copies entries it does not return. Same
+       budget.
 
    Usage: readpath_gate BASELINE.json FRESH.json *)
 
@@ -172,7 +176,8 @@ let gate_probes ~what b f =
     Printf.printf "%-46s missing field\n" what;
     incr failures
 
-(* Short-scan device bytes may not exceed baseline * 1.1 + 64. *)
+(* Short-scan device and allocated bytes may not exceed baseline * 1.1 +
+   64. *)
 let gate_bytes ~what b f =
   match (b, f) with
   | Some b, Some f ->
@@ -207,9 +212,9 @@ let () =
   gate_probes ~what:"point_get_cold_probes_per_op"
     (num_at b [ "point_get_cold_probes_per_op" ])
     (num_at f [ "point_get_cold_probes_per_op" ]);
-  gate_bytes ~what:"short_scan_read_path_bytes_per_scan"
-    (num_at b [ "short_scan_read_path_bytes_per_scan" ])
-    (num_at f [ "short_scan_read_path_bytes_per_scan" ]);
+  List.iter
+    (fun what -> gate_bytes ~what (num_at b [ what ]) (num_at f [ what ]))
+    [ "short_scan_read_path_bytes_per_scan"; "short_scan_alloc_bytes_per_row" ];
   let engines = engine_names b in
   if engines = [] then begin
     Printf.printf "baseline has no engines object\n";
