@@ -53,20 +53,22 @@ let run ~ops () =
         (engine, elapsed, List.rev !marks))
       (engines ~scale:1)
   in
-  (* (a) throughput over time *)
-  row "";
-  row "-- 6(a) write throughput (Mops/s) at each progress mark --";
-  Printf.printf "%-16s" "store";
-  for i = 1 to samples do
-    Printf.printf "%8d%%" (100 * i / samples)
-  done;
-  Printf.printf "%10s\n%!" "overall";
-  List.iter
-    (fun (engine, elapsed, marks) ->
-      Printf.printf "%-16s" engine.label;
-      List.iter (fun (_, thr, _) -> Printf.printf "%9.3f" (mops thr)) marks;
-      Printf.printf "%10.3f\n%!" (mops (float_of_int ops /. elapsed)))
-    results;
+  (* (a) throughput over time: wall clock, so not under --exact *)
+  if not !exact then begin
+    row "";
+    row "-- 6(a) write throughput (Mops/s) at each progress mark --";
+    Printf.printf "%-16s" "store";
+    for i = 1 to samples do
+      Printf.printf "%8d%%" (100 * i / samples)
+    done;
+    Printf.printf "%10s\n%!" "overall";
+    List.iter
+      (fun (engine, elapsed, marks) ->
+        Printf.printf "%-16s" engine.label;
+        List.iter (fun (_, thr, _) -> Printf.printf "%9.3f" (mops thr)) marks;
+        Printf.printf "%10.3f\n%!" (mops (float_of_int ops /. elapsed)))
+      results
+  end;
   (* (b) WA over time *)
   row "";
   row "-- 6(b) cumulative write amplification at each progress mark --";

@@ -104,8 +104,14 @@ let section title =
 
 let row fmt = Printf.printf (fmt ^^ "\n%!")
 
+(* Set by [main.exe --exact]: experiments print only what is a pure
+   function of the code — device-byte counters in full, no wall-clock
+   numbers — so two runs can be diffed byte for byte. *)
+let exact = ref false
+
 let human_bytes n =
-  if n >= 1 lsl 30 then Printf.sprintf "%.2f GiB" (float_of_int n /. float_of_int (1 lsl 30))
+  if !exact then Printf.sprintf "%d B" n
+  else if n >= 1 lsl 30 then Printf.sprintf "%.2f GiB" (float_of_int n /. float_of_int (1 lsl 30))
   else if n >= 1 lsl 20 then Printf.sprintf "%.2f MiB" (float_of_int n /. float_of_int (1 lsl 20))
   else if n >= 1 lsl 10 then Printf.sprintf "%.2f KiB" (float_of_int n /. float_of_int (1 lsl 10))
   else Printf.sprintf "%d B" n

@@ -8,7 +8,12 @@
 
      dune exec bench/main.exe                    # everything, default size
      dune exec bench/main.exe -- fig6 --ops 500000
-     dune exec bench/main.exe -- micro           # Bechamel microbenches *)
+     dune exec bench/main.exe -- micro           # Bechamel microbenches
+
+   "--exact" prints only what is deterministic on the simulated device: the
+   fig6 WA and per-category byte tables (bytes in full) and the fig11
+   histograms, without throughput or timings. The @io_exact alias diffs
+   that output against bench/io_exact.expected. *)
 
 let experiments =
   [
@@ -54,7 +59,7 @@ let default_ops =
   ]
 
 let usage () =
-  print_endline "usage: main.exe [experiment ...] [--ops N]";
+  print_endline "usage: main.exe [experiment ...] [--ops N] [--exact]";
   print_endline "experiments:";
   List.iter (fun (name, doc, _) -> Printf.printf "  %-10s %s\n" name doc)
     experiments;
@@ -66,6 +71,9 @@ let () =
   let rec parse names ops = function
     | [] -> (List.rev names, ops)
     | "--ops" :: n :: rest -> parse names (Some (int_of_string n)) rest
+    | "--exact" :: rest ->
+      Harness.exact := true;
+      parse names ops rest
     | ("--help" | "-h") :: _ -> usage ()
     | name :: rest -> parse (name :: names) ops rest
   in
@@ -96,4 +104,5 @@ let () =
     names;
   (* Run microbenches in the no-arg "everything" mode too. *)
   if args = [] then Micro.run ();
-  Printf.printf "\ntotal bench time: %.1f s\n%!" (Unix.gettimeofday () -. t0)
+  if not !Harness.exact then
+    Printf.printf "\ntotal bench time: %.1f s\n%!" (Unix.gettimeofday () -. t0)

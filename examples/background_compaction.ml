@@ -1,12 +1,13 @@
 (* Background compaction: the paper's deployment model (§IV-A runs seven
-   compaction threads). The concurrent front wraps a WipDB store behind a
-   lock and runs a dedicated compactor thread, so foreground writes return
-   after the WAL append + MemTable insert and merge-sorting happens off the
-   critical path. Reader threads run concurrently with the writer.
+   compaction threads). A one-shard concurrent front puts a WipDB store
+   behind a lock and runs a one-worker compaction pool, so foreground
+   writes return after the WAL append + MemTable insert and merge-sorting
+   happens off the critical path. Reader threads run concurrently with the
+   writer.
 
    Run with:  dune exec examples/background_compaction.exe *)
 
-module C = Wip_concurrent.Concurrent_store.Make (Wipdb.Store)
+module C = Wip_concurrent.Sharded_store.Make (Wipdb.Store)
 
 let key i = Printf.sprintf "%012d" i
 
@@ -24,7 +25,10 @@ let () =
     }
   in
   let db = Wipdb.Store.create ~env cfg in
-  let c = C.create ~budget_per_cycle:(512 * 1024) ~idle_sleep:0.0002 db in
+  let c =
+    C.create ~pool_threads:1 ~budget_per_cycle:(512 * 1024) ~idle_sleep:0.0002
+      [ ("", db) ]
+  in
 
   let n = 120_000 in
   let write_done = Atomic.make false in
@@ -61,7 +65,7 @@ let () =
     (float_of_int n /. dt);
   Printf.printf "readers (3 threads): %d gets, %d hits, concurrent with writes\n"
     (Atomic.get reads) (Atomic.get hits);
-  C.with_store c (fun db ->
+  C.with_shard c ~key:"" (fun db ->
       Printf.printf
         "background compactor: %d compactions, %d splits, %d buckets, WA %.2f\n"
         (Wipdb.Store.compaction_count db)

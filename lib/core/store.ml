@@ -6,10 +6,10 @@ module Merge_iter = Wip_sstable.Merge_iter
 module Sorted_view = Wip_sstable.Sorted_view
 module Range_reader = Wip_sstable.Range_reader
 module Memtable = Wip_memtable.Memtable
-module Block_cache = Wip_storage.Block_cache
 module Wal = Wip_wal.Wal
 module Manifest = Wip_manifest.Manifest
 module Intf = Wip_kv.Store_intf
+module Table_set = Wip_kv.Table_set
 
 (* Engine state is externally serialized (guard: caller): the concurrent
    front holds the owning shard lock across every Store_intf call, and
@@ -33,23 +33,10 @@ type bucket = {
   mutable view : (Sorted_view.t * Table.meta array) option; (* guarded_by: caller *)
 }
 
-(* A table retired by compaction/split/merge while snapshots were live: the
-   file, its reader and its cached blocks stay usable until every snapshot
-   that could still be streaming it releases. [z_pinners] holds the ids of
-   the snapshots that were live at retirement time. *)
-type zombie = {
-  z_meta : Table.meta;
-  mutable z_pinners : int list; (* guarded_by: caller *)
-}
-
 type t = {
   cfg : Config.t;
-  env : Env.t;
-  wal : Wal.t;
-  manifest : Manifest.t;
+  ts : Table_set.t;
   mutable buckets : bucket array; (* sorted by lo; guarded_by: caller *)
-  readers : (string, Table.Reader.t) Hashtbl.t;
-  mutable next_file : int; (* guarded_by: caller *)
   mutable next_bucket_id : int; (* guarded_by: caller *)
   mutable seq : int64; (* guarded_by: caller *)
   mutable splits : int; (* guarded_by: caller *)
@@ -57,22 +44,17 @@ type t = {
   mutable io_credit : int; (* guarded_by: caller *)
       (* accumulated background-compaction allowance (bytes); see
          Config.compaction_budget_per_batch *)
-  mutable health : Intf.health; (* guarded_by: caller *)
-  mutable quarantined : (string * string) list; (* guarded_by: caller *)
-      (* (file, detail) of tables renamed aside after corruption *)
-  cache : Wip_storage.Block_cache.t option;
-  mutable next_snap_id : int; (* guarded_by: caller *)
-  live_snaps : (int, int64) Hashtbl.t; (* snapshot id -> pinned seq *)
-  zombies : (string, zombie) Hashtbl.t; (* retired-but-pinned, by file *)
 }
+
+type config = Config.t
 
 let config t = t.cfg
 
 let name t = t.cfg.Config.name
 
-let env t = t.env
+let env t = Table_set.env t.ts
 
-let io_stats t = Env.stats t.env
+let io_stats t = Table_set.stats t.ts
 
 let sequence t = t.seq
 
@@ -82,7 +64,7 @@ let compaction_count t = t.compactions
 
 let bucket_count t = Array.length t.buckets
 
-let wal_bytes t = Wal.total_bytes t.wal
+let wal_bytes t = Wal.total_bytes (Table_set.wal t.ts)
 
 (* ------------------------------------------------------------------ *)
 (* Construction *)
@@ -103,7 +85,12 @@ let make_bucket t ~id ~lo ~structure =
     view = None;
   }
 
-let manifest_name cfg = cfg.Config.name ^ "-manifest"
+(* A new, empty bucket with a fresh id, logged. *)
+let new_bucket t ~lo ~structure =
+  let id = t.next_bucket_id in
+  t.next_bucket_id <- id + 1;
+  Table_set.log t.ts (Manifest.Add_bucket { id; lo });
+  make_bucket t ~id ~lo ~structure
 
 (* Initial bucket boundaries: evenly spaced over the numeric key space
    (a single bucket when initial_buckets = 1, the paper's cold start).
@@ -116,53 +103,37 @@ let bootstrap_buckets t =
     Config.shard_boundaries cfg ~shards:cfg.Config.initial_buckets
     |> Array.of_list
   in
-  let buckets =
+  t.buckets <-
     Array.map
-      (fun lo ->
-        let id = t.next_bucket_id in
-        t.next_bucket_id <- id + 1;
-        Manifest.append t.manifest (Manifest.Add_bucket { id; lo });
-        make_bucket t ~id ~lo ~structure:cfg.Config.memtable_structure)
+      (fun lo -> new_bucket t ~lo ~structure:cfg.Config.memtable_structure)
       los
-  in
-  t.buckets <- buckets
+
+let make ~reopen env cfg =
+  {
+    cfg;
+    ts =
+      Table_set.create ~reopen env ~name:cfg.Config.name ~suffix:".lvt"
+        ~wal_segment_bytes:cfg.Config.wal_segment_bytes
+        ~cache_bytes:cfg.Config.block_cache_bytes
+        ~bits_per_key:cfg.Config.bits_per_key ~ph_index:cfg.Config.ph_index
+        ~sorted_view:cfg.Config.sorted_view
+        ~sorted_view_min_runs:cfg.Config.sorted_view_min_runs ();
+    buckets = [||];
+    next_bucket_id = 0;
+    seq = 0L;
+    splits = 0;
+    compactions = 0;
+    io_credit = 0;
+  }
 
 let create ?env:env_opt cfg =
   (match Config.validate cfg with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Wipdb.create: " ^ msg));
   let env = match env_opt with Some e -> e | None -> Env.in_memory () in
-  let manifest = Manifest.create env ~name:(manifest_name cfg) in
-  let t =
-    {
-      cfg;
-      env;
-      wal = Wal.create env ~prefix:(cfg.Config.name ^ "-wal")
-              ~segment_bytes:cfg.Config.wal_segment_bytes ();
-      manifest;
-      buckets = [||];
-      readers = Hashtbl.create 256;
-      next_file = 1;
-      next_bucket_id = 0;
-      seq = 0L;
-      splits = 0;
-      compactions = 0;
-      io_credit = 0;
-      health = Intf.Healthy;
-      quarantined = [];
-      cache =
-        (if cfg.Config.block_cache_bytes > 0 then
-           Some
-             (Wip_storage.Block_cache.create
-                ~capacity_bytes:cfg.Config.block_cache_bytes)
-         else None);
-      next_snap_id = 0;
-      live_snaps = Hashtbl.create 8;
-      zombies = Hashtbl.create 8;
-    }
-  in
+  let t = make ~reopen:false env cfg in
   bootstrap_buckets t;
-  Manifest.sync manifest;
+  Table_set.sync_manifest t.ts;
   t
 
 (* ------------------------------------------------------------------ *)
@@ -181,121 +152,19 @@ let bucket_index arr key =
 
 let bucket_for t key = t.buckets.(bucket_index t.buckets key)
 
-(* ------------------------------------------------------------------ *)
-(* Table plumbing *)
+(* Snapshots pin seqs in the table set (§III-D sequence-number rule, end
+   to end): every Merge_iter.compact site below floors version GC at
+   [oldest_snapshot_seq], and retired tables stay readable as zombies. *)
 
-let fresh_table_name t =
-  let n = t.next_file in
-  t.next_file <- n + 1;
-  Printf.sprintf "%s-%06d.lvt" t.cfg.Config.name n
+let oldest_snapshot_seq t = Table_set.oldest_snapshot_seq t.ts
 
-let reader_of t (meta : Table.meta) =
-  match Hashtbl.find_opt t.readers meta.Table.name with
-  | Some r -> r
-  | None ->
-    let r = Table.Reader.open_ ?cache:t.cache t.env ~name:meta.Table.name in
-    Hashtbl.replace t.readers meta.Table.name r;
-    r
+let live_snapshot_count t = Table_set.live_snapshot_count t.ts
 
-let reclaim_table t name =
-  (match Hashtbl.find_opt t.readers name with
-  | Some r ->
-    Table.Reader.close r;
-    Hashtbl.remove t.readers name
-  | None -> ());
-  (match t.cache with
-  | Some cache -> Wip_storage.Block_cache.evict_file cache name
-  | None -> ());
-  Env.delete t.env name
+let zombie_table_files t = Table_set.zombie_table_files t.ts
 
-(* Retire a table the bucket directory no longer references. With no live
-   snapshot the file is reclaimed immediately; otherwise it becomes a
-   zombie pinned by every currently-live snapshot — a pinned snapshot may
-   still be lazily streaming its blocks (the store.ml drain-before-write
-   hazard this fixes), so the reader stays open and the file stays on the
-   Env until the last pinner releases. *)
-let drop_table t (meta : Table.meta) =
-  if Hashtbl.length t.live_snaps = 0 then reclaim_table t meta.Table.name
-  else begin
-    let pinners = Hashtbl.fold (fun id _ acc -> id :: acc) t.live_snaps [] in
-    Hashtbl.replace t.zombies meta.Table.name
-      { z_meta = meta; z_pinners = pinners }
-  end
+let zombie_bytes t = Table_set.zombie_bytes t.ts
 
-(* ------------------------------------------------------------------ *)
-(* Pinned snapshots (§III-D sequence-number rule, end to end).
-
-   A snapshot pins a seq. Reads at that seq stay exact for the handle's
-   lifetime because (a) version GC floors at the oldest live snapshot
-   ([oldest_snapshot_seq] feeds every Merge_iter.compact site as
-   [snapshot_floor], so the newest version at-or-below the floor and every
-   version above it survive), and (b) tables retired while a snapshot is
-   live stay readable as zombies until their last pinner releases. *)
-
-let oldest_snapshot_seq t =
-  Hashtbl.fold
-    (fun _ s acc -> if Int64.compare s acc < 0 then s else acc)
-    t.live_snaps Int64.max_int
-
-let live_snapshot_count t = Hashtbl.length t.live_snaps
-
-let zombie_table_files t =
-  Hashtbl.fold (fun name _ acc -> name :: acc) t.zombies []
-
-let zombie_bytes t =
-  Hashtbl.fold (fun _ z acc -> acc + z.z_meta.Table.size) t.zombies 0
-
-let release_snapshot_id t id =
-  if Hashtbl.mem t.live_snaps id then begin
-    Hashtbl.remove t.live_snaps id;
-    let dead =
-      Hashtbl.fold
-        (fun name z acc ->
-          z.z_pinners <- List.filter (fun p -> p <> id) z.z_pinners;
-          if z.z_pinners = [] then name :: acc else acc)
-        t.zombies []
-    in
-    List.iter
-      (fun name ->
-        Hashtbl.remove t.zombies name;
-        reclaim_table t name)
-      dead
-  end
-
-let snapshot t =
-  let id = t.next_snap_id in
-  t.next_snap_id <- id + 1;
-  Hashtbl.replace t.live_snaps id t.seq;
-  {
-    Intf.snap_seq = t.seq;
-    snap_id = id;
-    snap_release = (fun () -> release_snapshot_id t id);
-  }
-
-let log_add_table t bucket level (meta : Table.meta) =
-  Manifest.append t.manifest
-    (Manifest.Add_table
-       {
-         bucket = bucket.id;
-         level;
-         name = meta.Table.name;
-         size = meta.Table.size;
-         entry_count = meta.Table.entry_count;
-         smallest = meta.Table.smallest;
-         largest = meta.Table.largest;
-       })
-
-let log_remove_table t bucket level (meta : Table.meta) =
-  Manifest.append t.manifest
-    (Manifest.Remove_table { bucket = bucket.id; level; name = meta.Table.name })
-
-(* Encoded-entry stream over one whole table, for compaction, split and
-   view build: a sequential pass bypasses the block cache, so it can
-   neither evict the read working set nor fill the cache with blocks no
-   read asked for. *)
-let table_seq t ~category meta =
-  Table.Reader.stream (reader_of t meta) ~category ~admit:Block_cache.Bypass
-    ()
+let snapshot t = Table_set.snapshot t.ts ~seq:t.seq
 
 (* ------------------------------------------------------------------ *)
 (* Sorted views (REMIX-style; see Sorted_view and DESIGN.md), one per
@@ -308,20 +177,13 @@ let invalidate_view bucket = bucket.view <- None
 
 let bucket_tables bucket = Array.to_list bucket.levels |> List.concat
 
+let entry_count tables =
+  List.fold_left (fun acc (m : Table.meta) -> acc + m.Table.entry_count) 0 tables
+
 let bucket_view t bucket =
   if Option.is_none bucket.view then
-    bucket.view <-
-      Sorted_view.build ~enabled:t.cfg.Config.sorted_view
-        ~min_runs:t.cfg.Config.sorted_view_min_runs ~stats:(io_stats t)
-        ~stream:(table_seq t ~category:Io_stats.Read_path)
-        (bucket_tables bucket);
+    bucket.view <- Table_set.build_view t.ts (bucket_tables bucket);
   bucket.view
-
-let view_note_flush t bucket meta =
-  bucket.view <-
-    Sorted_view.extend ~enabled:t.cfg.Config.sorted_view ~stats:(io_stats t)
-      ~stream:(table_seq t ~category:Io_stats.Read_path)
-      bucket.view meta
 
 (* ------------------------------------------------------------------ *)
 (* Flush (minor compaction): MemTable -> one level-0 LevelTable *)
@@ -330,7 +192,7 @@ let wal_reclaim t =
   (* Deleting a WAL segment discards the only other copy of the records the
      manifest's latest edits account for — those edits must hit the device
      first, or a crash after the delete loses acknowledged data. *)
-  Manifest.sync t.manifest;
+  Table_set.sync_manifest t.ts;
   (* Figure 5: the reclamation bound is the smallest unpersisted sequence
      number across all MemTables, or just past the newest write when every
      MemTable is empty. *)
@@ -342,27 +204,22 @@ let wal_reclaim t =
         | None -> acc)
       (Int64.add t.seq 1L) t.buckets
   in
-  ignore (Wal.reclaim t.wal ~persisted_below:bound)
+  ignore (Wal.reclaim (Table_set.wal t.ts) ~persisted_below:bound)
 
 let flush_bucket t bucket =
   if not (Memtable.is_empty bucket.memtable) then begin
     (* A batch can span buckets, so this flush may persist part of a batch
        whose WAL record is still buffered; sync the log first so a crash
        after the flush replays the whole batch instead of applying half. *)
-    Wal.sync t.wal;
-    let builder =
-      Table.Builder.create t.env ~name:(fresh_table_name t)
-        ~category:Io_stats.Flush ~bits_per_key:t.cfg.Config.bits_per_key
-        ~ph_index:t.cfg.Config.ph_index
-        ~expected_keys:(Memtable.count bucket.memtable) ()
-    in
-    Seq.iter
-      (fun (key, value) -> Table.Builder.add_encoded builder ~key ~value)
-      (Memtable.entries bucket.memtable);
-    let meta = Table.Builder.finish builder in
-    bucket.levels.(0) <- meta :: bucket.levels.(0);
-    view_note_flush t bucket meta;
-    log_add_table t bucket 0 meta;
+    Wal.sync (Table_set.wal t.ts);
+    List.iter
+      (fun meta ->
+        bucket.levels.(0) <- meta :: bucket.levels.(0);
+        bucket.view <- Table_set.extend_view t.ts bucket.view meta;
+        Table_set.log_add t.ts ~bucket:bucket.id ~level:0 meta)
+      (Table_set.write_runs t.ts ~category:Io_stats.Flush
+         ~expected_keys:(Memtable.count bucket.memtable)
+         (Memtable.entries bucket.memtable));
     (* Adaptive MemTable structure (§III-D): heavy range-query traffic since
        the last flush switches the next table to the sorted structure; quiet
        buckets switch back to the hash structure. *)
@@ -380,50 +237,56 @@ let flush_bucket t bucket =
 (* Compaction: merge ALL sublevels of level i into ONE sublevel of i+1.
    Nothing in level i+1 is rewritten — write amplification 1 per level. *)
 
-let compact_level t bucket level =
+(* Merge every sublevel of [level] into one table at level [into]: the next
+   level, or [level] itself when the last level collapses. Tombstones die
+   only in a collapse: the last level is the deepest data, so a tombstone
+   there can only shadow versions inside this very merge. *)
+let merge_level t bucket level ~into =
   let inputs = bucket.levels.(level) in
-  if inputs <> [] && level + 1 < t.cfg.Config.l_max then begin
-    t.compactions <- t.compactions + 1;
-    let seqs =
-      List.map
-        (fun m ->
-          table_seq t ~category:(Io_stats.Compaction_read level) m)
-        inputs
-    in
-    let entries =
-      Merge_iter.compact ~dedup_user_keys:true ~drop_tombstones:false
-        ~snapshot_floor:(oldest_snapshot_seq t) seqs
-    in
-    let expected =
-      List.fold_left (fun acc (m : Table.meta) -> acc + m.Table.entry_count) 0 inputs
-    in
-    let builder =
-      Table.Builder.create t.env ~name:(fresh_table_name t)
-        ~category:(Io_stats.Compaction (level + 1))
-        ~bits_per_key:t.cfg.Config.bits_per_key
-        ~ph_index:t.cfg.Config.ph_index ~expected_keys:(max 64 expected) ()
-    in
-    Seq.iter
-      (fun (key, value) -> Table.Builder.add_encoded builder ~key ~value)
-      entries;
-    if Table.Builder.entry_count builder > 0 then begin
-      let meta = Table.Builder.finish builder in
-      bucket.levels.(level + 1) <- meta :: bucket.levels.(level + 1);
-      log_add_table t bucket (level + 1) meta
-    end
-    else Table.Builder.abandon builder;
-    List.iter (fun m -> log_remove_table t bucket level m) inputs;
-    bucket.levels.(level) <- [];
-    bucket.read_counts.(level) <- 0;
-    invalidate_view bucket;
-    (* The removes must be durable before the inputs vanish, or recovery
-       would replay a manifest referencing deleted files. *)
-    Manifest.sync t.manifest;
-    List.iter (drop_table t) inputs
-  end
+  t.compactions <- t.compactions + 1;
+  let entries =
+    Merge_iter.compact ~dedup_user_keys:true ~drop_tombstones:(into = level)
+      ~snapshot_floor:(oldest_snapshot_seq t)
+      (List.map
+         (Table_set.stream t.ts ~category:(Io_stats.Compaction_read level))
+         inputs)
+  in
+  let outputs =
+    Table_set.write_runs t.ts ~category:(Io_stats.Compaction into)
+      ~expected_keys:(max 64 (entry_count inputs)) entries
+  in
+  bucket.levels.(level) <- [];
+  bucket.levels.(into) <- outputs @ bucket.levels.(into);
+  List.iter (Table_set.log_add t.ts ~bucket:bucket.id ~level:into) outputs;
+  List.iter (Table_set.log_remove t.ts ~bucket:bucket.id ~level) inputs;
+  bucket.read_counts.(level) <- 0;
+  invalidate_view bucket;
+  (* The removes must be durable before the inputs vanish, or recovery
+     would replay a manifest referencing deleted files. *)
+  Table_set.sync_manifest t.ts;
+  List.iter (Table_set.retire t.ts) inputs
+
+let compact_level t bucket level =
+  if bucket.levels.(level) <> [] && level + 1 < t.cfg.Config.l_max then
+    merge_level t bucket level ~into:(level + 1)
 
 (* ------------------------------------------------------------------ *)
 (* Bucket split (§III-E) *)
+
+(* The whole history of a key range as one stream, for a split or merge:
+   tombstones die here because nothing older exists. *)
+let merge_all t tables =
+  Merge_iter.compact ~dedup_user_keys:true ~drop_tombstones:true
+    ~snapshot_floor:(oldest_snapshot_seq t)
+    (List.map (Table_set.stream t.ts ~category:Io_stats.Split) tables)
+
+(* Log the retirement of [b]: every table, then the bucket itself. *)
+let log_retire_bucket t b =
+  Array.iteri
+    (fun level tables ->
+      List.iter (Table_set.log_remove t.ts ~bucket:b.id ~level) tables)
+    b.levels;
+  Table_set.log t.ts (Manifest.Remove_bucket { id = b.id })
 
 (* Sample-sort splitter selection: every sublevel contributes N-1 evenly
    spaced keys (sampled from its in-memory index, which holds one key per
@@ -433,14 +296,9 @@ let choose_splitters t bucket =
   let per_table (meta : Table.meta) =
     if meta.Table.entry_count = 0 then []
     else begin
-      let reader = reader_of t meta in
       let sample = ref [] in
       (* Evenly spaced block boundaries approximate key ordinals. *)
-      let keys =
-        Table.Reader.stream reader ~category:Io_stats.Split
-          ~admit:Block_cache.Bypass ()
-        |> Seq.map fst
-      in
+      let keys = Table_set.stream t.ts ~category:Io_stats.Split meta |> Seq.map fst in
       (* Taking every (count/n)-th key exactly would re-read the table; the
          index-based approximation below uses the table's smallest/largest
          and a handful of sampled keys. For fidelity we sample from the real
@@ -480,85 +338,36 @@ let split_bucket t bucket =
   if splitters <> [] then begin
     t.splits <- t.splits + 1;
     let boundaries = bucket.lo :: splitters in
-    (* Full compaction of the whole bucket into one sorted stream; tombstones
-       die here because the stream is the entire history of the range. *)
-    let seqs =
-      Array.to_list bucket.levels
-      |> List.concat_map
-           (List.map (fun m ->
-                table_seq t ~category:Io_stats.Split m))
-    in
-    let entries =
-      Merge_iter.compact ~dedup_user_keys:true ~drop_tombstones:true
-        ~snapshot_floor:(oldest_snapshot_seq t) seqs
-    in
+    let tables = bucket_tables bucket in
+    let entries = merge_all t tables in
     (* Cut the stream at each splitter: one output table per new bucket.
        Splitters are pre-encoded once so the per-entry comparison runs on
        raw bytes. *)
     let remaining =
       ref (List.map (fun s -> Ikey.encode_user s) (List.tl boundaries))
     in
-    let outputs = ref [] in
-    let builder = ref None in
-    let total_entries =
-      Array.fold_left
-        (fun acc tables ->
-          List.fold_left
-            (fun acc (m : Table.meta) -> acc + m.Table.entry_count)
-            acc tables)
-        0 bucket.levels
+    let outputs =
+      Table_set.write_runs t.ts ~category:Io_stats.Split
+        ~expected_keys:(max 64 (entry_count tables / List.length boundaries))
+        entries ~cut:(fun ~size:_ key ->
+          (* Advance past any splitters <= this key. *)
+          let advanced = ref false in
+          while
+            match !remaining with
+            | s :: _ when Ikey.compare_encoded_user s key <= 0 -> true
+            | _ -> false
+          do
+            remaining := List.tl !remaining;
+            advanced := true
+          done;
+          !advanced)
     in
-    let finish () =
-      match !builder with
-      | Some b ->
-        if Table.Builder.entry_count b > 0 then
-          outputs := Table.Builder.finish b :: !outputs
-        else Table.Builder.abandon b;
-        builder := None
-      | None -> ()
-    in
-    Seq.iter
-      (fun (key, value) ->
-        (* Advance past any splitters <= this key. *)
-        let advanced = ref false in
-        while
-          match !remaining with
-          | s :: _ when Ikey.compare_encoded_user s key <= 0 -> true
-          | _ -> false
-        do
-          remaining := List.tl !remaining;
-          advanced := true
-        done;
-        if !advanced then finish ();
-        let b =
-          match !builder with
-          | Some b -> b
-          | None ->
-            let b' =
-              Table.Builder.create t.env ~name:(fresh_table_name t)
-                ~category:Io_stats.Split
-                ~bits_per_key:t.cfg.Config.bits_per_key
-                ~ph_index:t.cfg.Config.ph_index
-                ~expected_keys:(max 64 (total_entries / List.length boundaries))
-                ()
-            in
-            builder := Some b';
-            b'
-        in
-        Table.Builder.add_encoded b ~key ~value)
-      entries;
-    finish ();
-    let outputs = List.rev !outputs in
     (* Build the new buckets; each takes the output table whose range falls
        in its boundaries as its last level, and inherits the old MemTable's
        items that belong to it. *)
     let new_buckets =
       List.map
-        (fun lo ->
-          let id = t.next_bucket_id in
-          t.next_bucket_id <- id + 1;
-          Manifest.append t.manifest (Manifest.Add_bucket { id; lo });
-          make_bucket t ~id ~lo ~structure:bucket.next_structure)
+        (fun lo -> new_bucket t ~lo ~structure:bucket.next_structure)
         boundaries
     in
     let arr = Array.of_list new_buckets in
@@ -577,7 +386,7 @@ let split_bucket t bucket =
           let b = new_bucket_for meta.Table.smallest in
           let lvl = t.cfg.Config.l_max - 1 in
           b.levels.(lvl) <- meta :: b.levels.(lvl);
-          log_add_table t b lvl meta
+          Table_set.log_add t.ts ~bucket:b.id ~level:lvl meta
         end)
       outputs;
     Seq.iter
@@ -591,11 +400,7 @@ let split_bucket t bucket =
        durable, and only then delete the retired files — recovery either
        sees the whole split or none of it, never a manifest pointing at
        missing tables. *)
-    Array.iteri
-      (fun level tables ->
-        List.iter (fun m -> log_remove_table t bucket level m) tables)
-      bucket.levels;
-    Manifest.append t.manifest (Manifest.Remove_bucket { id = bucket.id });
+    log_retire_bucket t bucket;
     let others =
       Array.to_list t.buckets |> List.filter (fun b -> b.id <> bucket.id)
     in
@@ -603,85 +408,39 @@ let split_bucket t bucket =
       List.sort (fun a b -> String.compare a.lo b.lo) (others @ new_buckets)
     in
     t.buckets <- Array.of_list all;
-    Manifest.append t.manifest
-      (Manifest.Watermark { seq = t.seq; next_file = t.next_file });
-    Manifest.sync t.manifest;
-    Array.iter (fun tables -> List.iter (drop_table t) tables) bucket.levels
+    Table_set.log_watermark t.ts ~seq:t.seq;
+    Table_set.sync_manifest t.ts;
+    List.iter (Table_set.retire t.ts) tables
   end
 
 (* ------------------------------------------------------------------ *)
 (* Bucket merge: adjacent tiny buckets collapse into one (§III-E). *)
 
 let bucket_bytes bucket =
-  Array.fold_left
-    (fun acc tables ->
-      List.fold_left (fun acc (m : Table.meta) -> acc + m.Table.size) acc tables)
-    0 bucket.levels
+  List.fold_left (fun acc (m : Table.meta) -> acc + m.Table.size) 0
+    (bucket_tables bucket)
 
 let merge_buckets t left right =
   (* Full-compact both buckets into one table placed at the merged bucket's
      last level; MemTable items are re-added. *)
-  let seqs =
-    List.concat_map
-      (fun b ->
-        Array.to_list b.levels
-        |> List.concat_map
-             (List.map (fun m ->
-                  table_seq t ~category:Io_stats.Split m)))
-      [ left; right ]
-  in
-  let entries =
-    Merge_iter.compact ~dedup_user_keys:true ~drop_tombstones:true
-      ~snapshot_floor:(oldest_snapshot_seq t) seqs
-  in
-  let expected =
-    List.fold_left
-      (fun acc b ->
-        Array.fold_left
-          (fun acc tables ->
-            List.fold_left
-              (fun acc (m : Table.meta) -> acc + m.Table.entry_count)
-              acc tables)
-          acc b.levels)
-      0
-      [ left; right ]
-  in
-  let id = t.next_bucket_id in
-  t.next_bucket_id <- id + 1;
-  Manifest.append t.manifest (Manifest.Add_bucket { id; lo = left.lo });
-  let merged = make_bucket t ~id ~lo:left.lo ~structure:left.next_structure in
-  let builder =
-    Table.Builder.create t.env ~name:(fresh_table_name t)
-      ~category:Io_stats.Split ~bits_per_key:t.cfg.Config.bits_per_key
-      ~ph_index:t.cfg.Config.ph_index ~expected_keys:(max 64 expected) ()
-  in
-  Seq.iter
-    (fun (key, value) -> Table.Builder.add_encoded builder ~key ~value)
-    entries;
-  if Table.Builder.entry_count builder > 0 then begin
-    let meta = Table.Builder.finish builder in
-    let lvl = t.cfg.Config.l_max - 1 in
-    merged.levels.(lvl) <- [ meta ];
-    log_add_table t merged lvl meta
-  end
-  else Table.Builder.abandon builder;
+  let tables = bucket_tables left @ bucket_tables right in
+  let entries = merge_all t tables in
+  let merged = new_bucket t ~lo:left.lo ~structure:left.next_structure in
+  let lvl = t.cfg.Config.l_max - 1 in
+  merged.levels.(lvl) <-
+    Table_set.write_runs t.ts ~category:Io_stats.Split
+      ~expected_keys:(max 64 (entry_count tables)) entries;
+  List.iter (Table_set.log_add t.ts ~bucket:merged.id ~level:lvl) merged.levels.(lvl);
   List.iter
     (fun b ->
       Seq.iter
         (fun (k, v) -> ignore (Memtable.try_add merged.memtable (Ikey.decode k) v))
         (Memtable.entries b.memtable);
-      Array.iteri
-        (fun level tables ->
-          List.iter (fun m -> log_remove_table t b level m) tables)
-        b.levels;
-      Manifest.append t.manifest (Manifest.Remove_bucket { id = b.id }))
+      log_retire_bucket t b)
     [ left; right ];
   (* Edits durable before the retired files are deleted. *)
-  Manifest.sync t.manifest;
-  List.iter
-    (fun b ->
-      Array.iter (fun tables -> List.iter (drop_table t) tables) b.levels)
-    [ left; right ];
+  Table_set.sync_manifest t.ts;
+  List.iter (Table_set.retire t.ts) tables;
   let others =
     Array.to_list t.buckets
     |> List.filter (fun b -> b.id <> left.id && b.id <> right.id)
@@ -743,53 +502,11 @@ let needs_split t bucket =
 
 (* Collapse the last level's sublevels into one — the escape valve for a
    bucket that must shed sublevels but cannot split (e.g. it holds a single
-   hot key, so sample-sort finds no splitter). Tombstones die here: the
-   last level is the deepest data, so a tombstone can only shadow versions
-   inside this very merge. *)
+   hot key, so sample-sort finds no splitter). *)
 let collapse_last_level t bucket =
   let level = t.cfg.Config.l_max - 1 in
-  let inputs = bucket.levels.(level) in
-  if List.length inputs > 1 then begin
-    t.compactions <- t.compactions + 1;
-    let seqs =
-      List.map
-        (fun m ->
-          table_seq t ~category:(Io_stats.Compaction_read level) m)
-        inputs
-    in
-    let entries =
-      Merge_iter.compact ~dedup_user_keys:true ~drop_tombstones:true
-        ~snapshot_floor:(oldest_snapshot_seq t) seqs
-    in
-    let expected =
-      List.fold_left
-        (fun acc (m : Table.meta) -> acc + m.Table.entry_count)
-        0 inputs
-    in
-    let builder =
-      Table.Builder.create t.env ~name:(fresh_table_name t)
-        ~category:(Io_stats.Compaction level)
-        ~bits_per_key:t.cfg.Config.bits_per_key
-        ~ph_index:t.cfg.Config.ph_index ~expected_keys:(max 64 expected) ()
-    in
-    Seq.iter
-      (fun (key, value) -> Table.Builder.add_encoded builder ~key ~value)
-      entries;
-    if Table.Builder.entry_count builder > 0 then begin
-      let meta = Table.Builder.finish builder in
-      bucket.levels.(level) <- [ meta ];
-      log_add_table t bucket level meta
-    end
-    else begin
-      Table.Builder.abandon builder;
-      bucket.levels.(level) <- []
-    end;
-    List.iter (fun m -> log_remove_table t bucket level m) inputs;
-    bucket.read_counts.(level) <- 0;
-    invalidate_view bucket;
-    Manifest.sync t.manifest;
-    List.iter (drop_table t) inputs
-  end
+  if List.length bucket.levels.(level) > 1 then
+    merge_level t bucket level ~into:level
 
 (* Advisory pending-work estimate for the compaction pool's shard scheduler
    (Store_intf contract: read without the shard lock, so this must tolerate
@@ -902,7 +619,7 @@ let enforce_wal_threshold t =
      the oldest unpersisted item so the tail can advance. *)
   let guard = ref 0 in
   while
-    Wal.total_bytes t.wal > t.cfg.Config.wal_size_threshold && !guard < 1024
+    Wal.total_bytes (Table_set.wal t.ts) > t.cfg.Config.wal_size_threshold && !guard < 1024
   do
     incr guard;
     let oldest = ref None in
@@ -932,7 +649,7 @@ let write_batches_inner t batches =
     List.fold_left (fun acc items -> acc + List.length items) 0 batches
   in
   if total > 0 then begin
-    Wal.append_batches t.wal ~first_seq:(Int64.add t.seq 1L) batches;
+    Wal.append_batches (Table_set.wal t.ts) ~first_seq:(Int64.add t.seq 1L) batches;
     List.iter
       (fun items ->
         List.iter (fun (kind, key, value) -> apply t kind key value) items)
@@ -987,7 +704,7 @@ let get_at_seq t key ~snapshot =
           | (m : Table.meta) :: rest ->
             if not (Table.overlaps m ~lo:key ~hi:key) then sublevels rest
             else begin
-              let reader = reader_of t m in
+              let reader = Table_set.reader_of t.ts m in
               if not (Table.Reader.may_contain_encoded reader target) then
                 sublevels rest
               else begin
@@ -1027,7 +744,7 @@ let newest_seq t key =
           | (m : Table.meta) :: rest ->
             if not (Table.overlaps m ~lo:key ~hi:key) then sublevels rest
             else begin
-              let reader = reader_of t m in
+              let reader = Table_set.reader_of t.ts m in
               if not (Table.Reader.may_contain_encoded reader target) then
                 sublevels rest
               else
@@ -1070,7 +787,7 @@ let range_reader t ~lo ~hi ?limit ~snapshot () =
          is off, the bucket has too few (or too many) runs, or the view
          was just invalidated. *)
       let source =
-        Range_reader.source ~reader:(reader_of t) ~lo ~hi
+        Range_reader.source ~reader:(Table_set.reader_of t.ts) ~lo ~hi
           ~mem:(Memtable.entries ~lo b.memtable) (bucket_view t b)
           (fun () -> bucket_tables b)
       in
@@ -1092,183 +809,69 @@ let scan_at_seq t ~lo ~hi ?limit ~snapshot () =
 (* ------------------------------------------------------------------ *)
 (* Recovery *)
 
-(* Delete table files that no live bucket references — debris of an
-   interrupted flush/compaction/split whose manifest edit never became
-   durable. Only files carrying this store's name prefix and the table
-   suffix are touched, so co-tenant stores on the same Env are safe. *)
-let gc_orphans t =
-  let live = Hashtbl.create 64 in
-  Array.iter
-    (fun b ->
-      Array.iter
-        (List.iter (fun (m : Table.meta) -> Hashtbl.replace live m.Table.name ()))
-        b.levels)
-    t.buckets;
-  let prefix = t.cfg.Config.name ^ "-" in
-  let plen = String.length prefix in
-  List.iter
-    (fun f ->
-      if
-        String.length f > plen
-        && String.equal (String.sub f 0 plen) prefix
-        && Filename.check_suffix f ".lvt"
-        && not (Hashtbl.mem live f)
-      then Env.delete t.env f)
-    (Env.list_files t.env)
+let all_tables t =
+  Array.to_list t.buckets |> List.concat_map bucket_tables
 
 let recover ?env:env_opt cfg =
   let env = match env_opt with Some e -> e | None -> Env.in_memory () in
-  if not (Manifest.exists env ~name:(manifest_name cfg)) then create ~env cfg
+  if not (Table_set.exists env ~name:cfg.Config.name) then create ~env cfg
   else begin
+    let t = make ~reopen:true env cfg in
     (* Rebuild the bucket directory from manifest edits. *)
     let buckets : (int, bucket) Hashtbl.t = Hashtbl.create 64 in
     let max_bucket_id = ref (-1) in
-    let watermark_seq = ref 0L in
-    let watermark_file = ref 1 in
-    let stub_t = ref None in
-    (* We need a [t] to create memtables; construct it first with empty
-       directory, then fill. *)
-    let t =
-      {
-        cfg;
-        env;
-        (* Placeholder log, replaced below once the real WAL is recovered;
-           its distinct prefix keeps it out of future recoveries and its
-           single empty segment is deleted before returning. *)
-        wal = Wal.create env ~prefix:(cfg.Config.name ^ "-tmpwal") ();
-        manifest = Manifest.reopen env ~name:(manifest_name cfg);
-        buckets = [||];
-        readers = Hashtbl.create 256;
-        next_file = 1;
-        next_bucket_id = 0;
-        seq = 0L;
-        splits = 0;
-        compactions = 0;
-        io_credit = 0;
-        health = Intf.Healthy;
-        quarantined = [];
-        cache =
-          (if cfg.Config.block_cache_bytes > 0 then
-             Some
-               (Wip_storage.Block_cache.create
-                  ~capacity_bytes:cfg.Config.block_cache_bytes)
-           else None);
-        next_snap_id = 0;
-        live_snaps = Hashtbl.create 8;
-        zombies = Hashtbl.create 8;
-      }
-    in
-    stub_t := Some t;
-    Manifest.replay env ~name:(manifest_name cfg) (fun edit ->
-        match edit with
+    let in_bucket id f = Option.iter f (Hashtbl.find_opt buckets id) in
+    t.seq <-
+      Table_set.replay_manifest t.ts (function
         | Manifest.Add_bucket { id; lo } ->
           if id > !max_bucket_id then max_bucket_id := id;
           Hashtbl.replace buckets id
             (make_bucket t ~id ~lo ~structure:cfg.Config.memtable_structure)
         | Manifest.Remove_bucket { id } -> Hashtbl.remove buckets id
-        | Manifest.Add_table { bucket; level; name; size; entry_count; smallest; largest } -> (
-          match Hashtbl.find_opt buckets bucket with
-          | Some b ->
-            let meta =
-              { Table.name; size; entry_count; smallest; largest }
-            in
-            b.levels.(level) <- meta :: b.levels.(level)
-          | None -> ())
-        | Manifest.Remove_table { bucket; level; name } -> (
-          match Hashtbl.find_opt buckets bucket with
-          | Some b ->
-            b.levels.(level) <-
-              List.filter
-                (fun (m : Table.meta) -> not (String.equal m.Table.name name))
-                b.levels.(level)
-          | None -> ())
-        | Manifest.Watermark { seq; next_file } ->
-          watermark_seq := seq;
-          watermark_file := next_file);
-    let bucket_list =
+        | Manifest.Add_table
+            { bucket; level; name; size; entry_count; smallest; largest } ->
+          in_bucket bucket (fun b ->
+              let meta = { Table.name; size; entry_count; smallest; largest } in
+              b.levels.(level) <- meta :: b.levels.(level))
+        | Manifest.Remove_table { bucket; level; name } ->
+          in_bucket bucket (fun b ->
+              b.levels.(level) <-
+                List.filter
+                  (fun (m : Table.meta) -> not (String.equal m.Table.name name))
+                  b.levels.(level))
+        | Manifest.Watermark _ -> ());
+    t.buckets <-
       Hashtbl.fold (fun _ b acc -> b :: acc) buckets []
       |> List.sort (fun a b -> String.compare a.lo b.lo)
-    in
-    t.buckets <- Array.of_list bucket_list;
+      |> Array.of_list;
     t.next_bucket_id <- !max_bucket_id + 1;
     (* A crash before the very first manifest sync replays to zero buckets;
        bootstrap again so the WAL replay below has somewhere to land. *)
     if Array.length t.buckets = 0 then bootstrap_buckets t;
-    (* next_file: beyond both the watermark and any live table file. *)
-    let max_file_no =
-      Array.fold_left
-        (fun acc b ->
-          Array.fold_left
-            (fun acc tables ->
-              List.fold_left
-                (fun acc (m : Table.meta) ->
-                  (* "<name>-NNNNNN.lvt" *)
-                  let base = Filename.chop_suffix m.Table.name ".lvt" in
-                  let prefix_len = String.length cfg.Config.name + 1 in
-                  match
-                    int_of_string_opt
-                      (String.sub base prefix_len (String.length base - prefix_len))
-                  with
-                  | Some n -> max acc n
-                  | None -> acc)
-                acc tables)
-            acc b.levels)
-        !watermark_file t.buckets
-    in
-    t.next_file <- max_file_no + 1;
-    t.seq <- !watermark_seq;
     (* Replay the WAL into MemTables; duplicates of already-persisted items
        carry their original (smaller or equal) sequence numbers, so reads
        stay correct and the next flush simply rewrites them. *)
-    let wal =
-      Wal.recover env ~prefix:(cfg.Config.name ^ "-wal")
-        ~segment_bytes:cfg.Config.wal_segment_bytes
-        ~replay:(fun (r : Wal.record) ->
-          if Int64.compare r.Wal.seq t.seq > 0 then t.seq <- r.Wal.seq;
+    t.seq <-
+      Table_set.recover_wal t.ts ~seq:t.seq ~live:(fun () -> all_tables t)
+        (fun (r : Wal.record) ->
           let ikey = Ikey.make ~kind:r.Wal.kind r.Wal.key ~seq:r.Wal.seq in
           let bucket = bucket_for t r.Wal.key in
           if not (Memtable.try_add bucket.memtable ikey r.Wal.value) then begin
             flush_bucket t bucket;
             ignore (Memtable.try_add bucket.memtable ikey r.Wal.value)
-          end)
-        ()
-    in
-    Env.delete env (cfg.Config.name ^ "-tmpwal-000000.log");
-    let t = { t with wal } in
-    if Int64.compare (Wal.max_seq_logged wal) t.seq > 0 then
-      t.seq <- Wal.max_seq_logged wal;
-    gc_orphans t;
+          end);
     t
   end
 
-let checkpoint t =
-  Wal.sync t.wal;
-  Manifest.append t.manifest
-    (Manifest.Watermark { seq = t.seq; next_file = t.next_file });
-  Manifest.sync t.manifest
+let checkpoint t = Table_set.checkpoint t.ts ~seq:t.seq
 
 (* ------------------------------------------------------------------ *)
-(* Resilient write path: admission control, degraded state, quarantine.
+(* Resilient write path: admission control here; degraded state and
+   quarantine in the table set. *)
 
-   Layering: the Env underneath already retries transient faults when
-   wrapped by [Env.with_retry], so any [Io_fault] that reaches this layer
-   has exhausted its retry budget (or carries [retryable = false]). The
-   store then stops accepting mutations — reads keep working — until a
-   recovery probe's durable round-trip succeeds. Exceptions are classified
-   through [Env.io_fault_detail] / [Env.corruption_detail] rather than
-   matched: lint rule R6 reserves [Io_fault] handlers for [lib/storage]
-   and [Wip_util.Retry]. *)
+let health t = Table_set.health t.ts
 
-let health t = t.health
-
-let quarantined_tables t = t.quarantined
-
-let degrade t ~reason =
-  match t.health with
-  | Intf.Degraded _ -> ()
-  | Intf.Healthy ->
-    t.health <- Intf.Degraded { reason };
-    Io_stats.record_degraded_transition (io_stats t)
+let quarantined_tables t = Table_set.quarantined t.ts
 
 (* Memtable bytes plus estimated compaction debt: the quantity the
    watermarks gate on, and the quantity [bench/stall.ml] asserts stays
@@ -1340,159 +943,69 @@ let admit t =
   end
 
 let try_write_batches t batches =
-  match t.health with
-  | Intf.Degraded { reason } -> Error (Intf.Store_degraded { reason })
-  | Intf.Healthy -> (
-    if List.for_all (fun items -> items = []) batches then Ok ()
-    else
-      try
-        match admit t with
-        | Error _ as e -> e
-        | Ok () ->
-          write_batches_inner t batches;
-          Ok ()
-      with e -> (
-        match Env.io_fault_detail e with
-        | Some reason ->
-          degrade t ~reason;
-          Error (Intf.Store_degraded { reason })
-        | None -> raise e))
+  Table_set.try_write_batches t.ts
+    ~admit:(fun () -> admit t)
+    (write_batches_inner t) batches
 
 let try_write_batch t items = try_write_batches t [ items ]
 
-let write_batch t items =
-  match try_write_batch t items with
-  | Ok () -> ()
-  | Error e -> raise (Intf.Rejected e)
+let write_batch t items = Table_set.ok_or_raise (try_write_batch t items)
 
 let put t ~key ~value = write_batch t [ (Ikey.Value, key, value) ]
 
 let delete t ~key = write_batch t [ (Ikey.Deletion, key, "") ]
 
 (* Maintenance entry points get the same degraded-state discipline as
-   writes: a fault that survives the env's retries flips the store
-   read-only and surfaces typed. (Internal callers — admission, WAL
-   enforcement — use the unguarded versions above; the guard at the public
-   boundary sees their faults when they propagate.) *)
-let guard_durable t f =
-  match t.health with
-  | Intf.Degraded { reason } -> raise (Intf.Rejected (Intf.Store_degraded { reason }))
-  | Intf.Healthy -> (
-    try f ()
-    with e -> (
-      match Env.io_fault_detail e with
-      | Some reason ->
-        degrade t ~reason;
-        raise (Intf.Rejected (Intf.Store_degraded { reason }))
-      | None -> raise e))
-
-let flush t = guard_durable t (fun () -> flush t)
+   writes. (Internal callers — admission, WAL enforcement — use the
+   unguarded versions above; the guard at the public boundary sees their
+   faults when they propagate.) *)
+let flush t = Table_set.guard_durable t.ts (fun () -> flush t)
 
 (* WAL-only durability barrier: the group-commit leader calls this once per
    batch window after [try_write_batches]. A durable failure here must not
    let the caller ack, hence the raising guard. *)
-let log_sync t = guard_durable t (fun () -> Wal.sync t.wal)
+let log_sync t = Table_set.log_sync t.ts
 
 let maintenance t ?budget_bytes () =
-  guard_durable t (fun () -> maintenance t ?budget_bytes ())
+  Table_set.guard_durable t.ts (fun () -> maintenance t ?budget_bytes ())
 
-let probe t =
-  match t.health with
-  | Intf.Healthy -> Intf.Healthy
-  | Intf.Degraded _ -> (
-    (* One genuine durable round-trip through the same path writes use: a
-       checkpoint watermark appended and synced. Success proves the device
-       accepts writes again. *)
-    match checkpoint t with
-    | () ->
-      t.health <- Intf.Healthy;
-      t.health
-    | exception e -> (
-      match Env.io_fault_detail e with
-      | Some reason ->
-        t.health <- Intf.Degraded { reason };
-        t.health
-      | None -> raise e))
+let probe t = Table_set.probe t.ts ~seq:t.seq
 
-(* Quarantine: a table whose bytes fail validation is dropped from its
-   level (manifest edit included, so recovery agrees), its reader and
-   cached blocks discarded, and the file renamed aside with a
-   ".quarantined" suffix — outside the ".lvt" namespace, so neither
-   [gc_orphans] nor recovery will touch the evidence. Serving continues
-   from the remaining runs. Returns [true] when a table was found and
-   removed, guaranteeing the caller's retry makes progress. *)
-let quarantine t ~file ~detail =
+(* Quarantine drops a corrupt table from its level, with the manifest edit,
+   so recovery agrees; serving continues from the remaining runs. *)
+let drop_quarantined t file =
   let found = ref false in
   Array.iter
     (fun b ->
       Array.iteri
         (fun level tables ->
-          if
-            (not !found)
-            && List.exists
-                 (fun (m : Table.meta) -> String.equal m.Table.name file)
-                 tables
-          then begin
-            found := true;
-            let meta =
-              List.find
-                (fun (m : Table.meta) -> String.equal m.Table.name file)
-                tables
-            in
-            b.levels.(level) <-
-              List.filter
-                (fun (m : Table.meta) ->
-                  not (String.equal m.Table.name file))
-                tables;
-            log_remove_table t b level meta;
-            invalidate_view b;
-            Manifest.sync t.manifest;
-            (match Hashtbl.find_opt t.readers file with
-            | Some r ->
-              Table.Reader.close r;
-              Hashtbl.remove t.readers file
-            | None -> ());
-            (match t.cache with
-            | Some cache -> Wip_storage.Block_cache.evict_file cache file
-            | None -> ());
-            (try Env.rename t.env ~src:file ~dst:(file ^ ".quarantined")
-             with Not_found -> ());
-            t.quarantined <- (file, detail) :: t.quarantined
-          end)
+          if not !found then
+            match Table_set.take ~file tables with
+            | Some (meta, rest) ->
+              found := true;
+              b.levels.(level) <- rest;
+              Table_set.log_remove t.ts ~bucket:b.id ~level meta;
+              invalidate_view b
+            | None -> ())
         b.levels)
     t.buckets;
   !found
 
-let rec get t key =
-  try get_at_seq t key ~snapshot:t.seq
-  with e -> (
-    match Env.corruption_detail e with
-    | Some (file, detail) when quarantine t ~file ~detail -> get t key
-    | _ -> raise e)
+let get t key =
+  Table_set.with_quarantine t.ts ~drop:(drop_quarantined t) (fun () ->
+      get_at_seq t key ~snapshot:t.seq)
 
-let rec scan t ~lo ~hi ?limit () =
-  try scan_at_seq t ~lo ~hi ?limit ~snapshot:t.seq ()
-  with e -> (
-    match Env.corruption_detail e with
-    | Some (file, detail) when quarantine t ~file ~detail ->
-      scan t ~lo ~hi ?limit ()
-    | _ -> raise e)
+let scan t ~lo ~hi ?limit () =
+  Table_set.with_quarantine t.ts ~drop:(drop_quarantined t) (fun () ->
+      scan_at_seq t ~lo ~hi ?limit ~snapshot:t.seq ())
 
-let rec get_at t key ~snapshot =
-  try get_at_seq t key ~snapshot:snapshot.Intf.snap_seq
-  with e -> (
-    match Env.corruption_detail e with
-    | Some (file, detail) when quarantine t ~file ~detail ->
-      get_at t key ~snapshot
-    | _ -> raise e)
+let get_at t key ~snapshot =
+  Table_set.with_quarantine t.ts ~drop:(drop_quarantined t) (fun () ->
+      get_at_seq t key ~snapshot:snapshot.Intf.snap_seq)
 
-let rec scan_at t ~lo ~hi ?limit ~snapshot () =
-  try scan_at_seq t ~lo ~hi ?limit ~snapshot:snapshot.Intf.snap_seq ()
-  with e -> (
-    match Env.corruption_detail e with
-    | Some (file, detail) when quarantine t ~file ~detail ->
-      scan_at t ~lo ~hi ?limit ~snapshot ()
-    | _ -> raise e)
+let scan_at t ~lo ~hi ?limit ~snapshot () =
+  Table_set.with_quarantine t.ts ~drop:(drop_quarantined t) (fun () ->
+      scan_at_seq t ~lo ~hi ?limit ~snapshot:snapshot.Intf.snap_seq ())
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot-isolation transactions.
@@ -1613,17 +1126,10 @@ let bucket_infos t =
            bytes = bucket_bytes b;
          })
 
-let file_sizes t =
-  Array.to_list t.buckets
-  |> List.concat_map (fun b ->
-         Array.to_list b.levels
-         |> List.concat_map (List.map (fun (m : Table.meta) -> m.Table.size)))
+let file_sizes t = List.map (fun (m : Table.meta) -> m.Table.size) (all_tables t)
 
 let live_table_files t =
-  Array.to_list t.buckets
-  |> List.concat_map (fun b ->
-         Array.to_list b.levels
-         |> List.concat_map (List.map (fun (m : Table.meta) -> m.Table.name)))
+  List.map (fun (m : Table.meta) -> m.Table.name) (all_tables t)
 
 let memtable_probes t =
   Array.fold_left (fun acc b -> acc + Memtable.probes b.memtable) 0 t.buckets

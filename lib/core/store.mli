@@ -15,44 +15,20 @@
 
 type t
 
-val create : ?env:Wip_storage.Env.t -> Config.t -> t
-(** A fresh store. @raise Invalid_argument if the config fails
-    {!Config.validate}. *)
+(** {1 The KV interface}
 
-val recover : ?env:Wip_storage.Env.t -> Config.t -> t
-(** Reopen the store persisted in [env]: replay the manifest to rebuild the
-    bucket directory and the WAL to repopulate MemTables. Equivalent to
-    [create] when no prior state exists. *)
+    [create] raises [Invalid_argument] if the config fails
+    {!Config.validate}. [recover] replays the manifest to rebuild the
+    bucket directory and the WAL to repopulate MemTables.
 
-val checkpoint : t -> unit
-(** Flush durability barriers (WAL + manifest sync). *)
+    [snapshot]/[get_at]/[scan_at] pin a seq until
+    {!Wip_kv.Store_intf.release}. While any snapshot is live, version GC
+    floors at the oldest live snapshot's seq and tables retired by
+    compaction/split stay readable (refcounted by the pinning snapshots),
+    so a pinned lazy {!iter_range} stream keeps draining correctly across
+    concurrent writes on every Env, POSIX included. *)
 
-(** {1 The KV interface} *)
-
-include Wip_kv.Store_intf.S with type t := t
-
-(** {1 Pinned snapshots}
-
-    [snapshot]/[get_at]/[scan_at] come from {!Wip_kv.Store_intf.S}: the
-    handle pins its seq until {!Wip_kv.Store_intf.release}. While any
-    snapshot is live, version GC floors at the oldest live snapshot's seq
-    and tables retired by compaction/split stay readable (refcounted by the
-    pinning snapshots), so a pinned lazy {!iter_range} stream keeps draining
-    correctly across concurrent writes on every Env, POSIX included. *)
-
-val live_snapshot_count : t -> int
-
-val oldest_snapshot_seq : t -> int64
-(** The version-GC floor: min over live snapshots, [Int64.max_int] when
-    none are live (GC then keeps only the newest version per key). *)
-
-val zombie_table_files : t -> string list
-(** Files retired from the bucket directory but still pinned by live
-    snapshots, unordered. Empty when no snapshot is live. *)
-
-val zombie_bytes : t -> int
-(** Total on-device size of {!zombie_table_files} — the space a long-lived
-    snapshot is currently holding back from reclamation. *)
+include Wip_kv.Store_intf.Engine with type t := t and type config = Config.t
 
 (** {1 Snapshot-isolation transactions}
 
@@ -104,8 +80,6 @@ val bucket_count : t -> int
 
 val split_count : t -> int
 
-val compaction_count : t -> int
-
 val wal_bytes : t -> int
 
 val sequence : t -> int64
@@ -118,15 +92,6 @@ val config : t -> Config.t
 val write_pressure : t -> int
 (** MemTable bytes plus estimated compaction debt — the quantity the
     admission watermarks gate on. *)
-
-val quarantined_tables : t -> (string * string) list
-(** [(file, corruption detail)] of tables renamed aside after failing
-    validation, newest first. *)
-
-val live_table_files : t -> string list
-(** Names of every table file the bucket directory references — after
-    recovery, exactly the table files present on the Env (orphans are
-    garbage-collected). *)
 
 (** {1 Streaming iteration}
 

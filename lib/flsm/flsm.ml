@@ -6,9 +6,9 @@ module Merge_iter = Wip_sstable.Merge_iter
 module Sorted_view = Wip_sstable.Sorted_view
 module Range_reader = Wip_sstable.Range_reader
 module Skiplist = Wip_memtable.Skiplist
-module Block_cache = Wip_storage.Block_cache
 module Wal = Wip_wal.Wal
 module Manifest = Wip_manifest.Manifest
+module Table_set = Wip_kv.Table_set
 
 type config = {
   memtable_bytes : int;
@@ -53,121 +53,67 @@ type level = {
 
 type t = {
   cfg : config;
-  env : Env.t;
-  wal : Wal.t;
-  manifest : Manifest.t;
+  ts : Table_set.t;
   mutable mem : Skiplist.t; (* guarded_by: caller *)
   mutable l0 : Table.meta list; (* newest first; guarded_by: caller *)
   levels : level array; (* index 1..max_levels-1 used *)
-  readers : (string, Table.Reader.t) Hashtbl.t;
-  mutable next_file : int; (* guarded_by: caller *)
   mutable seq : int64; (* guarded_by: caller *)
   mutable compactions : int; (* guarded_by: caller *)
   (* Guards observed from inserted keys but not yet committed to a level. *)
   pending_guards : (int, string list) Hashtbl.t;
-  mutable next_snap_id : int; (* guarded_by: caller *)
-  live_snaps : (int, int64) Hashtbl.t; (* snapshot id -> pinned seq *)
   mutable view : (Sorted_view.t * Table.meta array) option; (* guarded_by: caller *)
       (* Store-wide sorted view over every live fragment; None when absent
          or invalidated. Scans build it lazily; compaction and guard-commit
          fragment splits drop it. *)
 }
 
-let manifest_name cfg = cfg.name ^ "-manifest"
-
-let create ?env cfg =
-  let env = match env with Some e -> e | None -> Env.in_memory () in
+let make ~reopen env cfg =
   {
     cfg;
-    env;
-    wal = Wal.create env ~prefix:(cfg.name ^ "-wal") ();
-    manifest = Manifest.create env ~name:(manifest_name cfg);
+    ts =
+      Table_set.create ~reopen env ~name:cfg.name ~suffix:".sst"
+        ~bits_per_key:cfg.bits_per_key ~ph_index:cfg.ph_index
+        ~sorted_view:cfg.sorted_view
+        ~sorted_view_min_runs:cfg.sorted_view_min_runs ();
     mem = Skiplist.create ();
     l0 = [];
-    levels = Array.init cfg.max_levels (fun _ -> { spans = [ { guard = ""; fragments = [] } ] });
-    readers = Hashtbl.create 64;
-    next_file = 1;
+    levels =
+      Array.init cfg.max_levels (fun _ ->
+          { spans = [ { guard = ""; fragments = [] } ] });
     seq = 0L;
     compactions = 0;
     pending_guards = Hashtbl.create 8;
-    next_snap_id = 0;
-    live_snaps = Hashtbl.create 8;
     view = None;
   }
 
+let create ?env cfg =
+  make ~reopen:false (match env with Some e -> e | None -> Env.in_memory ()) cfg
+
 let name t = t.cfg.name
 
-let env t = t.env
+let env t = Table_set.env t.ts
 
-let io_stats t = Env.stats t.env
+let io_stats t = Table_set.stats t.ts
 
-let fresh_table_name t =
-  let n = t.next_file in
-  t.next_file <- n + 1;
-  Printf.sprintf "%s-%06d.sst" t.cfg.name n
+let oldest_snapshot_seq t = Table_set.oldest_snapshot_seq t.ts
 
-let reader_of t (meta : Table.meta) =
-  match Hashtbl.find_opt t.readers meta.Table.name with
-  | Some r -> r
-  | None ->
-    let r = Table.Reader.open_ t.env ~name:meta.Table.name in
-    Hashtbl.replace t.readers meta.Table.name r;
-    r
+let live_snapshot_count t = Table_set.live_snapshot_count t.ts
 
-let drop_table t (meta : Table.meta) =
-  (match Hashtbl.find_opt t.readers meta.Table.name with
-  | Some r ->
-    Table.Reader.close r;
-    Hashtbl.remove t.readers meta.Table.name
-  | None -> ());
-  Env.delete t.env meta.Table.name
+let zombie_table_files t = Table_set.zombie_table_files t.ts
 
-(* Pinned snapshots. Reads in this baseline are eager (no lazy stream
-   escapes a call), so pinning only needs the version-GC floor: while a
-   snapshot is live, compaction keeps every version a pinned seq can see. *)
+let zombie_bytes t = Table_set.zombie_bytes t.ts
 
-let oldest_snapshot_seq t =
-  Hashtbl.fold
-    (fun _ s acc -> if Int64.compare s acc < 0 then s else acc)
-    t.live_snaps Int64.max_int
-
-let live_snapshot_count t = Hashtbl.length t.live_snaps
-
-let snapshot t =
-  let id = t.next_snap_id in
-  t.next_snap_id <- id + 1;
-  Hashtbl.replace t.live_snaps id t.seq;
-  {
-    Wip_kv.Store_intf.snap_seq = t.seq;
-    snap_id = id;
-    snap_release = (fun () -> Hashtbl.remove t.live_snaps id);
-  }
+let snapshot t = Table_set.snapshot t.ts ~seq:t.seq
 
 (* Manifest edits: the [bucket] field carries the level a fragment lives in
    (0 = the unguarded L0); guards are logged as [Add_bucket { id = level;
    lo = guard }]. Replay re-places every fragment into the span containing
    its smallest key — sound because live operation physically splits (and
    re-logs) any fragment that would straddle a new guard. *)
-let log_add_fragment t ~level (m : Table.meta) =
-  Manifest.append t.manifest
-    (Manifest.Add_table
-       {
-         bucket = level;
-         level;
-         name = m.Table.name;
-         size = m.Table.size;
-         entry_count = m.Table.entry_count;
-         smallest = m.Table.smallest;
-         largest = m.Table.largest;
-       })
+let log_add_fragment t ~level m = Table_set.log_add t.ts ~bucket:level ~level m
 
-let log_remove_fragment t ~level (m : Table.meta) =
-  Manifest.append t.manifest
-    (Manifest.Remove_table { bucket = level; level; name = m.Table.name })
-
-let log_watermark t =
-  Manifest.append t.manifest
-    (Manifest.Watermark { seq = t.seq; next_file = t.next_file })
+let log_remove_fragment t ~level m =
+  Table_set.log_remove t.ts ~bucket:level ~level m
 
 (* ------------------------------------------------------------------ *)
 (* Sorted view (REMIX-style; see Sorted_view and DESIGN.md). One view over
@@ -178,11 +124,6 @@ let log_watermark t =
 
 let invalidate_view t = t.view <- None
 
-(* A whole-table pass (view build, compaction): bypasses the block cache. *)
-let table_seq t ~category meta =
-  Table.Reader.stream (reader_of t meta) ~category ~admit:Block_cache.Bypass
-    ()
-
 let all_tables t =
   t.l0
   @ List.concat_map
@@ -190,21 +131,8 @@ let all_tables t =
       (Array.to_list t.levels)
 
 let store_view t =
-  if Option.is_none t.view then
-    t.view <-
-      Sorted_view.build ~enabled:t.cfg.sorted_view
-        ~min_runs:t.cfg.sorted_view_min_runs ~stats:(io_stats t)
-        ~stream:(table_seq t ~category:Io_stats.Read_path)
-        (all_tables t);
+  if Option.is_none t.view then t.view <- Table_set.build_view t.ts (all_tables t);
   t.view
-
-(* Flush site: extend an existing view with the new L0 fragment instead of
-   dropping it. *)
-let view_note_flush t meta =
-  t.view <-
-    Sorted_view.extend ~enabled:t.cfg.sorted_view ~stats:(io_stats t)
-      ~stream:(table_seq t ~category:Io_stats.Read_path)
-      t.view meta
 
 (* ------------------------------------------------------------------ *)
 (* Guard selection *)
@@ -239,41 +167,34 @@ let observe_key t key =
   in
   note 1
 
+(* The span of [lvl] holding [key]: the last whose guard is <= key (the
+   first span's guard is "", so there always is one). *)
+let span_for lvl key =
+  let rec pick best = function
+    | span :: rest when String.compare span.guard key <= 0 -> pick span rest
+    | _ -> best
+  in
+  match lvl.spans with first :: rest -> pick first rest | [] -> assert false
+
 (* Commit pending guards for [level]: split any span whose fragments cross
    the new guard. Fragment splitting rewrites data in place — charged as
    Split I/O (the PebblesDB cost the paper calls out). *)
-let rec split_fragment t ~category (meta : Table.meta) ~at =
-  ignore category;
-  let reader = reader_of t meta in
+let split_fragment t (meta : Table.meta) ~at =
   let at_enc = Ikey.encode_user at in
-  let build side_name pred =
-    let b =
-      Table.Builder.create t.env ~name:side_name ~category:Io_stats.Split
-        ~bits_per_key:t.cfg.bits_per_key ~ph_index:t.cfg.ph_index
-        ~expected_keys:(max 64 meta.Table.entry_count) ()
-    in
-    Seq.iter
-      (fun (key, value) ->
-        if pred key then Table.Builder.add_encoded b ~key ~value)
-      (Table.Reader.stream reader ~category:Io_stats.Split
-         ~admit:Block_cache.Bypass ());
-    if Table.Builder.entry_count b > 0 then Some (Table.Builder.finish b)
-    else begin
-      Table.Builder.abandon b;
-      None
-    end
+  let build pred =
+    Table_set.write_runs t.ts ~category:Io_stats.Split
+      ~expected_keys:(max 64 meta.Table.entry_count)
+      (Seq.filter
+         (fun (key, _) -> pred key)
+         (Table_set.stream t.ts ~category:Io_stats.Split meta))
   in
   (* The caller deletes [meta] once the manifest edits replacing it are
      durable. *)
-  let left =
-    build (fresh_table_name t) (fun k -> Ikey.compare_encoded_user at_enc k > 0)
-  in
-  let right =
-    build (fresh_table_name t) (fun k -> Ikey.compare_encoded_user at_enc k <= 0)
-  in
+  let left = build (fun k -> Ikey.compare_encoded_user at_enc k > 0) in
+  let right = build (fun k -> Ikey.compare_encoded_user at_enc k <= 0) in
   (left, right)
 
-and commit_guards t level =
+let commit_guards t level =
   match Hashtbl.find_opt t.pending_guards level with
   | None | Some [] -> ()
   | Some keys ->
@@ -287,7 +208,7 @@ and commit_guards t level =
     let split_inputs = ref [] in
     List.iter
       (fun g ->
-        Manifest.append t.manifest (Manifest.Add_bucket { id = level; lo = g });
+        Table_set.log t.ts (Manifest.Add_bucket { id = level; lo = g });
         (* Find the span that contains g: the last span with guard <= g. *)
         let rec place before = function
           | [] -> List.rev before
@@ -312,19 +233,19 @@ and commit_guards t level =
                   else if String.compare m.Table.smallest g >= 0 then
                     right_frags := m :: !right_frags
                   else begin
-                    let l, r = split_fragment t ~category:Io_stats.Split m ~at:g in
+                    let l, r = split_fragment t m ~at:g in
                     split_inputs := m :: !split_inputs;
                     log_remove_fragment t ~level m;
-                    (match l with
-                    | Some m ->
-                      left_frags := m :: !left_frags;
-                      log_add_fragment t ~level m
-                    | None -> ());
-                    (match r with
-                    | Some m ->
-                      right_frags := m :: !right_frags;
-                      log_add_fragment t ~level m
-                    | None -> ())
+                    List.iter
+                      (fun m ->
+                        left_frags := m :: !left_frags;
+                        log_add_fragment t ~level m)
+                      l;
+                    List.iter
+                      (fun m ->
+                        right_frags := m :: !right_frags;
+                        log_add_fragment t ~level m)
+                      r
                   end)
                 span.fragments;
               let left_span = { guard = span.guard; fragments = List.rev !left_frags } in
@@ -338,44 +259,35 @@ and commit_guards t level =
       invalidate_view t;
       (* The split halves' edits must be durable before the straddling
          fragment they replace is deleted. *)
-      Manifest.sync t.manifest;
-      List.iter (drop_table t) !split_inputs
+      Table_set.sync_manifest t.ts;
+      List.iter (Table_set.retire t.ts) !split_inputs
     end
 
 (* ------------------------------------------------------------------ *)
 (* Flush and compaction *)
 
-let write_run t ~category entries ~expected =
-  let name = fresh_table_name t in
-  let b =
-    Table.Builder.create t.env ~name ~category
-      ~bits_per_key:t.cfg.bits_per_key ~ph_index:t.cfg.ph_index
-      ~expected_keys:(max 64 expected) ()
-  in
-  Seq.iter (fun (ik, v) -> Table.Builder.add b ik v) entries;
-  if Table.Builder.entry_count b > 0 then Some (Table.Builder.finish b)
-  else begin
-    Table.Builder.abandon b;
-    None
-  end
-
 let flush_mem t =
   if Skiplist.count t.mem > 0 then begin
-    (match
-       write_run t ~category:Io_stats.Flush (Skiplist.to_sorted_seq t.mem)
-         ~expected:(Skiplist.count t.mem)
-     with
-    | Some meta ->
-      t.l0 <- meta :: t.l0;
-      view_note_flush t meta;
-      log_add_fragment t ~level:0 meta
-    | None -> ());
-    log_watermark t;
+    (* A memtable fills mid-batch, so this flush may persist part of a batch
+       whose WAL record is still buffered; sync the log first so a crash
+       after the flush replays the whole batch instead of applying half. *)
+    Wal.sync (Table_set.wal t.ts);
+    List.iter
+      (fun meta ->
+        t.l0 <- meta :: t.l0;
+        t.view <- Table_set.extend_view t.ts t.view meta;
+        log_add_fragment t ~level:0 meta)
+      (Table_set.write_runs t.ts ~category:Io_stats.Flush
+         ~expected_keys:(max 64 (Skiplist.count t.mem))
+         (Skiplist.to_sorted_seq t.mem
+         |> Seq.map (fun (ik, v) -> (Ikey.encode ik, v))));
+    Table_set.log_watermark t.ts ~seq:t.seq;
     (* The flushed fragment's manifest edit must be durable before the WAL
        records it replaces are reclaimed. *)
-    Manifest.sync t.manifest;
+    Table_set.sync_manifest t.ts;
     t.mem <- Skiplist.create ();
-    ignore (Wal.reclaim t.wal ~persisted_below:(Int64.add t.seq 1L))
+    ignore
+      (Wal.reclaim (Table_set.wal t.ts) ~persisted_below:(Int64.add t.seq 1L))
   end
 
 (* Partition a merged (encoded) entry sequence by the guards of [level],
@@ -383,59 +295,35 @@ let flush_mem t =
 let emit_into_level t ~category level entries ~expected =
   commit_guards t level;
   let lvl = t.levels.(level) in
-  let spans = Array.of_list lvl.spans in
   (* Guards encoded once; the per-entry span test then runs on raw bytes. *)
-  let guard_enc = Array.map (fun s -> Ikey.encode_user s.guard) spans in
-  let n = Array.length spans in
-  (* For each span, collect its slice of the iterator lazily by walking the
-     merged sequence once. *)
-  let current = ref 0 in
-  let builder = ref None in
-  let finish () =
-    match !builder with
-    | Some b ->
-      if Table.Builder.entry_count b > 0 then begin
-        let meta = Table.Builder.finish b in
-        let span = spans.(!current) in
-        span.fragments <- meta :: span.fragments;
-        log_add_fragment t ~level meta
-      end
-      else Table.Builder.abandon b;
-      builder := None
-    | None -> ()
+  let guard_enc =
+    Array.of_list (List.map (fun s -> Ikey.encode_user s.guard) lvl.spans)
   in
-  let span_for key =
-    (* Largest span index whose guard <= key. Spans are sorted; linear
-       advance suffices because entries arrive in key order. *)
+  let n = Array.length guard_enc in
+  let current = ref 0 in
+  (* A fragment ends where the key enters a later span: the largest span
+     index whose guard <= key. Linear advance suffices because entries
+     arrive in key order. *)
+  let cut ~size:_ key =
     let rec advance i =
       if i + 1 < n && Ikey.compare_encoded_user guard_enc.(i + 1) key <= 0 then
         advance (i + 1)
       else i
     in
-    advance !current
+    let target = advance !current in
+    target <> !current
+    && begin
+         current := target;
+         true
+       end
   in
-  Seq.iter
-    (fun (key, value) ->
-      let target = span_for key in
-      if target <> !current then begin
-        finish ();
-        current := target
-      end;
-      let b =
-        match !builder with
-        | Some b -> b
-        | None ->
-          let b' =
-            Table.Builder.create t.env ~name:(fresh_table_name t) ~category
-              ~bits_per_key:t.cfg.bits_per_key ~ph_index:t.cfg.ph_index
-              ~expected_keys:(max 64 expected) ()
-          in
-          builder := Some b';
-          b'
-      in
-      Table.Builder.add_encoded b ~key ~value)
-    entries;
-  finish ()
+  List.iter
+    (fun (meta : Table.meta) ->
+      let span = span_for lvl meta.Table.smallest in
+      span.fragments <- meta :: span.fragments;
+      log_add_fragment t ~level meta)
+    (Table_set.write_runs t.ts ~category ~expected_keys:(max 64 expected) ~cut
+       entries)
 
 let deepest_nonempty t =
   let rec check l =
@@ -445,55 +333,37 @@ let deepest_nonempty t =
   in
   check (t.cfg.max_levels - 1)
 
+(* Merge [inputs] — L0, or one guard span of [level] — into [level + 1],
+   cut by its guards; [clear] empties the place they came from. *)
+let compact t level inputs ~clear =
+  t.compactions <- t.compactions + 1;
+  let entries =
+    Merge_iter.compact ~dedup_user_keys:true
+      ~drop_tombstones:(deepest_nonempty t <= level)
+      ~snapshot_floor:(oldest_snapshot_seq t)
+      (List.map
+         (Table_set.stream t.ts ~category:(Io_stats.Compaction_read level))
+         inputs)
+  in
+  let expected =
+    List.fold_left (fun acc (m : Table.meta) -> acc + m.Table.entry_count) 0 inputs
+  in
+  emit_into_level t ~category:(Io_stats.Compaction (level + 1)) (level + 1)
+    entries ~expected;
+  clear ();
+  invalidate_view t;
+  List.iter (log_remove_fragment t ~level) inputs;
+  Table_set.log_watermark t.ts ~seq:t.seq;
+  (* Removes durable before the input files vanish. *)
+  Table_set.sync_manifest t.ts;
+  List.iter (Table_set.retire t.ts) inputs
+
 let compact_l0 t =
-  if t.l0 <> [] then begin
-    t.compactions <- t.compactions + 1;
-    let inputs = t.l0 in
-    let seqs =
-      List.map (fun m -> table_seq t ~category:(Io_stats.Compaction_read 0) m) inputs
-    in
-    let drop = deepest_nonempty t = 0 in
-    let entries =
-      Merge_iter.compact ~dedup_user_keys:true ~drop_tombstones:drop
-        ~snapshot_floor:(oldest_snapshot_seq t) seqs
-    in
-    let expected =
-      List.fold_left (fun acc (m : Table.meta) -> acc + m.Table.entry_count) 0 inputs
-    in
-    emit_into_level t ~category:(Io_stats.Compaction 1) 1 entries ~expected;
-    t.l0 <- [];
-    invalidate_view t;
-    List.iter (fun m -> log_remove_fragment t ~level:0 m) inputs;
-    log_watermark t;
-    (* Removes durable before the input files vanish. *)
-    Manifest.sync t.manifest;
-    List.iter (drop_table t) inputs
-  end
+  if t.l0 <> [] then compact t 0 t.l0 ~clear:(fun () -> t.l0 <- [])
 
 let compact_span t level span =
-  if span.fragments <> [] && level + 1 < t.cfg.max_levels then begin
-    t.compactions <- t.compactions + 1;
-    let inputs = span.fragments in
-    let seqs =
-      List.map (fun m -> table_seq t ~category:(Io_stats.Compaction_read level) m) inputs
-    in
-    let drop = deepest_nonempty t <= level in
-    let entries =
-      Merge_iter.compact ~dedup_user_keys:true ~drop_tombstones:drop
-        ~snapshot_floor:(oldest_snapshot_seq t) seqs
-    in
-    let expected =
-      List.fold_left (fun acc (m : Table.meta) -> acc + m.Table.entry_count) 0 inputs
-    in
-    emit_into_level t ~category:(Io_stats.Compaction (level + 1)) (level + 1) entries
-      ~expected;
-    span.fragments <- [];
-    invalidate_view t;
-    List.iter (fun m -> log_remove_fragment t ~level m) inputs;
-    log_watermark t;
-    Manifest.sync t.manifest;
-    List.iter (drop_table t) inputs
-  end
+  if span.fragments <> [] && level + 1 < t.cfg.max_levels then
+    compact t level span.fragments ~clear:(fun () -> span.fragments <- [])
 
 let pick_compaction t =
   if List.length t.l0 >= t.cfg.max_files_per_guard then Some `L0
@@ -555,63 +425,33 @@ let maintenance t ?budget_bytes () =
 
 let recover ?env cfg =
   let env = match env with Some e -> e | None -> Env.in_memory () in
-  if not (Manifest.exists env ~name:(manifest_name cfg)) then create ~env cfg
+  if not (Table_set.exists env ~name:cfg.name) then create ~env cfg
   else begin
-    let t =
-      {
-        cfg;
-        env;
-        (* Replaced below once the real WAL is recovered. *)
-        wal = Wal.create env ~prefix:(cfg.name ^ "-tmpwal") ();
-        manifest = Manifest.reopen env ~name:(manifest_name cfg);
-        mem = Skiplist.create ();
-        l0 = [];
-        levels =
-          Array.init cfg.max_levels (fun _ ->
-              { spans = [ { guard = ""; fragments = [] } ] });
-        readers = Hashtbl.create 64;
-        next_file = 1;
-        seq = 0L;
-        compactions = 0;
-        pending_guards = Hashtbl.create 8;
-        next_snap_id = 0;
-        live_snaps = Hashtbl.create 8;
-        view = None;
-      }
-    in
-    (* Place a fragment into the span of its level containing its smallest
-       key (fragments never straddle guards: live operation splits and
-       re-logs them before a guard lands). *)
-    let span_for_key lvl key =
-      let rec pick best = function
-        | [] -> best
-        | span :: rest ->
-          if String.compare span.guard key <= 0 then pick span rest else best
-      in
-      match lvl.spans with
-      | first :: rest -> pick first rest
-      | [] -> assert false
-    in
-    Manifest.replay env ~name:(manifest_name cfg) (fun edit ->
-        match edit with
-        | Manifest.Add_table { bucket = level; name; size; entry_count; smallest; largest; _ } ->
+    let t = make ~reopen:true env cfg in
+    (* A fragment replays into the span holding its smallest key: live
+       operation splits and re-logs fragments before a guard lands, so none
+       straddles one. *)
+    t.seq <-
+      Table_set.replay_manifest t.ts (function
+        | Manifest.Add_table
+            { bucket = level; name; size; entry_count; smallest; largest; _ } ->
           let meta = { Table.name; size; entry_count; smallest; largest } in
           if level = 0 then t.l0 <- meta :: t.l0
           else begin
-            let span = span_for_key t.levels.(level) meta.Table.smallest in
+            let span = span_for t.levels.(level) meta.Table.smallest in
             span.fragments <- meta :: span.fragments
           end
         | Manifest.Remove_table { bucket = level; name; _ } ->
-          let drop = List.filter (fun (m : Table.meta) -> not (String.equal m.Table.name name)) in
-          if level = 0 then t.l0 <- drop t.l0
+          if level = 0 then t.l0 <- Table_set.without ~file:name t.l0
           else
             List.iter
-              (fun span -> span.fragments <- drop span.fragments)
+              (fun span ->
+                span.fragments <- Table_set.without ~file:name span.fragments)
               t.levels.(level).spans
         | Manifest.Add_bucket { id = level; lo = g } ->
           let lvl = t.levels.(level) in
           if not (List.exists (fun s -> String.equal s.guard g) lvl.spans) then begin
-            let target = span_for_key lvl g in
+            let target = span_for lvl g in
             let left, right =
               List.partition
                 (fun (m : Table.meta) -> String.compare m.Table.smallest g < 0)
@@ -627,47 +467,14 @@ let recover ?env cfg =
             in
             lvl.spans <- insert lvl.spans
           end
-        | Manifest.Remove_bucket _ -> ()
-        | Manifest.Watermark { seq; next_file } ->
-          t.seq <- seq;
-          t.next_file <- max t.next_file next_file);
-    let wal =
-      Wal.recover env ~prefix:(cfg.name ^ "-wal")
-        ~replay:(fun (r : Wal.record) ->
-          if Int64.compare r.Wal.seq t.seq > 0 then t.seq <- r.Wal.seq;
+        | Manifest.Remove_bucket _ | Manifest.Watermark _ -> ());
+    t.seq <-
+      Table_set.recover_wal t.ts ~seq:t.seq ~live:(fun () -> all_tables t)
+        (fun (r : Wal.record) ->
           observe_key t r.Wal.key;
           Skiplist.add t.mem
             (Ikey.make ~kind:r.Wal.kind r.Wal.key ~seq:r.Wal.seq)
-            r.Wal.value)
-        ()
-    in
-    Env.delete env (cfg.name ^ "-tmpwal-000000.log");
-    let t = { t with wal } in
-    if Int64.compare (Wal.max_seq_logged wal) t.seq > 0 then
-      t.seq <- Wal.max_seq_logged wal;
-    (* Garbage-collect fragment files no manifest edit survived for. *)
-    let live = Hashtbl.create 64 in
-    List.iter (fun (m : Table.meta) -> Hashtbl.replace live m.Table.name ()) t.l0;
-    Array.iter
-      (fun lvl ->
-        List.iter
-          (fun s ->
-            List.iter
-              (fun (m : Table.meta) -> Hashtbl.replace live m.Table.name ())
-              s.fragments)
-          lvl.spans)
-      t.levels;
-    let prefix = cfg.name ^ "-" in
-    let plen = String.length prefix in
-    List.iter
-      (fun f ->
-        if
-          String.length f > plen
-          && String.equal (String.sub f 0 plen) prefix
-          && Filename.check_suffix f ".sst"
-          && not (Hashtbl.mem live f)
-        then Env.delete env f)
-      (Env.list_files env);
+            r.Wal.value);
     t
   end
 
@@ -686,23 +493,21 @@ let apply t kind key value =
     maintenance t ()
   end
 
-let write_batch t items =
-  if items <> [] then begin
-    Wal.append_batch t.wal ~first_seq:(Int64.add t.seq 1L) items;
-    List.iter (fun (kind, key, value) -> apply t kind key value) items
-  end
+let write_batches t batches =
+  Wal.append_batches (Table_set.wal t.ts) ~first_seq:(Int64.add t.seq 1L)
+    batches;
+  List.iter (List.iter (fun (kind, key, value) -> apply t kind key value)) batches
+
+let try_write_batches t batches =
+  Table_set.try_write_batches t.ts (write_batches t) batches
+
+let try_write_batch t items = try_write_batches t [ items ]
+
+let write_batch t items = Table_set.ok_or_raise (try_write_batch t items)
 
 let put t ~key ~value = write_batch t [ (Ikey.Value, key, value) ]
 
 let delete t ~key = write_batch t [ (Ikey.Deletion, key, "") ]
-
-let span_containing lvl key =
-  let rec pick last = function
-    | [] -> last
-    | span :: rest ->
-      if String.compare span.guard key <= 0 then pick (Some span) rest else last
-  in
-  pick None lvl.spans
 
 let get_seq t key ~snapshot =
   match Skiplist.find t.mem key ~snapshot with
@@ -714,8 +519,8 @@ let get_seq t key ~snapshot =
     let check_meta (m : Table.meta) =
       if not (Table.overlaps m ~lo:key ~hi:key) then None
       else
-        Table.Reader.get_encoded (reader_of t m) ~category:Io_stats.Read_path
-          target
+        Table.Reader.get_encoded (Table_set.reader_of t.ts m)
+          ~category:Io_stats.Read_path target
     in
     let rec check_list = function
       | [] -> `Miss
@@ -728,23 +533,15 @@ let get_seq t key ~snapshot =
     let rec levels level =
       if level >= t.cfg.max_levels then None
       else
-        match span_containing t.levels.(level) key with
-        | None -> levels (level + 1)
-        | Some span -> (
-          match check_list span.fragments with
-          | `Hit v -> Some v
-          | `Deleted -> None
-          | `Miss -> levels (level + 1))
+        match check_list (span_for t.levels.(level) key).fragments with
+        | `Hit v -> Some v
+        | `Deleted -> None
+        | `Miss -> levels (level + 1)
     in
     (match check_list t.l0 with
     | `Hit v -> Some v
     | `Deleted -> None
     | `Miss -> levels 1)
-
-let get t key = get_seq t key ~snapshot:t.seq
-
-let get_at t key ~snapshot =
-  get_seq t key ~snapshot:snapshot.Wip_kv.Store_intf.snap_seq
 
 (* One source — a single key space — for the shared range reader. *)
 let scan_seq t ~lo ~hi ?limit ~snapshot () =
@@ -755,33 +552,79 @@ let scan_seq t ~lo ~hi ?limit ~snapshot () =
   Range_reader.to_list
     (Range_reader.create ~hi ~snapshot ?limit
        (Seq.return
-          (Range_reader.source ~reader:(reader_of t) ~lo ~hi ~mem (store_view t)
+          (Range_reader.source ~reader:(Table_set.reader_of t.ts) ~lo ~hi ~mem
+             (store_view t)
              (fun () -> all_tables t))))
 
-let scan t ~lo ~hi ?limit () = scan_seq t ~lo ~hi ?limit ~snapshot:t.seq ()
+(* A corrupt fragment leaves L0 or its guard span, with the manifest edit. *)
+let drop_quarantined t file =
+  let drop level tables =
+    match Table_set.take ~file tables with
+    | Some (meta, rest) ->
+      log_remove_fragment t ~level meta;
+      invalidate_view t;
+      Some rest
+    | None -> None
+  in
+  match drop 0 t.l0 with
+  | Some rest ->
+    t.l0 <- rest;
+    true
+  | None ->
+    let found = ref false in
+    Array.iteri
+      (fun level lvl ->
+        List.iter
+          (fun span ->
+            if not !found then
+              match drop level span.fragments with
+              | Some rest ->
+                found := true;
+                span.fragments <- rest
+              | None -> ())
+          lvl.spans)
+      t.levels;
+    !found
+
+let get t key =
+  Table_set.with_quarantine t.ts ~drop:(drop_quarantined t) (fun () ->
+      get_seq t key ~snapshot:t.seq)
+
+let get_at t key ~snapshot =
+  Table_set.with_quarantine t.ts ~drop:(drop_quarantined t) (fun () ->
+      get_seq t key ~snapshot:snapshot.Wip_kv.Store_intf.snap_seq)
+
+let scan t ~lo ~hi ?limit () =
+  Table_set.with_quarantine t.ts ~drop:(drop_quarantined t) (fun () ->
+      scan_seq t ~lo ~hi ?limit ~snapshot:t.seq ())
 
 let scan_at t ~lo ~hi ?limit ~snapshot () =
-  scan_seq t ~lo ~hi ?limit ~snapshot:snapshot.Wip_kv.Store_intf.snap_seq ()
+  Table_set.with_quarantine t.ts ~drop:(drop_quarantined t) (fun () ->
+      scan_seq t ~lo ~hi ?limit
+        ~snapshot:snapshot.Wip_kv.Store_intf.snap_seq ())
 
-let flush t = flush_mem t
+(* ------------------------------------------------------------------ *)
+(* Durability and failure model *)
 
-let file_sizes t =
-  let frag_sizes lvl =
-    List.concat_map
-      (fun s -> List.map (fun (m : Table.meta) -> m.Table.size) s.fragments)
-      lvl.spans
-  in
-  List.map (fun (m : Table.meta) -> m.Table.size) t.l0
-  @ List.concat_map frag_sizes (Array.to_list t.levels)
+let flush t = Table_set.guard_durable t.ts (fun () -> flush_mem t)
+
+let maintenance t ?budget_bytes () =
+  Table_set.guard_durable t.ts (fun () -> maintenance t ?budget_bytes ())
+
+let checkpoint t = Table_set.checkpoint t.ts ~seq:t.seq
+
+let log_sync t = Table_set.log_sync t.ts
+
+let health t = Table_set.health t.ts
+
+let probe t = Table_set.probe t.ts ~seq:t.seq
+
+let quarantined_tables t = Table_set.quarantined t.ts
+
+let file_sizes t = List.map (fun (m : Table.meta) -> m.Table.size) (all_tables t)
 
 let live_table_files t =
-  List.map (fun (m : Table.meta) -> m.Table.name) t.l0
-  @ List.concat_map
-      (fun lvl ->
-        List.concat_map
-          (fun s -> List.map (fun (m : Table.meta) -> m.Table.name) s.fragments)
-          lvl.spans)
-      (Array.to_list t.levels)
+  List.map (fun (m : Table.meta) -> m.Table.name) (all_tables t)
 
 let guard_count t ~level =
   if level < 1 || level >= t.cfg.max_levels then 0
@@ -790,29 +633,3 @@ let guard_count t ~level =
 let level_count t = 1 + deepest_nonempty t
 
 let compaction_count t = t.compactions
-
-(* Resilience interface: this baseline has no admission control or degraded
-   state — it exists for I/O-pattern comparison, not fault drills. Writes
-   are always admitted and faults propagate raw. *)
-let try_write_batch t items =
-  write_batch t items;
-  Ok ()
-
-let write_batches t batches =
-  if List.exists (fun items -> items <> []) batches then begin
-    Wal.append_batches t.wal ~first_seq:(Int64.add t.seq 1L) batches;
-    List.iter
-      (fun items ->
-        List.iter (fun (kind, key, value) -> apply t kind key value) items)
-      batches
-  end
-
-let try_write_batches t batches =
-  write_batches t batches;
-  Ok ()
-
-let log_sync t = Wal.sync t.wal
-
-let health _ = Wip_kv.Store_intf.Healthy
-
-let probe _ = Wip_kv.Store_intf.Healthy

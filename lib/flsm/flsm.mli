@@ -40,27 +40,8 @@ val default_config : scale:int -> config
 
 type t
 
-val create : ?env:Wip_storage.Env.t -> config -> t
-
-val recover : ?env:Wip_storage.Env.t -> config -> t
-(** Reopen the store persisted in [env]: manifest replay rebuilds guards and
-    fragment placement, WAL replay repopulates the memtable. Equivalent to
-    [create] on a fresh device. *)
+include Wip_kv.Store_intf.Engine with type t := t and type config := config
 
 val guard_count : t -> level:int -> int
 
 val level_count : t -> int
-
-val compaction_count : t -> int
-
-val live_table_files : t -> string list
-(** Names of every fragment file the guard structure references — after
-    recovery, exactly the table files present on the Env. *)
-
-val live_snapshot_count : t -> int
-
-val oldest_snapshot_seq : t -> int64
-(** Version-GC floor: min over live pinned snapshots, [Int64.max_int] when
-    none — compaction then keeps only the newest version per key. *)
-
-include Wip_kv.Store_intf.S with type t := t

@@ -140,6 +140,51 @@ module type S = sig
   val name : t -> string
 end
 
+(** What each engine built on {!Table_set} exposes beyond {!S}: its own
+    construction and recovery, a durability barrier, and the table-set
+    introspection tests and the CLI read. *)
+module type Engine = sig
+  include S
+
+  type config
+
+  val create : ?env:Wip_storage.Env.t -> config -> t
+
+  val recover : ?env:Wip_storage.Env.t -> config -> t
+  (** Reopen the store persisted in [env]: manifest replay rebuilds the
+      engine's layout, WAL replay repopulates the memtables, and table files
+      no manifest edit references are deleted. Equivalent to [create] on a
+      fresh device. *)
+
+  val checkpoint : t -> unit
+  (** WAL sync plus a synced manifest watermark: everything acknowledged so
+      far survives a crash. *)
+
+  val compaction_count : t -> int
+
+  val live_table_files : t -> string list
+  (** Names of every table file the layout references — after recovery,
+      exactly the table files on the Env. *)
+
+  val live_snapshot_count : t -> int
+
+  val oldest_snapshot_seq : t -> int64
+  (** The version-GC floor: min over live snapshots, [Int64.max_int] when
+      none are live (GC then keeps only the newest version per key). *)
+
+  val zombie_table_files : t -> string list
+  (** Files retired from the layout but still pinned by live snapshots,
+      unordered. Empty when no snapshot is live. *)
+
+  val zombie_bytes : t -> int
+  (** Total on-device size of {!zombie_table_files}: the space long-lived
+      snapshots are holding back from reclamation. *)
+
+  val quarantined_tables : t -> (string * string) list
+  (** [(file, corruption detail)] of tables renamed aside after failing
+      validation, newest first. *)
+end
+
 (* Existential wrapper so heterogeneous engines fit in one list. *)
 type store = Store : (module S with type t = 'a) * 'a -> store
 

@@ -6,9 +6,9 @@ module Merge_iter = Wip_sstable.Merge_iter
 module Sorted_view = Wip_sstable.Sorted_view
 module Range_reader = Wip_sstable.Range_reader
 module Skiplist = Wip_memtable.Skiplist
-module Block_cache = Wip_storage.Block_cache
 module Wal = Wip_wal.Wal
 module Manifest = Wip_manifest.Manifest
+module Table_set = Wip_kv.Table_set
 
 type config = {
   memtable_bytes : int;
@@ -57,95 +57,54 @@ let rocksdb_bigmem_config ~scale =
 
 type t = {
   cfg : config;
-  env : Env.t;
-  wal : Wal.t;
-  manifest : Manifest.t;
+  ts : Table_set.t;
   mutable mem : Skiplist.t; (* guarded_by: caller *)
   mutable levels : Table.meta list array; (* guarded_by: caller *)
   (* L0: newest first (flush order); L1+: sorted by smallest key, disjoint. *)
-  readers : (string, Table.Reader.t) Hashtbl.t;
-  mutable next_file : int; (* guarded_by: caller *)
   mutable seq : int64; (* guarded_by: caller *)
   mutable compact_pointer : string array; (* round-robin cursor per level; guarded_by: caller *)
   mutable compactions : int; (* guarded_by: caller *)
-  mutable next_snap_id : int; (* guarded_by: caller *)
-  live_snaps : (int, int64) Hashtbl.t; (* snapshot id -> pinned seq *)
   mutable view : (Sorted_view.t * Table.meta array) option; (* guarded_by: caller *)
       (* Store-wide sorted view over the whole table set; None when absent
          or invalidated. Scans build it lazily; compaction drops it. *)
 }
 
-let manifest_name cfg = cfg.name ^ "-manifest"
-
-let create ?env cfg =
-  let env = match env with Some e -> e | None -> Env.in_memory () in
+let make ~reopen env cfg =
   {
     cfg;
-    env;
-    wal = Wal.create env ~prefix:(cfg.name ^ "-wal") ();
-    manifest = Manifest.create env ~name:(manifest_name cfg);
+    ts =
+      Table_set.create ~reopen env ~name:cfg.name ~suffix:".sst"
+        ~bits_per_key:cfg.bits_per_key ~ph_index:cfg.ph_index
+        ~sorted_view:cfg.sorted_view
+        ~sorted_view_min_runs:cfg.sorted_view_min_runs ();
     mem = Skiplist.create ();
     levels = Array.make cfg.max_levels [];
-    readers = Hashtbl.create 64;
-    next_file = 1;
     seq = 0L;
     compact_pointer = Array.make cfg.max_levels "";
     compactions = 0;
-    next_snap_id = 0;
-    live_snaps = Hashtbl.create 8;
     view = None;
   }
+
+let create ?env cfg =
+  make ~reopen:false (match env with Some e -> e | None -> Env.in_memory ()) cfg
 
 let config t = t.cfg
 
 let name t = t.cfg.name
 
-let env t = t.env
+let env t = Table_set.env t.ts
 
-let io_stats t = Env.stats t.env
+let io_stats t = Table_set.stats t.ts
 
-let fresh_table_name t =
-  let n = t.next_file in
-  t.next_file <- n + 1;
-  Printf.sprintf "%s-%06d.sst" t.cfg.name n
+let oldest_snapshot_seq t = Table_set.oldest_snapshot_seq t.ts
 
-let reader_of t (meta : Table.meta) =
-  match Hashtbl.find_opt t.readers meta.Table.name with
-  | Some r -> r
-  | None ->
-    let r = Table.Reader.open_ t.env ~name:meta.Table.name in
-    Hashtbl.replace t.readers meta.Table.name r;
-    r
+let live_snapshot_count t = Table_set.live_snapshot_count t.ts
 
-let drop_table t (meta : Table.meta) =
-  (match Hashtbl.find_opt t.readers meta.Table.name with
-  | Some r ->
-    Table.Reader.close r;
-    Hashtbl.remove t.readers meta.Table.name
-  | None -> ());
-  Env.delete t.env meta.Table.name
+let zombie_table_files t = Table_set.zombie_table_files t.ts
 
-(* Pinned snapshots. This baseline's reads are eager (no lazy streams
-   escape a call), so pinning only needs the version-GC floor: while a
-   snapshot is live, compaction keeps every version a pinned seq can see
-   ([oldest_snapshot_seq] feeds [Merge_iter.compact ~snapshot_floor]). *)
+let zombie_bytes t = Table_set.zombie_bytes t.ts
 
-let oldest_snapshot_seq t =
-  Hashtbl.fold
-    (fun _ s acc -> if Int64.compare s acc < 0 then s else acc)
-    t.live_snaps Int64.max_int
-
-let live_snapshot_count t = Hashtbl.length t.live_snaps
-
-let snapshot t =
-  let id = t.next_snap_id in
-  t.next_snap_id <- id + 1;
-  Hashtbl.replace t.live_snaps id t.seq;
-  {
-    Wip_kv.Store_intf.snap_seq = t.seq;
-    snap_id = id;
-    snap_release = (fun () -> Hashtbl.remove t.live_snaps id);
-  }
+let snapshot t = Table_set.snapshot t.ts ~seq:t.seq
 
 let level_capacity t level =
   (* Level 0 is triggered by file count, not bytes. *)
@@ -163,64 +122,37 @@ let level_bytes t level =
 
 let invalidate_view t = t.view <- None
 
-(* A whole-table pass (view build, compaction): bypasses the block cache. *)
-let table_seq t ~category meta =
-  Table.Reader.stream (reader_of t meta) ~category ~admit:Block_cache.Bypass
-    ()
-
 let all_tables t = Array.to_list t.levels |> List.concat
 
 let store_view t =
-  if Option.is_none t.view then
-    t.view <-
-      Sorted_view.build ~enabled:t.cfg.sorted_view
-        ~min_runs:t.cfg.sorted_view_min_runs ~stats:(io_stats t)
-        ~stream:(table_seq t ~category:Io_stats.Read_path)
-        (all_tables t);
+  if Option.is_none t.view then t.view <- Table_set.build_view t.ts (all_tables t);
   t.view
-
-(* Flush site: extend an existing view with the new L0 run instead of
-   dropping it. *)
-let view_note_flush t meta =
-  t.view <-
-    Sorted_view.extend ~enabled:t.cfg.sorted_view ~stats:(io_stats t)
-      ~stream:(table_seq t ~category:Io_stats.Read_path)
-      t.view meta
 
 (* ------------------------------------------------------------------ *)
 (* Writing *)
 
 let flush_mem t =
   if Skiplist.count t.mem > 0 then begin
-    let name = fresh_table_name t in
-    let builder =
-      Table.Builder.create t.env ~name ~category:Io_stats.Flush
-        ~bits_per_key:t.cfg.bits_per_key ~ph_index:t.cfg.ph_index
-        ~expected_keys:(Skiplist.count t.mem) ()
-    in
-    Seq.iter (fun (ik, v) -> Table.Builder.add builder ik v)
-      (Skiplist.to_sorted_seq t.mem);
-    let meta = Table.Builder.finish builder in
-    t.levels.(0) <- meta :: t.levels.(0);
-    view_note_flush t meta;
-    Manifest.append t.manifest
-      (Manifest.Add_table
-         {
-           bucket = 0;
-           level = 0;
-           name = meta.Table.name;
-           size = meta.Table.size;
-           entry_count = meta.Table.entry_count;
-           smallest = meta.Table.smallest;
-           largest = meta.Table.largest;
-         });
-    Manifest.append t.manifest
-      (Manifest.Watermark { seq = t.seq; next_file = t.next_file });
+    (* A memtable fills mid-batch, so this flush may persist part of a batch
+       whose WAL record is still buffered; sync the log first so a crash
+       after the flush replays the whole batch instead of applying half. *)
+    Wal.sync (Table_set.wal t.ts);
+    List.iter
+      (fun meta ->
+        t.levels.(0) <- meta :: t.levels.(0);
+        t.view <- Table_set.extend_view t.ts t.view meta;
+        Table_set.log_add t.ts ~bucket:0 ~level:0 meta)
+      (Table_set.write_runs t.ts ~category:Io_stats.Flush
+         ~expected_keys:(Skiplist.count t.mem)
+         (Skiplist.to_sorted_seq t.mem
+         |> Seq.map (fun (ik, v) -> (Ikey.encode ik, v))));
+    Table_set.log_watermark t.ts ~seq:t.seq;
     (* The flushed table's manifest edit must be durable before the WAL
        records it replaces are reclaimed. *)
-    Manifest.sync t.manifest;
+    Table_set.sync_manifest t.ts;
     t.mem <- Skiplist.create ();
-    ignore (Wal.reclaim t.wal ~persisted_below:(Int64.add t.seq 1L))
+    ignore
+      (Wal.reclaim (Table_set.wal t.ts) ~persisted_below:(Int64.add t.seq 1L))
   end
 
 (* Build one or more target-size output tables from a compacted (encoded)
@@ -228,46 +160,19 @@ let flush_mem t =
    derive it from the inputs' entry counts and byte sizes instead of a
    guessed constant. *)
 let write_outputs t ~category ~expected_keys entries =
-  let outputs = ref [] in
-  let builder = ref None in
-  let start_builder () =
-    let name = fresh_table_name t in
-    let b =
-      Table.Builder.create t.env ~name ~category
-        ~bits_per_key:t.cfg.bits_per_key ~ph_index:t.cfg.ph_index
-        ~expected_keys ()
-    in
-    builder := Some b;
-    b
-  in
-  let finish_builder () =
-    match !builder with
-    | Some b ->
-      if Table.Builder.entry_count b > 0 then
-        outputs := Table.Builder.finish b :: !outputs
-      else Table.Builder.abandon b;
-      builder := None
-    | None -> ()
-  in
   let last_key = ref None in
-  Seq.iter
-    (fun (key, value) ->
+  Table_set.write_runs t.ts ~category ~expected_keys entries
+    ~cut:(fun ~size key ->
       (* Split lazily, and never between two versions of one user key: with
          a version-GC floor several versions of a key can flow through one
          compaction, and the L1+ point-read probes exactly one table per
          level — all of a key's versions must land in it. *)
-      (match (!builder, !last_key) with
-      | Some b, Some prev
-        when Table.Builder.estimated_size b >= t.cfg.sstable_bytes
-             && not (Ikey.encoded_same_user prev key) ->
-        finish_builder ()
-      | _ -> ());
+      let prev = !last_key in
       last_key := Some key;
-      let b = match !builder with Some b -> b | None -> start_builder () in
-      Table.Builder.add_encoded b ~key ~value)
-    entries;
-  finish_builder ();
-  List.rev !outputs
+      match prev with
+      | Some prev ->
+        size >= t.cfg.sstable_bytes && not (Ikey.encoded_same_user prev key)
+      | None -> false)
 
 (* Insert [metas] into sorted level list (levels >= 1 stay sorted by
    smallest key). *)
@@ -317,7 +222,9 @@ let compact_level t level =
       if List.memq m sources then Io_stats.Compaction_read level
       else Io_stats.Compaction_read target
     in
-    let seqs = List.map (fun m -> table_seq t ~category:(read_cat m) m) inputs in
+    let seqs =
+      List.map (fun m -> Table_set.stream t.ts ~category:(read_cat m) m) inputs
+    in
     (* Tombstones can be dropped when the output level is the deepest level
        holding data for this key range. The range must cover every INPUT:
        overlapping target-level files can extend beyond the sources' [lo,
@@ -371,32 +278,17 @@ let compact_level t level =
         List.filter (fun m -> not (List.memq m sources)) t.levels.(level);
     t.levels.(target) <- sorted_level (untouched @ outputs);
     invalidate_view t;
+    List.iter (Table_set.log_add t.ts ~bucket:0 ~level:target) outputs;
     List.iter
-      (fun (m : Table.meta) ->
-        Manifest.append t.manifest
-          (Manifest.Add_table
-             {
-               bucket = 0;
-               level = target;
-               name = m.Table.name;
-               size = m.Table.size;
-               entry_count = m.Table.entry_count;
-               smallest = m.Table.smallest;
-               largest = m.Table.largest;
-             }))
-      outputs;
-    List.iter
-      (fun (m : Table.meta) ->
-        let from_level = if List.memq m sources then level else target in
-        Manifest.append t.manifest
-          (Manifest.Remove_table { bucket = 0; level = from_level; name = m.Table.name }))
+      (fun m ->
+        let level = if List.memq m sources then level else target in
+        Table_set.log_remove t.ts ~bucket:0 ~level m)
       inputs;
-    Manifest.append t.manifest
-      (Manifest.Watermark { seq = t.seq; next_file = t.next_file });
+    Table_set.log_watermark t.ts ~seq:t.seq;
     (* Removes durable before the input files vanish, or recovery would
        replay a manifest referencing deleted files. *)
-    Manifest.sync t.manifest;
-    List.iter (drop_table t) inputs
+    Table_set.sync_manifest t.ts;
+    List.iter (Table_set.retire t.ts) inputs
   end
 
 (* LevelDB-style scores; >= 1.0 means the level needs compaction. *)
@@ -445,74 +337,29 @@ let maintenance t ?budget_bytes () =
 
 let recover ?env cfg =
   let env = match env with Some e -> e | None -> Env.in_memory () in
-  if not (Manifest.exists env ~name:(manifest_name cfg)) then create ~env cfg
+  if not (Table_set.exists env ~name:cfg.name) then create ~env cfg
   else begin
-    let t =
-      {
-        cfg;
-        env;
-        (* Replaced below once the real WAL is recovered. *)
-        wal = Wal.create env ~prefix:(cfg.name ^ "-tmpwal") ();
-        manifest = Manifest.reopen env ~name:(manifest_name cfg);
-        mem = Skiplist.create ();
-        levels = Array.make cfg.max_levels [];
-        readers = Hashtbl.create 64;
-        next_file = 1;
-        seq = 0L;
-        compact_pointer = Array.make cfg.max_levels "";
-        compactions = 0;
-        next_snap_id = 0;
-        live_snaps = Hashtbl.create 8;
-        view = None;
-      }
-    in
-    Manifest.replay env ~name:(manifest_name cfg) (fun edit ->
-        match edit with
-        | Manifest.Add_table { level; name; size; entry_count; smallest; largest; _ } ->
+    let t = make ~reopen:true env cfg in
+    t.seq <-
+      Table_set.replay_manifest t.ts (function
+        | Manifest.Add_table
+            { level; name; size; entry_count; smallest; largest; _ } ->
           let meta = { Table.name; size; entry_count; smallest; largest } in
           t.levels.(level) <- meta :: t.levels.(level)
         | Manifest.Remove_table { level; name; _ } ->
-          t.levels.(level) <-
-            List.filter
-              (fun (m : Table.meta) -> not (String.equal m.Table.name name))
-              t.levels.(level)
-        | Manifest.Watermark { seq; next_file } ->
-          t.seq <- seq;
-          t.next_file <- max t.next_file next_file
-        | Manifest.Add_bucket _ | Manifest.Remove_bucket _ -> ());
+          t.levels.(level) <- Table_set.without ~file:name t.levels.(level)
+        | Manifest.Add_bucket _ | Manifest.Remove_bucket _
+        | Manifest.Watermark _ ->
+          ());
     for level = 1 to cfg.max_levels - 1 do
       t.levels.(level) <- sorted_level t.levels.(level)
     done;
-    let wal =
-      Wal.recover env ~prefix:(cfg.name ^ "-wal")
-        ~replay:(fun (r : Wal.record) ->
-          if Int64.compare r.Wal.seq t.seq > 0 then t.seq <- r.Wal.seq;
+    t.seq <-
+      Table_set.recover_wal t.ts ~seq:t.seq ~live:(fun () -> all_tables t)
+        (fun (r : Wal.record) ->
           Skiplist.add t.mem
             (Ikey.make ~kind:r.Wal.kind r.Wal.key ~seq:r.Wal.seq)
-            r.Wal.value)
-        ()
-    in
-    Env.delete env (cfg.name ^ "-tmpwal-000000.log");
-    let t = { t with wal } in
-    if Int64.compare (Wal.max_seq_logged wal) t.seq > 0 then
-      t.seq <- Wal.max_seq_logged wal;
-    (* Garbage-collect table files no manifest edit survived for — debris
-       of a flush or compaction interrupted before its edits were synced. *)
-    let live = Hashtbl.create 64 in
-    Array.iter
-      (List.iter (fun (m : Table.meta) -> Hashtbl.replace live m.Table.name ()))
-      t.levels;
-    let prefix = cfg.name ^ "-" in
-    let plen = String.length prefix in
-    List.iter
-      (fun f ->
-        if
-          String.length f > plen
-          && String.equal (String.sub f 0 plen) prefix
-          && Filename.check_suffix f ".sst"
-          && not (Hashtbl.mem live f)
-        then Env.delete env f)
-      (Env.list_files env);
+            r.Wal.value);
     t
   end
 
@@ -527,11 +374,17 @@ let apply t kind key value =
     maintenance t ()
   end
 
-let write_batch t items =
-  if items <> [] then begin
-    Wal.append_batch t.wal ~first_seq:(Int64.add t.seq 1L) items;
-    List.iter (fun (kind, key, value) -> apply t kind key value) items
-  end
+let write_batches t batches =
+  Wal.append_batches (Table_set.wal t.ts) ~first_seq:(Int64.add t.seq 1L)
+    batches;
+  List.iter (List.iter (fun (kind, key, value) -> apply t kind key value)) batches
+
+let try_write_batches t batches =
+  Table_set.try_write_batches t.ts (write_batches t) batches
+
+let try_write_batch t items = try_write_batches t [ items ]
+
+let write_batch t items = Table_set.ok_or_raise (try_write_batch t items)
 
 let put t ~key ~value = write_batch t [ (Ikey.Value, key, value) ]
 
@@ -550,8 +403,8 @@ let get_seq t key ~snapshot =
     let check_meta (m : Table.meta) =
       if not (Table.overlaps m ~lo:key ~hi:key) then None
       else
-        Table.Reader.get_encoded (reader_of t m) ~category:Io_stats.Read_path
-          target
+        Table.Reader.get_encoded (Table_set.reader_of t.ts m)
+          ~category:Io_stats.Read_path target
     in
     let rec check_l0 = function
       | [] -> check_levels 1
@@ -577,11 +430,6 @@ let get_seq t key ~snapshot =
     in
     check_l0 t.levels.(0)
 
-let get t key = get_seq t key ~snapshot:t.seq
-
-let get_at t key ~snapshot =
-  get_seq t key ~snapshot:snapshot.Wip_kv.Store_intf.snap_seq
-
 (* One source — a single key space — for the shared range reader. *)
 let scan_seq t ~lo ~hi ?limit ~snapshot () =
   let mem =
@@ -591,23 +439,65 @@ let scan_seq t ~lo ~hi ?limit ~snapshot () =
   Range_reader.to_list
     (Range_reader.create ~hi ~snapshot ?limit
        (Seq.return
-          (Range_reader.source ~reader:(reader_of t) ~lo ~hi ~mem (store_view t)
+          (Range_reader.source ~reader:(Table_set.reader_of t.ts) ~lo ~hi ~mem
+             (store_view t)
              (fun () -> all_tables t))))
 
-let scan t ~lo ~hi ?limit () = scan_seq t ~lo ~hi ?limit ~snapshot:t.seq ()
+(* A corrupt table leaves its level, with the manifest edit. *)
+let drop_quarantined t file =
+  let found = ref false in
+  Array.iteri
+    (fun level tables ->
+      if not !found then
+        match Table_set.take ~file tables with
+        | Some (meta, rest) ->
+          found := true;
+          t.levels.(level) <- rest;
+          Table_set.log_remove t.ts ~bucket:0 ~level meta;
+          invalidate_view t
+        | None -> ())
+    t.levels;
+  !found
+
+let get t key =
+  Table_set.with_quarantine t.ts ~drop:(drop_quarantined t) (fun () ->
+      get_seq t key ~snapshot:t.seq)
+
+let get_at t key ~snapshot =
+  Table_set.with_quarantine t.ts ~drop:(drop_quarantined t) (fun () ->
+      get_seq t key ~snapshot:snapshot.Wip_kv.Store_intf.snap_seq)
+
+let scan t ~lo ~hi ?limit () =
+  Table_set.with_quarantine t.ts ~drop:(drop_quarantined t) (fun () ->
+      scan_seq t ~lo ~hi ?limit ~snapshot:t.seq ())
 
 let scan_at t ~lo ~hi ?limit ~snapshot () =
-  scan_seq t ~lo ~hi ?limit ~snapshot:snapshot.Wip_kv.Store_intf.snap_seq ()
+  Table_set.with_quarantine t.ts ~drop:(drop_quarantined t) (fun () ->
+      scan_seq t ~lo ~hi ?limit
+        ~snapshot:snapshot.Wip_kv.Store_intf.snap_seq ())
 
-let flush t = flush_mem t
+(* ------------------------------------------------------------------ *)
+(* Durability and failure model *)
 
-let file_sizes t =
-  Array.to_list t.levels
-  |> List.concat_map (List.map (fun (m : Table.meta) -> m.Table.size))
+let flush t = Table_set.guard_durable t.ts (fun () -> flush_mem t)
+
+let maintenance t ?budget_bytes () =
+  Table_set.guard_durable t.ts (fun () -> maintenance t ?budget_bytes ())
+
+let checkpoint t = Table_set.checkpoint t.ts ~seq:t.seq
+
+let log_sync t = Table_set.log_sync t.ts
+
+let health t = Table_set.health t.ts
+
+let probe t = Table_set.probe t.ts ~seq:t.seq
+
+let quarantined_tables t = Table_set.quarantined t.ts
+
+let file_sizes t = List.map (fun (m : Table.meta) -> m.Table.size) (all_tables t)
 
 let live_table_files t =
-  Array.to_list t.levels
-  |> List.concat_map (List.map (fun (m : Table.meta) -> m.Table.name))
+  List.map (fun (m : Table.meta) -> m.Table.name) (all_tables t)
 
 let level_count t =
   let rec deepest l = if l < 0 then 0 else if t.levels.(l) <> [] then l + 1 else deepest (l - 1) in
@@ -649,29 +539,3 @@ let guard_positions t ~level ~every ~space =
       end)
     files;
   List.rev !positions
-
-(* Resilience interface: this baseline has no admission control or degraded
-   state — it exists for I/O-pattern comparison, not fault drills. Writes
-   are always admitted and faults propagate raw. *)
-let try_write_batch t items =
-  write_batch t items;
-  Ok ()
-
-let write_batches t batches =
-  if List.exists (fun items -> items <> []) batches then begin
-    Wal.append_batches t.wal ~first_seq:(Int64.add t.seq 1L) batches;
-    List.iter
-      (fun items ->
-        List.iter (fun (kind, key, value) -> apply t kind key value) items)
-      batches
-  end
-
-let try_write_batches t batches =
-  write_batches t batches;
-  Ok ()
-
-let log_sync t = Wal.sync t.wal
-
-let health _ = Wip_kv.Store_intf.Healthy
-
-let probe _ = Wip_kv.Store_intf.Healthy

@@ -41,12 +41,7 @@ val rocksdb_bigmem_config : scale:int -> config
 
 type t
 
-val create : ?env:Wip_storage.Env.t -> config -> t
-
-val recover : ?env:Wip_storage.Env.t -> config -> t
-(** Reopen the store persisted in [env]: manifest replay rebuilds the level
-    structure, WAL replay repopulates the memtable. Equivalent to [create]
-    on a fresh device. *)
+include Wip_kv.Store_intf.Engine with type t := t and type config := config
 
 val config : t -> config
 
@@ -59,17 +54,3 @@ val guard_positions : t -> level:int -> every:int -> space:int64 -> float list
 (** Figure 2 instrumentation: positions (as fractions of the numeric key
     space) of hypothetical guards placed every [every] keys along the
     level's sorted key order. *)
-
-val compaction_count : t -> int
-
-val live_table_files : t -> string list
-(** Names of every table file the level structure references — after
-    recovery, exactly the table files present on the Env. *)
-
-val live_snapshot_count : t -> int
-
-val oldest_snapshot_seq : t -> int64
-(** Version-GC floor: min over live pinned snapshots, [Int64.max_int] when
-    none — compaction then keeps only the newest version per key. *)
-
-include Wip_kv.Store_intf.S with type t := t

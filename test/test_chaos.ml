@@ -14,9 +14,11 @@
    - {b clean terminal state}: the store ends [Healthy], or [Degraded]
      with mutations refused typed while reads still serve;
    - the fault machinery actually fired: injected faults > 0 and env-level
-     retries > 0 (the storms were not scheduled past the workload). *)
+     retries > 0 (the storms were not scheduled past the workload).
 
-module Sh = Wip_concurrent.Sharded_store.Make (Wipdb.Store)
+   Every seed runs over WipDB shards; the first two also run over the
+   leveled and fragmented baselines, which share WipDB's failure model. *)
+
 module Store = Wipdb.Store
 module Config = Wipdb.Config
 module Env = Wip_storage.Env
@@ -61,9 +63,48 @@ let key_of tid i =
 
 let value_of ~seed tid i = Printf.sprintf "s%Ld-t%d-%d" seed tid i
 
+(* One shard's engine over [env], named [name]. *)
+type engine =
+  | Engine :
+      string
+      * (module Intf.Engine with type t = 'a)
+      * (env:Env.t -> name:string -> 'a)
+      -> engine
+
+let wipdb =
+  Engine
+    ( "wipdb",
+      (module Store),
+      fun ~env ~name -> Store.create ~env { base_config with Config.name } )
+
+let leveled =
+  Engine
+    ( "leveled",
+      (module Wip_lsm.Leveled),
+      fun ~env ~name ->
+        Wip_lsm.Leveled.create ~env
+          {
+            (Wip_lsm.Leveled.leveldb_config ~scale:1) with
+            Wip_lsm.Leveled.memtable_bytes = 4 * 1024;
+            name;
+          } )
+
+let flsm =
+  Engine
+    ( "flsm",
+      (module Wip_flsm.Flsm),
+      fun ~env ~name ->
+        Wip_flsm.Flsm.create ~env
+          {
+            (Wip_flsm.Flsm.default_config ~scale:1) with
+            Wip_flsm.Flsm.memtable_bytes = 4 * 1024;
+            name;
+          } )
+
 (* One deterministic scenario: per-shard fault env with rng-scheduled
    storms, retry-wrapped, under concurrent writers. *)
-let run_scenario seed =
+let run_scenario (Engine (_, (module E), make)) seed =
+  let module Sh = Wip_concurrent.Sharded_store.Make (E) in
   let rng = Rng.create ~seed in
   let fenvs = Array.init shards (fun _ -> Fault_env.create ()) in
   let bounds = Config.shard_boundaries base_config ~shards in
@@ -90,10 +131,7 @@ let run_scenario seed =
             ~sleep_ns:(fun _ -> ())
             (Fault_env.env fenv)
         in
-        let cfg =
-          { base_config with Config.name = Printf.sprintf "chaos-%d" i }
-        in
-        (lo, Store.create ~env cfg))
+        (lo, make ~env ~name:(Printf.sprintf "chaos-%d" i)))
       bounds
   in
   let c =
@@ -198,5 +236,15 @@ let suite =
       Alcotest.test_case
         (Printf.sprintf "storm seed %Ld" seed)
         `Quick
-        (fun () -> run_scenario seed))
+        (fun () -> run_scenario wipdb seed))
     seeds
+  @ List.concat_map
+      (fun (Engine (label, _, _) as engine) ->
+        List.map
+          (fun seed ->
+            Alcotest.test_case
+              (Printf.sprintf "storm seed %Ld %s" seed label)
+              `Quick
+              (fun () -> run_scenario engine seed))
+          (List.filteri (fun i _ -> i < 2) seeds))
+      [ leveled; flsm ]

@@ -1,7 +1,11 @@
 (* Tests for the concurrent front: thread safety under mixed load and
    background compaction actually happening off the write path. *)
 
-module C = Wip_concurrent.Concurrent_store.Make (Wipdb.Store)
+module C = Wip_concurrent.Sharded_store.Make (Wipdb.Store)
+
+(* One shard and a one-worker pool: the whole store behind one lock, with
+   compaction off the write path. *)
+let single ?idle_sleep db = C.create ~pool_threads:1 ?idle_sleep [ ("", db) ]
 
 let base_config =
   {
@@ -20,7 +24,7 @@ let key i = Printf.sprintf "%08d" i
 
 let test_background_compaction_happens () =
   let db = Wipdb.Store.create base_config in
-  let c = C.create ~idle_sleep:0.0005 db in
+  let c = single ~idle_sleep:0.0005 db in
   for i = 0 to 9999 do
     C.put c ~key:(key (i mod 3000)) ~value:("v" ^ string_of_int i)
   done;
@@ -38,7 +42,7 @@ let test_background_compaction_happens () =
 
 let test_concurrent_readers_and_writer () =
   let db = Wipdb.Store.create base_config in
-  let c = C.create db in
+  let c = single db in
   let n = 4000 in
   let failures = Atomic.make 0 in
   let writer () =
@@ -89,7 +93,7 @@ let test_concurrent_readers_and_writer () =
 
 let test_write_batch_and_flush () =
   let db = Wipdb.Store.create base_config in
-  let c = C.create db in
+  let c = single db in
   C.write_batch c
     [
       (Wip_util.Ikey.Value, "a", "1");
@@ -103,7 +107,7 @@ let test_write_batch_and_flush () =
 
 let test_stop_idempotent () =
   let db = Wipdb.Store.create base_config in
-  let c = C.create db in
+  let c = single db in
   C.put c ~key:"x" ~value:"y";
   C.stop c;
   C.stop c;
@@ -111,11 +115,11 @@ let test_stop_idempotent () =
 
 let test_with_store_exposes_engine () =
   let db = Wipdb.Store.create base_config in
-  let c = C.create db in
+  let c = single db in
   C.put c ~key:"k" ~value:"v1";
-  let snap = C.with_store c Wipdb.Store.snapshot in
+  let snap = C.with_shard c ~key:"" Wipdb.Store.snapshot in
   C.put c ~key:"k" ~value:"v2";
-  let old = C.with_store c (fun s -> Wipdb.Store.get_at s "k" ~snapshot:snap) in
+  let old = C.with_shard c ~key:"" (fun s -> Wipdb.Store.get_at s "k" ~snapshot:snap) in
   Alcotest.(check (option string)) "snapshot via with_store" (Some "v1") old;
   C.stop c
 
@@ -129,8 +133,8 @@ let suite =
     Alcotest.test_case "with_store" `Quick test_with_store_exposes_engine;
   ]
 
-(* The wrapper is generic over engines: drive the leveled baseline too. *)
-module CL = Wip_concurrent.Concurrent_store.Make (Wip_lsm.Leveled)
+(* The front is generic over engines: drive the leveled baseline too. *)
+module CL = Wip_concurrent.Sharded_store.Make (Wip_lsm.Leveled)
 
 let test_generic_over_leveled () =
   let db =
@@ -141,7 +145,7 @@ let test_generic_over_leveled () =
         name = "conc-lvl";
       }
   in
-  let c = CL.create db in
+  let c = CL.create ~pool_threads:1 [ ("", db) ] in
   for i = 0 to 1999 do
     CL.put c ~key:(key i) ~value:(string_of_int i)
   done;

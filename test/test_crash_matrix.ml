@@ -11,7 +11,10 @@
    - recovery is idempotent: recovering the recovered device again yields
      the identical logical state;
    - recovery garbage-collects orphan table files, so the device holds
-     exactly the manifest-referenced footprint. *)
+     exactly the manifest-referenced footprint;
+   - the recovered store keeps working: one more batch and a flush, then
+     another recovery, read back every survivor and the new batch exactly
+     (a table number reused after recovery overwrites a live table). *)
 
 module Config = Wipdb.Config
 module Store = Wipdb.Store
@@ -85,80 +88,43 @@ let flsm_cfg =
     name = "mxf";
   }
 
-let pack (type a) (module M : Wip_kv.Store_intf.S with type t = a) (db : a) =
-  Wip_kv.Store_intf.Store ((module M), db)
-
 (* The existential wrapper hides engine-specific operations (checkpoint,
    live_table_files), so each engine carries closures over its own typed
-   handle instead. *)
+   handle instead: the one most recently created or recovered. *)
+let engine (type a c) ~label ~table_suffix
+    (module E : Wip_kv.Store_intf.Engine with type t = a and type config = c)
+    (cfg : c) ~(durable : a -> unit) =
+  let handle = ref None in
+  let get_handle () = Option.get !handle in
+  let open_ f env =
+    let db = f env in
+    handle := Some db;
+    Wip_kv.Store_intf.Store ((module E), db)
+  in
+  {
+    label;
+    table_suffix;
+    create = open_ (fun env -> E.create ~env cfg);
+    recover = open_ (fun env -> E.recover ~env cfg);
+    durability_point = (fun _ -> durable (get_handle ()));
+    live_tables = (fun _ -> E.live_table_files (get_handle ()));
+  }
 
 let wipdb_engine () =
-  let handle = ref None in
-  let get_handle () =
-    match !handle with Some db -> db | None -> assert false
-  in
-  {
-    label = "wipdb";
-    table_suffix = ".lvt";
-    create =
-      (fun env ->
-        let db = Store.create ~env store_cfg in
-        handle := Some db;
-        pack (module Store) db);
-    recover =
-      (fun env ->
-        let db = Store.recover ~env store_cfg in
-        handle := Some db;
-        pack (module Store) db);
-    durability_point = (fun _ -> Store.checkpoint (get_handle ()));
-    live_tables = (fun _ -> Store.live_table_files (get_handle ()));
-  }
+  engine ~label:"wipdb" ~table_suffix:".lvt" (module Store) store_cfg
+    ~durable:Store.checkpoint
 
+(* For the baselines a flush is the durability point: it persists the
+   memtable and syncs the manifest. *)
 let leveled_engine () =
-  let handle = ref None in
-  let get_handle () =
-    match !handle with Some db -> db | None -> assert false
-  in
-  {
-    label = "leveled";
-    table_suffix = ".sst";
-    create =
-      (fun env ->
-        let db = Leveled.create ~env leveled_cfg in
-        handle := Some db;
-        pack (module Leveled) db);
-    recover =
-      (fun env ->
-        let db = Leveled.recover ~env leveled_cfg in
-        handle := Some db;
-        pack (module Leveled) db);
-    (* A flush persists the memtable and syncs the manifest, making every
-       acknowledged batch durable. *)
-    durability_point = (fun _ -> Leveled.flush (get_handle ()));
-    live_tables = (fun _ -> Leveled.live_table_files (get_handle ()));
-  }
+  engine ~label:"leveled" ~table_suffix:".sst" (module Leveled) leveled_cfg
+    ~durable:Leveled.flush
 
 let flsm_engine () =
-  let handle = ref None in
-  let get_handle () =
-    match !handle with Some db -> db | None -> assert false
-  in
-  {
-    label = "flsm";
-    table_suffix = ".sst";
-    create =
-      (fun env ->
-        let db = Flsm.create ~env flsm_cfg in
-        handle := Some db;
-        pack (module Flsm) db);
-    recover =
-      (fun env ->
-        let db = Flsm.recover ~env flsm_cfg in
-        handle := Some db;
-        pack (module Flsm) db);
-    durability_point = (fun _ -> Flsm.flush (get_handle ()));
-    live_tables = (fun _ -> Flsm.live_table_files (get_handle ()));
-  }
+  engine ~label:"flsm" ~table_suffix:".sst" (module Flsm) flsm_cfg
+    ~durable:Flsm.flush
+
+let all_engines () = [ wipdb_engine (); leveled_engine (); flsm_engine () ]
 
 (* ------------------------------------------------------------------ *)
 (* The workload: unique keys per batch plus a rotating overwrite slot *)
@@ -171,7 +137,15 @@ let overwrite_slots = 3
 
 let durability_every = 5
 
-let uniq_key b i = Printf.sprintf "u-%03d-%d" b i
+(* A hashed prefix scatters each batch over the key space, so later keys
+   land inside earlier tables' ranges: the fragmented baseline's new guards
+   then split existing fragments, which sequential keys never do. *)
+let uniq_key b i =
+  Printf.sprintf "u-%04Lx-%03d-%d"
+    (Int64.logand
+       (Wip_util.Hashing.hash64 (Printf.sprintf "%d/%d" b i))
+       0xffffL)
+    b i
 
 let uniq_value b i = Printf.sprintf "v%d-%d" b i
 
@@ -208,29 +182,29 @@ let run_workload eng fenv progress =
 let scan_all db =
   Wip_kv.Store_intf.scan db ~lo:"" ~hi:"\127" ()
 
-(* The logical state after recovering any crash image must equal the state
-   produced by some prefix [1..p] of the batch sequence. *)
-let expected_state p =
+(* The logical state produced by applying [batches] in order. *)
+let state_of batches =
   let uniq =
-    List.concat
-      (List.init p (fun b0 ->
-           let b = b0 + 1 in
-           List.init uniques_per_batch (fun i -> (uniq_key b i, uniq_value b i))))
+    List.concat_map
+      (fun b ->
+        List.init uniques_per_batch (fun i -> (uniq_key b i, uniq_value b i)))
+      batches
   in
   let ows =
     List.filter_map
       (fun s ->
-        (* Largest b <= p writing slot s. *)
-        let rec last b best =
-          if b > p then best
-          else last (b + 1) (if b mod overwrite_slots = s then Some b else best)
-        in
-        match last 1 None with
-        | Some b -> Some (ow_key b, ow_value b)
-        | None -> None)
+        (* The last batch writing slot s. *)
+        List.fold_left
+          (fun acc b -> if b mod overwrite_slots = s then Some b else acc)
+          None batches
+        |> Option.map (fun b -> (ow_key b, ow_value b)))
       (List.init overwrite_slots Fun.id)
   in
   List.sort (fun (a, _) (b, _) -> String.compare a b) (uniq @ ows)
+
+(* The logical state after recovering any crash image must equal the state
+   produced by some prefix [1..p] of the batch sequence. *)
+let expected_state p = state_of (List.init p succ)
 
 let check_invariants eng ~op ~acked ~floor image =
   let ctx fmt = Printf.ksprintf (fun s -> s) fmt in
@@ -313,7 +287,17 @@ let check_invariants eng ~op ~acked ~floor image =
   let again = scan_all db2 in
   Alcotest.(check (list (pair string string)))
     (ctx "%s op %d: recovery is idempotent" eng.label op)
-    got again
+    got again;
+  (* 6. The recovered store keeps working: new tables must not reuse a live
+     table's file number. *)
+  let extra = total_batches + 1 in
+  Wip_kv.Store_intf.write_batch db2 (batch_items extra);
+  Wip_kv.Store_intf.flush db2;
+  let db3 = eng.recover image in
+  Alcotest.(check (list (pair string string)))
+    (ctx "%s op %d: a batch written after recovery survives" eng.label op)
+    (state_of (List.init p succ @ [ extra ]))
+    (scan_all db3)
 
 (* ------------------------------------------------------------------ *)
 (* The matrix *)
@@ -392,7 +376,9 @@ let test_flsm_matrix () =
       Alcotest.(check bool) "flsm: workload flushed" true
         (Flsm.live_table_files db <> []);
       Alcotest.(check bool) "flsm: workload compacted" true
-        (Flsm.compaction_count db >= 1))
+        (Flsm.compaction_count db >= 1);
+      Alcotest.(check bool) "flsm: a guard commit split a fragment" true
+        (Io_stats.written_by (Flsm.io_stats db) Io_stats.Split > 0))
 
 (* ------------------------------------------------------------------ *)
 (* WAL reclaim under crash: a flush reclaims rolled segments; crashing at
@@ -432,20 +418,19 @@ let test_wal_reclaim_under_crash () =
    prefix — a partially-written, never-registered table is garbage, not
    corruption. *)
 
-let test_disk_full_during_flush () =
-  let eng = wipdb_engine () in
+let disk_full_during_flush eng =
   let fenv = Fault_env.create () in
   let env =
     Env.with_retry ~seed:7L ~sleep_ns:(fun _ -> ()) (Fault_env.env fenv)
   in
-  let db = Store.create ~env store_cfg in
+  let db = eng.create env in
   (* Small enough to trip a few batches in (the profile run appends tens of
      KiB), large enough that several flushes complete first. *)
   Fault_env.set_space_budget fenv ~bytes:(Some 4096);
   let acked = ref 0 in
   (try
      for b = 1 to total_batches do
-       match Store.try_write_batch db (batch_items b) with
+       match Wip_kv.Store_intf.try_write_batch db (batch_items b) with
        | Ok () -> acked := b
        | Error (Wip_kv.Store_intf.Store_degraded _) -> raise Exit
        | Error
@@ -454,12 +439,14 @@ let test_disk_full_during_flush () =
          Alcotest.fail "disk-full surfaced as a spurious refusal"
      done
    with Exit -> ());
-  Alcotest.(check bool) "ran out of space before finishing" true
-    (!acked < total_batches);
-  Alcotest.(check bool) "some batches landed first" true (!acked > 0);
-  (match Store.health db with
+  Alcotest.(check bool)
+    (eng.label ^ ": ran out of space before finishing")
+    true (!acked < total_batches);
+  Alcotest.(check bool) (eng.label ^ ": some batches landed first") true
+    (!acked > 0);
+  (match Wip_kv.Store_intf.health db with
   | Wip_kv.Store_intf.Degraded _ -> ()
-  | Wip_kv.Store_intf.Healthy -> Alcotest.fail "store still healthy");
+  | Wip_kv.Store_intf.Healthy -> Alcotest.failf "%s: store still healthy" eng.label);
   (* Reads keep serving everything acknowledged, from the live store. The
      refused batch may have applied before its flush hit the wall (refused
      ≠ rolled back — it was simply never acknowledged), so only the
@@ -468,10 +455,10 @@ let test_disk_full_during_flush () =
     List.init uniques_per_batch (fun i -> i)
     |> List.iter (fun i ->
            Alcotest.(check (option string))
-             (Printf.sprintf "acked key %s survives degradation"
-                (uniq_key b i))
+             (Printf.sprintf "%s: acked key %s survives degradation"
+                eng.label (uniq_key b i))
              (Some (uniq_value b i))
-             (Store.get db (uniq_key b i)))
+             (Wip_kv.Store_intf.get db (uniq_key b i)))
   done;
   (* Degradation is not recovery-visible damage: power off right now and
      the durable image recovers to a clean prefix, idempotently. *)
@@ -479,13 +466,21 @@ let test_disk_full_during_flush () =
     (Fault_env.durable_image fenv);
   (* Space restored: a recovery probe flips the store writable again. *)
   Fault_env.set_space_budget fenv ~bytes:None;
-  (match Store.probe db with
+  (match Wip_kv.Store_intf.probe db with
   | Wip_kv.Store_intf.Healthy -> ()
   | Wip_kv.Store_intf.Degraded { reason } ->
-    Alcotest.failf "probe failed after space restored: %s" reason);
-  Store.put db ~key:"post-recovery" ~value:"ok";
-  Alcotest.(check (option string)) "writes accepted again" (Some "ok")
-    (Store.get db "post-recovery")
+    Alcotest.failf "%s: probe failed after space restored: %s" eng.label
+      reason);
+  Wip_kv.Store_intf.put db ~key:"post-recovery" ~value:"ok";
+  Alcotest.(check (option string))
+    (eng.label ^ ": writes accepted again")
+    (Some "ok")
+    (Wip_kv.Store_intf.get db "post-recovery")
+
+let test_disk_full_during_flush () =
+  List.iter disk_full_during_flush (all_engines ())
+
+
 
 (* Matrix row: crash during a retry backoff window. A transient fault at
    durable op [k] sends the env's retry loop into its backoff, and the

@@ -6,7 +6,7 @@
      limits 0, 1, n and none, flushes and compactions, and [scan_at] on a
      snapshot pinned across them;
    - a damaged data block met by a cursor surfaces as the typed
-     Env.Corruption, so WipDB quarantines the table and retries;
+     Env.Corruption, so every engine quarantines the table and retries;
    - a view walked over a run set it was not built for raises
      Sorted_view.Stale_view. *)
 
@@ -227,43 +227,62 @@ let test_iter_range_equals_scan () =
   Alcotest.(check (list (pair string string))) "iter_range = scan" scan iter
 
 (* A flipped bit inside a data block is found by the cursor that fetches
-   it: the typed Corruption reaches Store, which quarantines the table and
-   retries, returning an exact-value subset of the undamaged scan (rows
+   it: the typed Corruption reaches the engine, which quarantines the table
+   and retries, returning an exact-value subset of the undamaged scan (rows
    the WAL still holds may survive the quarantine). *)
-let test_corrupt_block_is_quarantined () =
+let corrupt_block_is_quarantined (type a c)
+    (module E : Store_intf.Engine with type t = a and type config = c)
+    (cfg : c) =
   let module Fault_env = Wip_storage.Fault_env in
-  let cfg =
+  let fenv = Fault_env.create () in
+  let db = E.create ~env:(Fault_env.env fenv) cfg in
+  let key i = Printf.sprintf "k%04d" i in
+  for i = 0 to 199 do
+    E.put db ~key:(key i) ~value:(Printf.sprintf "v%04d" i)
+  done;
+  E.flush db;
+  E.checkpoint db;
+  let before = E.scan db ~lo:"" ~hi:"\255" () in
+  let table = List.hd (List.sort String.compare (E.live_table_files db)) in
+  (* Byte 16 is inside the first data block's payload. *)
+  Fault_env.flip_bit fenv ~file:table ~bit:(16 * 8);
+  let db2 = E.recover ~env:(Fault_env.snapshot_env fenv) cfg in
+  let after = E.scan db2 ~lo:"" ~hi:"\255" () in
+  Alcotest.(check (list string))
+    (E.name db2 ^ ": damaged table quarantined")
+    [ table ]
+    (List.map fst (E.quarantined_tables db2));
+  List.iter
+    (fun (k, v) ->
+      if List.assoc_opt k before <> Some v then
+        Alcotest.failf "%s: row %S=%S is not in the undamaged scan" (E.name db2)
+          k v)
+    after
+
+let test_corrupt_block_is_quarantined () =
+  corrupt_block_is_quarantined
+    (module Store)
     {
       Config.default with
       Config.name = "rr-corrupt";
       memtable_items = 16;
       adaptive_memtable = false;
       block_cache_bytes = 0;
+    };
+  corrupt_block_is_quarantined
+    (module Wip_lsm.Leveled)
+    {
+      (Wip_lsm.Leveled.leveldb_config ~scale:1) with
+      Wip_lsm.Leveled.memtable_bytes = 1024;
+      name = "rr-corrupt-lvl";
+    };
+  corrupt_block_is_quarantined
+    (module Wip_flsm.Flsm)
+    {
+      (Wip_flsm.Flsm.default_config ~scale:1) with
+      Wip_flsm.Flsm.memtable_bytes = 1024;
+      name = "rr-corrupt-flsm";
     }
-  in
-  let fenv = Fault_env.create () in
-  let db = Store.create ~env:(Fault_env.env fenv) cfg in
-  let key i = Printf.sprintf "k%04d" i in
-  for i = 0 to 199 do
-    Store.put db ~key:(key i) ~value:(Printf.sprintf "v%04d" i)
-  done;
-  Store.flush db;
-  Store.checkpoint db;
-  let before = Store.scan db ~lo:"" ~hi:"\255" () in
-  let table =
-    List.hd (List.sort String.compare (Store.live_table_files db))
-  in
-  (* Byte 16 is inside the first data block's payload. *)
-  Fault_env.flip_bit fenv ~file:table ~bit:(16 * 8);
-  let db2 = Store.recover ~env:(Fault_env.snapshot_env fenv) cfg in
-  let after = Store.scan db2 ~lo:"" ~hi:"\255" () in
-  Alcotest.(check (list string)) "damaged table quarantined" [ table ]
-    (List.map fst (Store.quarantined_tables db2));
-  List.iter
-    (fun (k, v) ->
-      if List.assoc_opt k before <> Some v then
-        Alcotest.failf "row %S=%S is not in the undamaged scan" k v)
-    after
 
 (* A view walked over runs it was not built for runs out of entries before
    its selectors do: the reader raises Stale_view, never a short answer. *)
