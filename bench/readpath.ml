@@ -27,7 +27,7 @@
 open Harness
 module Table = Wip_sstable.Table
 module Block = Wip_sstable.Block
-module Merge_iter = Wip_sstable.Merge_iter
+module Merge = Wip_sstable.Merge
 module Block_cache = Wip_storage.Block_cache
 module Ikey = Wip_util.Ikey
 
@@ -363,7 +363,9 @@ let run ~ops () =
     scanned;
 
   (* Merge-compact: 4 interleaved runs, compacted the way a real compaction
-     consumes them — scan-resistant streams into the pairing heap. *)
+     consumes them — cache-bypassing run cursors in one heap, version GC on
+     the key bytes. First the merge alone, then the same merge written out
+     through a table builder. *)
   let fan = 4 in
   let per = keys / fan in
   for j = 0 to fan - 1 do
@@ -375,22 +377,42 @@ let run ~ops () =
     List.init fan (fun j ->
         Table.Reader.open_ ~cache env ~name:(Printf.sprintf "run-%d" j))
   in
+  let compaction () =
+    Merge.compact ~drop_tombstones:true ~snapshot_floor:Int64.max_int
+      (List.map
+         (fun r ->
+           Merge.run
+             (Table.Reader.Cursor.create r ~category:(Io_stats.Compaction_read 0)
+                ~admit:Block_cache.Bypass ()))
+         runs)
+  in
+  Gc.full_major ();
   let t0 = Unix.gettimeofday () in
   let a0 = Gc.allocated_bytes () in
   let merged = ref 0 in
-  Seq.iter
-    (fun _ -> incr merged)
-    (Merge_iter.compact ~drop_tombstones:true
-       (List.map
-          (fun r ->
-            Table.Reader.stream r ~category:(Io_stats.Compaction_read 0)
-              ~admit:Block_cache.Bypass ())
-          runs));
+  let m = compaction () in
+  while Merge.next m do
+    incr merged
+  done;
   let merge_dt = Unix.gettimeofday () -. t0 in
   let merge_ops = float_of_int !merged /. merge_dt in
   let merge_alloc = (Gc.allocated_bytes () -. a0) /. float_of_int !merged in
   row "%-28s %14.0f entries/s %10.0f B/entry  (%d-way, %d entries)"
     "merge-compact" merge_ops merge_alloc fan !merged;
+  Gc.full_major ();
+  let a0 = Gc.allocated_bytes () in
+  let out =
+    Table.Builder.create env ~name:"compact-out" ~category:(Io_stats.Compaction 1)
+      ~expected_keys:keys ()
+  in
+  let m = compaction () in
+  while Merge.next m do
+    Merge.add_to out m
+  done;
+  let written = (Table.Builder.finish out).Table.entry_count in
+  let write_alloc = (Gc.allocated_bytes () -. a0) /. float_of_int written in
+  row "%-28s %14d entries %10.0f B/entry" "merge-compact, written"
+    written write_alloc;
 
   (* Report from one atomic snapshot: the individual getters each take the
      stats lock separately, so reading them piecemeal around live traffic
@@ -437,6 +459,7 @@ let run ~ops () =
   "scan_entries_per_sec": %.0f,
   "merge_compact_entries_per_sec": %.0f,
   "merge_compact_alloc_bytes_per_entry": %.1f,
+  "compact_write_alloc_bytes_per_entry": %.1f,
   "bloom_fp_rate": %.6f,
   "ph_probes": %d,
   "ph_false_hits": %d,
@@ -452,7 +475,7 @@ let run ~ops () =
 }
 |}
     keys ops hot_ops hot_alloc hot_probes cold_ops cold_alloc cold_probes
-    nph_ops nph_probes scan_ops merge_ops merge_alloc fp_rate
+    nph_ops nph_probes scan_ops merge_ops merge_alloc write_alloc fp_rate
     (Io_stats.ph_probe_count stats)
     (Io_stats.ph_false_hit_count stats)
     (Io_stats.ph_fallback_count stats)

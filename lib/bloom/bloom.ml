@@ -9,17 +9,13 @@ let create ~bits_per_key ~expected_keys =
   let nbytes = (nbits + 7) / 8 in
   { bits = Bytes.make nbytes '\000'; nbits = nbytes * 8; k = probes_for bits_per_key }
 
-let base_hashes_sub key ~pos ~len =
-  let h = Wip_util.Hashing.hash64_sub key ~pos ~len in
-  let h1 = Int64.to_int (Int64.logand h 0x3FFFFFFFFFFFFFFFL) in
-  let h2 =
-    Int64.to_int
-      (Int64.logand (Int64.shift_right_logical h 17) 0x3FFFFFFFFFFFFFFFL)
-    lor 1
-  in
-  (h1, h2)
+(* Double hashing's two base hashes, both cut from one 64-bit hash. *)
+let h1_of h = Int64.to_int (Int64.logand h 0x3FFFFFFFFFFFFFFFL)
 
-let base_hashes key = base_hashes_sub key ~pos:0 ~len:(String.length key)
+let h2_of h =
+  Int64.to_int
+    (Int64.logand (Int64.shift_right_logical h 17) 0x3FFFFFFFFFFFFFFFL)
+  lor 1
 
 let set_bit bits pos =
   let byte = pos lsr 3 and bit = pos land 7 in
@@ -35,8 +31,8 @@ let get_bit_string bits pos =
   Char.code (String.unsafe_get bits byte) land (1 lsl bit) <> 0
 
 let add_sub t key ~pos ~len =
-  let h1, h2 = base_hashes_sub key ~pos ~len in
-  let h = ref h1 in
+  let hash = Wip_util.Hashing.hash64_sub key ~pos ~len in
+  let h = ref (h1_of hash) and h2 = h2_of hash in
   for _ = 1 to t.k do
     set_bit t.bits (!h mod t.nbits);
     h := (!h + h2) land max_int
@@ -45,7 +41,8 @@ let add_sub t key ~pos ~len =
 let add t key = add_sub t key ~pos:0 ~len:(String.length key)
 
 let mem t key =
-  let h1, h2 = base_hashes key in
+  let hash = Wip_util.Hashing.hash64 key in
+  let h1 = h1_of hash and h2 = h2_of hash in
   let rec loop h i =
     if i = 0 then true
     else if not (get_bit_bytes t.bits (h mod t.nbits)) then false
@@ -53,7 +50,12 @@ let mem t key =
   in
   loop h1 t.k
 
-let encode t = Bytes.to_string t.bits ^ String.make 1 (Char.chr t.k)
+let encode t =
+  let n = Bytes.length t.bits in
+  let s = Bytes.create (n + 1) in
+  Bytes.blit t.bits 0 s 0 n;
+  Bytes.set s n (Char.chr t.k);
+  Bytes.unsafe_to_string s
 
 let mem_encoded_sub filter key ~pos ~len =
   let n = String.length filter in
@@ -63,13 +65,14 @@ let mem_encoded_sub filter key ~pos ~len =
     if k < 1 || k > 30 then true
     else begin
       let nbits = (n - 1) * 8 in
-      let h1, h2 = base_hashes_sub key ~pos ~len in
+      let hash = Wip_util.Hashing.hash64_sub key ~pos ~len in
+      let h2 = h2_of hash in
       let rec loop h i =
         if i = 0 then true
         else if not (get_bit_string filter (h mod nbits)) then false
         else loop ((h + h2) land max_int) (i - 1)
       in
-      loop h1 k
+      loop (h1_of hash) k
     end
   end
 

@@ -2,7 +2,7 @@ module Ikey = Wip_util.Ikey
 module Env = Wip_storage.Env
 module Io_stats = Wip_storage.Io_stats
 module Table = Wip_sstable.Table
-module Merge_iter = Wip_sstable.Merge_iter
+module Merge = Wip_sstable.Merge
 module Sorted_view = Wip_sstable.Sorted_view
 module Range_reader = Wip_sstable.Range_reader
 module Memtable = Wip_memtable.Memtable
@@ -153,7 +153,7 @@ let bucket_index arr key =
 let bucket_for t key = t.buckets.(bucket_index t.buckets key)
 
 (* Snapshots pin seqs in the table set (§III-D sequence-number rule, end
-   to end): every Merge_iter.compact site below floors version GC at
+   to end): every Table_set.compaction below floors version GC at
    [oldest_snapshot_seq], and retired tables stay readable as zombies. *)
 
 let oldest_snapshot_seq t = Table_set.oldest_snapshot_seq t.ts
@@ -219,7 +219,7 @@ let flush_bucket t bucket =
         Table_set.log_add t.ts ~bucket:bucket.id ~level:0 meta)
       (Table_set.write_runs t.ts ~category:Io_stats.Flush
          ~expected_keys:(Memtable.count bucket.memtable)
-         (Memtable.entries bucket.memtable));
+         (Merge.single (Merge.mem (Memtable.entries bucket.memtable))));
     (* Adaptive MemTable structure (§III-D): heavy range-query traffic since
        the last flush switches the next table to the sorted structure; quiet
        buckets switch back to the hash structure. *)
@@ -245,11 +245,9 @@ let merge_level t bucket level ~into =
   let inputs = bucket.levels.(level) in
   t.compactions <- t.compactions + 1;
   let entries =
-    Merge_iter.compact ~dedup_user_keys:true ~drop_tombstones:(into = level)
-      ~snapshot_floor:(oldest_snapshot_seq t)
-      (List.map
-         (Table_set.stream t.ts ~category:(Io_stats.Compaction_read level))
-         inputs)
+    Table_set.compaction t.ts
+      ~category:(fun _ -> Io_stats.Compaction_read level)
+      ~drop_tombstones:(into = level) inputs
   in
   let outputs =
     Table_set.write_runs t.ts ~category:(Io_stats.Compaction into)
@@ -276,9 +274,8 @@ let compact_level t bucket level =
 (* The whole history of a key range as one stream, for a split or merge:
    tombstones die here because nothing older exists. *)
 let merge_all t tables =
-  Merge_iter.compact ~dedup_user_keys:true ~drop_tombstones:true
-    ~snapshot_floor:(oldest_snapshot_seq t)
-    (List.map (Table_set.stream t.ts ~category:Io_stats.Split) tables)
+  Table_set.compaction t.ts ~category:(fun _ -> Io_stats.Split)
+    ~drop_tombstones:true tables
 
 (* Log the retirement of [b]: every table, then the bucket itself. *)
 let log_retire_bucket t b =
@@ -288,32 +285,27 @@ let log_retire_bucket t b =
     b.levels;
   Table_set.log t.ts (Manifest.Remove_bucket { id = b.id })
 
-(* Sample-sort splitter selection: every sublevel contributes N-1 evenly
-   spaced keys (sampled from its in-memory index, which holds one key per
-   data block); the sorted union is then itself evenly split N ways. *)
+(* Sample-sort splitter selection: every sublevel contributes N-1 keys, one
+   every (entry_count / N)-th entry of a full pass over its cursor; the
+   sorted union is then itself evenly split N ways. Only the sampled keys
+   become strings. *)
 let choose_splitters t bucket =
   let n = t.cfg.Config.split_fanout in
   let per_table (meta : Table.meta) =
+    let stride = max 1 (meta.Table.entry_count / n) in
+    let rec sample c i acc taken =
+      if not (Table.Reader.Cursor.next c) then acc
+      else if i mod stride = stride - 1 && taken < n - 1 then
+        let b = Table.Reader.Cursor.block c in
+        let key =
+          Ikey.user_key_of_encoded_bytes (Wip_sstable.Block.Cursor.key_bytes b)
+            ~len:(Wip_sstable.Block.Cursor.key_length b)
+        in
+        sample c (i + 1) (key :: acc) (taken + 1)
+      else sample c (i + 1) acc taken
+    in
     if meta.Table.entry_count = 0 then []
-    else begin
-      let sample = ref [] in
-      (* Evenly spaced block boundaries approximate key ordinals. *)
-      let keys = Table_set.stream t.ts ~category:Io_stats.Split meta |> Seq.map fst in
-      (* Taking every (count/n)-th key exactly would re-read the table; the
-         index-based approximation below uses the table's smallest/largest
-         and a handful of sampled keys. For fidelity we sample from the real
-         iterator but cap the work: stride through entries. Only the few
-         sampled keys get unescaped. *)
-      let stride = max 1 (meta.Table.entry_count / n) in
-      let i = ref 0 in
-      Seq.iter
-        (fun k ->
-          if !i mod stride = stride - 1 && List.length !sample < n - 1 then
-            sample := Ikey.user_key_of_encoded k :: !sample;
-          incr i)
-        keys;
-      !sample
-    end
+    else sample (Table_set.cursor t.ts ~category:Io_stats.Split meta) 0 [] 0
   in
   let all =
     Array.to_list bucket.levels
@@ -349,12 +341,12 @@ let split_bucket t bucket =
     let outputs =
       Table_set.write_runs t.ts ~category:Io_stats.Split
         ~expected_keys:(max 64 (entry_count tables / List.length boundaries))
-        entries ~cut:(fun ~size:_ key ->
+        entries ~cut:(fun ~size:_ key ~len ->
           (* Advance past any splitters <= this key. *)
           let advanced = ref false in
           while
             match !remaining with
-            | s :: _ when Ikey.compare_encoded_user s key <= 0 -> true
+            | s :: _ when Ikey.compare_encoded_user_bytes s key ~len <= 0 -> true
             | _ -> false
           do
             remaining := List.tl !remaining;

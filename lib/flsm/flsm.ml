@@ -2,7 +2,7 @@ module Ikey = Wip_util.Ikey
 module Env = Wip_storage.Env
 module Io_stats = Wip_storage.Io_stats
 module Table = Wip_sstable.Table
-module Merge_iter = Wip_sstable.Merge_iter
+module Merge = Wip_sstable.Merge
 module Sorted_view = Wip_sstable.Sorted_view
 module Range_reader = Wip_sstable.Range_reader
 module Skiplist = Wip_memtable.Skiplist
@@ -181,17 +181,17 @@ let span_for lvl key =
    Split I/O (the PebblesDB cost the paper calls out). *)
 let split_fragment t (meta : Table.meta) ~at =
   let at_enc = Ikey.encode_user at in
-  let build pred =
+  let build keep =
     Table_set.write_runs t.ts ~category:Io_stats.Split
       ~expected_keys:(max 64 meta.Table.entry_count)
-      (Seq.filter
-         (fun (key, _) -> pred key)
-         (Table_set.stream t.ts ~category:Io_stats.Split meta))
+      ~keep:(fun key ~len -> keep (Ikey.compare_encoded_user_bytes at_enc key ~len))
+      (Merge.single
+         (Merge.run (Table_set.cursor t.ts ~category:Io_stats.Split meta)))
   in
   (* The caller deletes [meta] once the manifest edits replacing it are
      durable. *)
-  let left = build (fun k -> Ikey.compare_encoded_user at_enc k > 0) in
-  let right = build (fun k -> Ikey.compare_encoded_user at_enc k <= 0) in
+  let left = build (fun c -> c > 0) in
+  let right = build (fun c -> c <= 0) in
   (left, right)
 
 let commit_guards t level =
@@ -279,8 +279,10 @@ let flush_mem t =
         log_add_fragment t ~level:0 meta)
       (Table_set.write_runs t.ts ~category:Io_stats.Flush
          ~expected_keys:(max 64 (Skiplist.count t.mem))
-         (Skiplist.to_sorted_seq t.mem
-         |> Seq.map (fun (ik, v) -> (Ikey.encode ik, v))));
+         (Merge.single
+            (Merge.mem
+               (Skiplist.to_sorted_seq t.mem
+               |> Seq.map (fun (ik, v) -> (Ikey.encode ik, v))))));
     Table_set.log_watermark t.ts ~seq:t.seq;
     (* The flushed fragment's manifest edit must be durable before the WAL
        records it replaces are reclaimed. *)
@@ -290,8 +292,8 @@ let flush_mem t =
       (Wal.reclaim (Table_set.wal t.ts) ~persisted_below:(Int64.add t.seq 1L))
   end
 
-(* Partition a merged (encoded) entry sequence by the guards of [level],
-   appending one fragment per span. *)
+(* Partition a compaction merge by the guards of [level], appending one
+   fragment per span. *)
 let emit_into_level t ~category level entries ~expected =
   commit_guards t level;
   let lvl = t.levels.(level) in
@@ -304,10 +306,10 @@ let emit_into_level t ~category level entries ~expected =
   (* A fragment ends where the key enters a later span: the largest span
      index whose guard <= key. Linear advance suffices because entries
      arrive in key order. *)
-  let cut ~size:_ key =
+  let cut ~size:_ key ~len =
     let rec advance i =
-      if i + 1 < n && Ikey.compare_encoded_user guard_enc.(i + 1) key <= 0 then
-        advance (i + 1)
+      if i + 1 < n && Ikey.compare_encoded_user_bytes guard_enc.(i + 1) key ~len <= 0
+      then advance (i + 1)
       else i
     in
     let target = advance !current in
@@ -338,12 +340,9 @@ let deepest_nonempty t =
 let compact t level inputs ~clear =
   t.compactions <- t.compactions + 1;
   let entries =
-    Merge_iter.compact ~dedup_user_keys:true
-      ~drop_tombstones:(deepest_nonempty t <= level)
-      ~snapshot_floor:(oldest_snapshot_seq t)
-      (List.map
-         (Table_set.stream t.ts ~category:(Io_stats.Compaction_read level))
-         inputs)
+    Table_set.compaction t.ts
+      ~category:(fun _ -> Io_stats.Compaction_read level)
+      ~drop_tombstones:(deepest_nonempty t <= level) inputs
   in
   let expected =
     List.fold_left (fun acc (m : Table.meta) -> acc + m.Table.entry_count) 0 inputs

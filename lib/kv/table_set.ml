@@ -3,6 +3,7 @@ module Io_stats = Wip_storage.Io_stats
 module Block_cache = Wip_storage.Block_cache
 module Table = Wip_sstable.Table
 module Sorted_view = Wip_sstable.Sorted_view
+module Merge = Wip_sstable.Merge
 module Wal = Wip_wal.Wal
 module Manifest = Wip_manifest.Manifest
 module Intf = Store_intf
@@ -101,8 +102,8 @@ let builder t ~category ~expected_keys =
   Table.Builder.create t.env ~name:(fresh_name t) ~category
     ~bits_per_key:t.bits_per_key ~ph_index:t.ph_index ~expected_keys ()
 
-let write_runs t ~category ~expected_keys ?(cut = fun ~size:_ _ -> false)
-    entries =
+let write_runs t ~category ~expected_keys ?(keep = fun _ ~len:_ -> true)
+    ?(cut = fun ~size:_ _ ~len:_ -> false) merge =
   let outputs = ref [] and current = ref None in
   let finish () =
     Option.iter
@@ -113,12 +114,15 @@ let write_runs t ~category ~expected_keys ?(cut = fun ~size:_ _ -> false)
       !current;
     current := None
   in
-  Seq.iter
-    (fun (key, value) ->
-      let size =
-        match !current with Some b -> Table.Builder.estimated_size b | None -> 0
-      in
-      if cut ~size key then finish ();
+  while Merge.next merge do
+    let key = Merge.key_bytes merge and len = Merge.key_length merge in
+    if keep key ~len then begin
+      (* Versions of one user key are never cut apart: [cut] is asked at
+         the first entry of each user key only. *)
+      (match !current with
+      | Some b when Table.Builder.shares_user b key ~len -> ()
+      | Some b -> if cut ~size:(Table.Builder.estimated_size b) key ~len then finish ()
+      | None -> if cut ~size:0 key ~len then finish ());
       let b =
         match !current with
         | Some b -> b
@@ -127,8 +131,9 @@ let write_runs t ~category ~expected_keys ?(cut = fun ~size:_ _ -> false)
           current := Some b;
           b
       in
-      Table.Builder.add_encoded b ~key ~value)
-    entries;
+      Merge.add_to b merge
+    end
+  done;
   finish ();
   List.rev !outputs
 
@@ -140,17 +145,17 @@ let reader_of t (meta : Table.meta) =
     Hashtbl.replace t.readers meta.Table.name r;
     r
 
-let stream t ~category meta =
-  Table.Reader.stream (reader_of t meta) ~category ~admit:Block_cache.Bypass
-    ()
+let cursor t ~category meta =
+  Table.Reader.Cursor.create (reader_of t meta) ~category
+    ~admit:Block_cache.Bypass ()
 
 let build_view t runs =
   Sorted_view.build ~enabled:t.sorted_view ~min_runs:t.sorted_view_min_runs
-    ~stats:(stats t) ~stream:(stream t ~category:Io_stats.Read_path) runs
+    ~stats:(stats t) ~cursor:(cursor t ~category:Io_stats.Read_path) runs
 
 let extend_view t view meta =
   Sorted_view.extend ~enabled:t.sorted_view ~stats:(stats t)
-    ~stream:(stream t ~category:Io_stats.Read_path) view meta
+    ~cursor:(cursor t ~category:Io_stats.Read_path) view meta
 
 (* Close the reader and forget the file's cached blocks. *)
 let close_table t name =
@@ -260,6 +265,10 @@ let oldest_snapshot_seq t =
     t.live_snaps Int64.max_int
 
 let live_snapshot_count t = Hashtbl.length t.live_snaps
+
+let compaction t ~category ~drop_tombstones tables =
+  Merge.compact ~drop_tombstones ~snapshot_floor:(oldest_snapshot_seq t)
+    (List.map (fun m -> Merge.run (cursor t ~category:(category m) m)) tables)
 
 let zombie_table_files t = Hashtbl.fold (fun name _ acc -> name :: acc) t.zombies []
 

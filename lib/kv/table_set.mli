@@ -5,7 +5,8 @@
     not depend on how an engine places or compacts them:
 
     - table names, table writing and the reader cache (with the optional
-      block cache), and the cache-bypassing whole-table stream;
+      block cache), the cache-bypassing whole-table cursor and the
+      compaction merge over such cursors;
     - retirement: a table a compaction drops is reclaimed at once, or kept
       as a {e zombie} while a pinned snapshot may still read it;
     - the snapshot registry and the version-GC floor;
@@ -74,31 +75,42 @@ val write_runs :
   t ->
   category:Wip_storage.Io_stats.category ->
   expected_keys:int ->
-  ?cut:(size:int -> string -> bool) ->
-  (string * string) Seq.t ->
+  ?keep:(Bytes.t -> len:int -> bool) ->
+  ?cut:(size:int -> Bytes.t -> len:int -> bool) ->
+  Wip_sstable.Merge.t ->
   Wip_sstable.Table.meta list
-(** Write an encoded entry stream, in key order, as new tables: one table,
-    or a new one wherever [cut ~size key] (called for every entry, with the
-    open table's estimated size, 0 when none is open) says the table must
-    end before [key]. Returns the finished tables in key order; a stream
-    with no entries writes none. *)
+(** Write a merge's entries whose encoded key [keep] accepts (default: all)
+    as new tables, each entry copied from its input straight into the
+    table builder. One table, or a new one wherever [cut ~size key] says
+    the table must end before [key]. [cut] is asked at the first entry of
+    each user key, with the open table's estimated size (0 when none is
+    open), so all versions of a user key land in one table. Returns the
+    finished tables in key order; a merge with no entries writes none. *)
 
 val reader_of : t -> Wip_sstable.Table.meta -> Wip_sstable.Table.Reader.t
 (** The cached reader of a live or zombie table, opened on first use. *)
 
-val stream :
+val cursor :
   t -> category:Wip_storage.Io_stats.category -> Wip_sstable.Table.meta ->
-  (string * string) Seq.t
-(** Encoded entries of one whole table, for compaction, split and view
-    build: a sequential pass bypasses the block cache, so it can neither
-    evict the read working set nor fill the cache with blocks no read asked
-    for. *)
+  Wip_sstable.Table.Reader.Cursor.t
+(** A cursor over one whole table, for compaction, split and view build: a
+    sequential pass bypasses the block cache, so it can neither evict the
+    read working set nor fill the cache with blocks no read asked for. *)
+
+val compaction :
+  t ->
+  category:(Wip_sstable.Table.meta -> Wip_storage.Io_stats.category) ->
+  drop_tombstones:bool ->
+  Wip_sstable.Table.meta list ->
+  Wip_sstable.Merge.t
+(** {!Wip_sstable.Merge.compact} over {!cursor}s of [tables] (each read
+    under [category m]), version GC floored at {!oldest_snapshot_seq}. *)
 
 val build_view :
   t -> Wip_sstable.Table.meta list ->
   (Wip_sstable.Sorted_view.t * Wip_sstable.Table.meta array) option
 (** {!Wip_sstable.Sorted_view.build} over a run list, with the store's view
-    settings, streaming as {!stream} does. *)
+    settings, reading as {!cursor} does. *)
 
 val extend_view :
   t ->
@@ -133,7 +145,7 @@ val checkpoint : t -> seq:int64 -> unit
 
     A snapshot pins a seq. Reads at that seq stay exact for the handle's
     lifetime because (a) version GC floors at {!oldest_snapshot_seq}, which
-    every compaction passes as [Merge_iter.compact ~snapshot_floor], and
+    every {!compaction} passes as its snapshot floor, and
     (b) tables retired while a snapshot is live stay readable as zombies
     until their last pinner releases. *)
 

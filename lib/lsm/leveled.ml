@@ -2,7 +2,7 @@ module Ikey = Wip_util.Ikey
 module Env = Wip_storage.Env
 module Io_stats = Wip_storage.Io_stats
 module Table = Wip_sstable.Table
-module Merge_iter = Wip_sstable.Merge_iter
+module Merge = Wip_sstable.Merge
 module Sorted_view = Wip_sstable.Sorted_view
 module Range_reader = Wip_sstable.Range_reader
 module Skiplist = Wip_memtable.Skiplist
@@ -144,8 +144,10 @@ let flush_mem t =
         Table_set.log_add t.ts ~bucket:0 ~level:0 meta)
       (Table_set.write_runs t.ts ~category:Io_stats.Flush
          ~expected_keys:(Skiplist.count t.mem)
-         (Skiplist.to_sorted_seq t.mem
-         |> Seq.map (fun (ik, v) -> (Ikey.encode ik, v))));
+         (Merge.single
+            (Merge.mem
+               (Skiplist.to_sorted_seq t.mem
+               |> Seq.map (fun (ik, v) -> (Ikey.encode ik, v))))));
     Table_set.log_watermark t.ts ~seq:t.seq;
     (* The flushed table's manifest edit must be durable before the WAL
        records it replaces are reclaimed. *)
@@ -155,24 +157,16 @@ let flush_mem t =
       (Wal.reclaim (Table_set.wal t.ts) ~persisted_below:(Int64.add t.seq 1L))
   end
 
-(* Build one or more target-size output tables from a compacted (encoded)
-   entry sequence. [expected_keys] sizes each output's bloom filter; callers
-   derive it from the inputs' entry counts and byte sizes instead of a
-   guessed constant. *)
+(* Build one or more target-size output tables from a compaction merge.
+   [expected_keys] sizes each output's bloom filter; callers derive it from
+   the inputs' entry counts and byte sizes instead of a guessed constant.
+   Tables split lazily, and [write_runs] never cuts between two versions of
+   one user key: with a version-GC floor several versions of a key can flow
+   through one compaction, and the L1+ point-read probes exactly one table
+   per level — all of a key's versions must land in it. *)
 let write_outputs t ~category ~expected_keys entries =
-  let last_key = ref None in
   Table_set.write_runs t.ts ~category ~expected_keys entries
-    ~cut:(fun ~size key ->
-      (* Split lazily, and never between two versions of one user key: with
-         a version-GC floor several versions of a key can flow through one
-         compaction, and the L1+ point-read probes exactly one table per
-         level — all of a key's versions must land in it. *)
-      let prev = !last_key in
-      last_key := Some key;
-      match prev with
-      | Some prev ->
-        size >= t.cfg.sstable_bytes && not (Ikey.encoded_same_user prev key)
-      | None -> false)
+    ~cut:(fun ~size _ ~len:_ -> size >= t.cfg.sstable_bytes)
 
 (* Insert [metas] into sorted level list (levels >= 1 stay sorted by
    smallest key). *)
@@ -222,9 +216,6 @@ let compact_level t level =
       if List.memq m sources then Io_stats.Compaction_read level
       else Io_stats.Compaction_read target
     in
-    let seqs =
-      List.map (fun m -> Table_set.stream t.ts ~category:(read_cat m) m) inputs
-    in
     (* Tombstones can be dropped when the output level is the deepest level
        holding data for this key range. The range must cover every INPUT:
        overlapping target-level files can extend beyond the sources' [lo,
@@ -251,9 +242,8 @@ let compact_level t level =
       check (target + 1)
     in
     let entries =
-      Merge_iter.compact ~dedup_user_keys:true
-        ~drop_tombstones:(not deeper_has_data)
-        ~snapshot_floor:(oldest_snapshot_seq t) seqs
+      Table_set.compaction t.ts ~category:read_cat
+        ~drop_tombstones:(not deeper_has_data) inputs
     in
     (* Size each output's bloom from the inputs' observed entry density:
        expected keys per output ≈ target bytes / average entry size. *)

@@ -1,54 +1,5 @@
 module Coding = Wip_util.Coding
 
-module Builder = struct
-  type t = {
-    buf : Buffer.t;
-    mutable restarts : int list; (* reverse order *)
-    mutable counter : int;
-    mutable last_key : string;
-    mutable entries : int;
-  }
-
-  let create () =
-    { buf = Buffer.create 4096; restarts = [ 0 ]; counter = 0; last_key = ""; entries = 0 }
-
-  let shared_prefix_length a b =
-    let n = min (String.length a) (String.length b) in
-    let rec loop i = if i < n && a.[i] = b.[i] then loop (i + 1) else i in
-    loop 0
-
-  let add t ~key ~value =
-    assert (t.entries = 0 || String.compare t.last_key key <= 0);
-    let shared =
-      if t.counter < Table_format.restart_interval then
-        shared_prefix_length t.last_key key
-      else begin
-        t.restarts <- Buffer.length t.buf :: t.restarts;
-        t.counter <- 0;
-        0
-      end
-    in
-    Coding.put_varint t.buf shared;
-    Coding.put_varint t.buf (String.length key - shared);
-    Coding.put_varint t.buf (String.length value);
-    Buffer.add_substring t.buf key shared (String.length key - shared);
-    Buffer.add_string t.buf value;
-    t.last_key <- key;
-    t.counter <- t.counter + 1;
-    t.entries <- t.entries + 1
-
-  let size_estimate t =
-    Buffer.length t.buf + (4 * List.length t.restarts) + 4
-
-  let entry_count t = t.entries
-
-  let finish t =
-    let restarts = List.rev t.restarts in
-    List.iter (fun off -> Coding.put_fixed32 t.buf off) restarts;
-    Coding.put_fixed32 t.buf (List.length restarts);
-    Buffer.contents t.buf
-end
-
 let restart_info ?len raw =
   let n = Option.value len ~default:(String.length raw) in
   let count = Coding.get_fixed32 raw (n - 4) in
@@ -89,6 +40,20 @@ let decode_all raw =
       loop off' key ((key, value) :: acc)
   in
   loop 0 "" []
+
+let rec compare_from a b i n la lb =
+  if i = n then Int.compare la lb
+  else
+    let c = Char.compare (Bytes.unsafe_get a i) (Bytes.unsafe_get b i) in
+    if c <> 0 then c else compare_from a b (i + 1) n la lb
+
+let compare_bytes a la b lb = compare_from a b 0 (min la lb) la lb
+
+let rec equal_from a b i n =
+  i >= n
+  || (Bytes.unsafe_get a i = Bytes.unsafe_get b i && equal_from a b (i + 1) n)
+
+let equal_prefix a b n = equal_from a b 0 n
 
 module Cursor = struct
   type t = {
@@ -257,4 +222,107 @@ module Cursor = struct
       t.valid <- false;
       step t ((n mod Table_format.restart_interval) + 1)
     end
+end
+
+(* One builder serves every block of a table: {!seal} hands the block out
+   as one string and {!reset} keeps the buffer for the next. Entries,
+   restart array and trailer are written in place, and the previous key
+   lives in a reused buffer, so adding an entry allocates nothing. *)
+module Builder = struct
+  type t = {
+    buf : Wip_util.Bytebuf.t;
+    mutable restarts : int array; (* offsets of the first [nrestarts] *)
+    mutable nrestarts : int;
+    mutable counter : int;
+    mutable last : Bytes.t; (* the previous key, for prefix sharing *)
+    mutable last_len : int;
+    mutable entries : int;
+  }
+
+  module Buf = Wip_util.Bytebuf
+
+  let create () =
+    {
+      buf = Buf.create 8192;
+      restarts = Array.make 32 0;
+      nrestarts = 1;
+      counter = 0;
+      last = Bytes.create 64;
+      last_len = 0;
+      entries = 0;
+    }
+
+  let reset t =
+    Buf.clear t.buf;
+    t.nrestarts <- 1;
+    t.counter <- 0;
+    t.last_len <- 0;
+    t.entries <- 0
+
+  let rec shared_from a b i n =
+    if i < n && Bytes.unsafe_get a i = Bytes.unsafe_get b i then
+      shared_from a b (i + 1) n
+    else i
+
+  let add_restart t =
+    if t.nrestarts = Array.length t.restarts then begin
+      let bigger = Array.make (2 * t.nrestarts) 0 in
+      Array.blit t.restarts 0 bigger 0 t.nrestarts;
+      t.restarts <- bigger
+    end;
+    t.restarts.(t.nrestarts) <- Buf.length t.buf;
+    t.nrestarts <- t.nrestarts + 1
+
+  (* The entry [key.[0..klen)] -> [src.[voff..voff+vlen)]. *)
+  let add_raw t key klen src voff vlen =
+    assert (
+      t.entries = 0
+      || compare_bytes t.last t.last_len key klen <= 0);
+    let shared =
+      if t.counter < Table_format.restart_interval then
+        shared_from t.last key 0 (min t.last_len klen)
+      else begin
+        add_restart t;
+        t.counter <- 0;
+        0
+      end
+    in
+    Buf.put_varint t.buf shared;
+    Buf.put_varint t.buf (klen - shared);
+    Buf.put_varint t.buf vlen;
+    Buf.add_subbytes t.buf key ~pos:shared ~len:(klen - shared);
+    Buf.add_substring t.buf src ~pos:voff ~len:vlen;
+    if Bytes.length t.last < klen then
+      t.last <- Bytes.create (max klen (2 * Bytes.length t.last));
+    Bytes.blit key 0 t.last 0 klen;
+    t.last_len <- klen;
+    t.counter <- t.counter + 1;
+    t.entries <- t.entries + 1
+
+  let add t ~key ~value =
+    add_raw t (Bytes.unsafe_of_string key) (String.length key) value 0
+      (String.length value)
+
+  let add_cursor t (c : Cursor.t) =
+    add_raw t c.key_buf c.key_len c.raw c.val_off c.val_len
+
+  let size_estimate t = Buf.length t.buf + (4 * t.nrestarts) + 4
+
+  let entry_count t = t.entries
+
+  let put_restarts t =
+    for i = 0 to t.nrestarts - 1 do
+      Buf.put_fixed32 t.buf t.restarts.(i)
+    done;
+    Buf.put_fixed32 t.buf t.nrestarts
+
+  let finish t =
+    put_restarts t;
+    Buf.contents t.buf
+
+  let seal t =
+    put_restarts t;
+    let n = Buf.length t.buf in
+    Buf.put_fixed32 t.buf (Wip_util.Crc32c.masked (Buf.crc32c t.buf ~pos:0 ~len:n));
+    Buf.contents t.buf
 end

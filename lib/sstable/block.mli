@@ -10,22 +10,6 @@
     keys in place into one reusable buffer and compares keys without
     materializing them; {!decode_all} remains for tests and tools. *)
 
-module Builder : sig
-  type t
-
-  val create : unit -> t
-
-  val add : t -> key:string -> value:string -> unit
-
-  val size_estimate : t -> int
-  (** Bytes the finished (unsealed) block would occupy so far. *)
-
-  val entry_count : t -> int
-
-  val finish : t -> string
-  (** Raw block bytes (no CRC trailer); the builder must not be reused. *)
-end
-
 module Cursor : sig
   type t
   (** A mutable cursor over one raw (already CRC-verified) block. Creating
@@ -71,6 +55,44 @@ module Cursor : sig
   val value : t -> string
   (** The current value (fresh string). *)
 end
+
+module Builder : sig
+  type t
+  (** One block at a time, in a buffer reused across blocks: {!seal} or
+      {!finish} hands a block out, {!reset} starts the next. Adding an
+      entry allocates nothing once the buffer has grown to a block. *)
+
+  val create : unit -> t
+
+  val add : t -> key:string -> value:string -> unit
+
+  val add_cursor : t -> Cursor.t -> unit
+  (** Add the cursor's current entry, copying its key and value bytes
+      straight from the source block. *)
+
+  val size_estimate : t -> int
+  (** Bytes the finished (unsealed) block would occupy so far. *)
+
+  val entry_count : t -> int
+
+  val finish : t -> string
+  (** Raw block bytes (no CRC trailer). Call {!reset} before reuse. *)
+
+  val seal : t -> string
+  (** The block with its masked CRC-32C trailer ({!Table_format.seal_block}
+      of {!finish}), written in place: one string copy. Call {!reset}
+      before reuse. *)
+
+  val reset : t -> unit
+end
+
+val compare_bytes : Bytes.t -> int -> Bytes.t -> int -> int
+(** [compare_bytes a la b lb]: bytewise comparison of [a.[0..la)] and
+    [b.[0..lb)] — how the merge layers order keys held in cursor buffers. *)
+
+val equal_prefix : Bytes.t -> Bytes.t -> int -> bool
+(** [equal_prefix a b n]: whether the first [n] bytes of [a] and [b] agree
+    (both must hold at least [n]). *)
 
 val decode_all : string -> (string * string) list
 (** All entries of a raw block in order. Counts into {!decode_count};

@@ -47,10 +47,9 @@ let fingerprint ha =
    slot even when gcd(h2, m) > 1 — a plain (h1 + d·h2) walk can orbit a
    tiny subgroup and strand the last buckets of a large table. m >= 2
    always (we force it below). *)
-let slot_params hb ~m =
-  let h1 = pos64 hb mod m in
-  let h2 = 1 + (pos64 (Int64.shift_right_logical hb 31) mod (m - 1)) in
-  (h1, h2)
+let slot_h1 hb ~m = pos64 hb mod m
+
+let slot_h2 hb ~m = 1 + (pos64 (Int64.shift_right_logical hb 31) mod (m - 1))
 
 let slot_of ~h1 ~h2 ~m d = (h1 + ((d / 256) * h2) + (d mod 256)) mod m
 
@@ -97,9 +96,9 @@ let build ~keys ~locators =
         let ha = Hashing.hash64 ~seed:seed_bucket k in
         bucket_of.(i) <- pos64 ha mod b;
         fp.(i) <- fingerprint ha;
-        let x, y = slot_params (Hashing.hash64 ~seed:seed_slot k) ~m in
-        h1.(i) <- x;
-        h2.(i) <- y)
+        let hb = Hashing.hash64 ~seed:seed_slot k in
+        h1.(i) <- slot_h1 hb ~m;
+        h2.(i) <- slot_h2 hb ~m)
       keys;
     (* Bucket k's keys are members.(start.(k) .. start.(k+1) - 1). *)
     let start = Array.make (b + 1) 0 in
@@ -157,8 +156,8 @@ let build ~keys ~locators =
       Array.iter (fun d -> put_fixed16 buf d) disp;
       Array.iter
         (fun i ->
-          let fp, loc = if i < 0 then (0, 0) else (fp.(i), locators.(i)) in
-          Buffer.add_char buf (Char.chr fp);
+          let loc = if i < 0 then 0 else locators.(i) in
+          Buffer.add_char buf (Char.chr (if i < 0 then 0 else fp.(i)));
           put_fixed16 buf (loc lsr 16);
           put_fixed16 buf (loc land 0xFFFF))
         slots;
@@ -189,8 +188,7 @@ let find r key ~pos ~len =
     let bucket = pos64 ha mod r.b in
     let d = get_fixed16 r.data (r.disp_off + (2 * bucket)) in
     let hb = Hashing.hash64_sub ~seed:seed_slot key ~pos ~len in
-    let h1, h2 = slot_params hb ~m:r.m in
-    let s = slot_of ~h1 ~h2 ~m:r.m d in
+    let s = slot_of ~h1:(slot_h1 hb ~m:r.m) ~h2:(slot_h2 hb ~m:r.m) ~m:r.m d in
     let off = r.slots_off + (slot_bytes * s) in
     let fp = Char.code (String.unsafe_get r.data off) in
     if fp = 0 || fp <> fingerprint ha then None

@@ -1,14 +1,14 @@
 (* REMIX-style cross-run sorted view (PAPERS.md).
 
    A bucket's run set is tiered and overlapping, so every scan normally pays
-   a k-way pairing-heap merge: O(log k) comparisons per emitted entry plus a
-   heap node allocation per step. The view freezes the outcome of that merge
-   once and replays it for free: it stores, for the concatenation of all
-   runs in sorted order, one byte per entry naming the source run (the
-   selector array) and one full encoded key every [seg_size] entries (the
-   anchor array). A walk then binary-searches the anchors, seeks one cursor
-   per run to the segment anchor, and pops cursors in selector order — zero
-   comparisons per entry after the bounded skip into the first segment.
+   a k-way heap merge: O(log k) comparisons per emitted entry. The view
+   freezes the outcome of that merge once and replays it for free: it
+   stores, for the concatenation of all runs in sorted order, one byte per
+   entry naming the source run (the selector array) and one full encoded
+   key every [seg_size] entries (the anchor array). A walk then
+   binary-searches the anchors, seeks one cursor per run to the segment
+   anchor, and pops cursors in selector order — zero comparisons per entry
+   after the bounded skip into the first segment.
 
    Anchor positioning is sound because encoded internal keys are unique
    within a store (the sequence trailer differs even for rewrites of one
@@ -25,7 +25,7 @@
 
    Cost: 1 byte/entry + ~key_size/seg_size bytes/entry. *)
 
-exception Stale_view
+exception Stale_view = Merge.Stale_view
 
 type t = {
   anchors : string array; (* anchors.(s) = encoded key of entry s*seg_size *)
@@ -45,30 +45,23 @@ let entry_count t = t.count
 
 let run_count t = t.run_count
 
-(* Build from a merged (key, run_index) sequence. *)
-let of_tagged ~run_count tagged =
+(* Freeze a merge: the run of every entry, and every [seg_size]-th key. *)
+let of_merge ~run_count m =
   let selectors = Buffer.create 4096 in
   let anchors = ref [] in
   let count = ref 0 in
-  Seq.iter
-    (fun (key, run) ->
-      if !count mod seg_size = 0 then anchors := key :: !anchors;
-      Buffer.add_char selectors (Char.chr run);
-      incr count)
-    tagged;
+  while Merge.next m do
+    if !count mod seg_size = 0 then
+      anchors := Bytes.sub_string (Merge.key_bytes m) 0 (Merge.key_length m) :: !anchors;
+    Buffer.add_char selectors (Char.unsafe_chr (Merge.tag m));
+    incr count
+  done;
   {
     anchors = Array.of_list (List.rev !anchors);
     selectors = Buffer.to_bytes selectors;
     count = !count;
     run_count;
   }
-
-let tag run seq = Seq.map (fun (k, _v) -> (k, run)) seq
-
-(* One heap merge of the runs' whole streams, tagged by run. *)
-let of_streams streams =
-  of_tagged ~run_count:(Array.length streams)
-    (Merge_iter.merge (List.mapi tag (Array.to_list streams)))
 
 (* Where a walk toward [from] starts: the first entry of the greatest
    segment whose anchor is <= [from] (0 if none), and that anchor — every
@@ -87,31 +80,22 @@ let position t ~from =
 
 let selector t i = Bytes.get_uint8 t.selectors i
 
-(* Extend with one run: replay the view — pop the old runs' streams in
-   selector order, no comparisons — and 2-way merge that against the new
-   run's stream. *)
-let add_run t streams run =
-  let streams = Array.map ref streams in
-  let pop r =
-    match !(streams.(r)) () with
-    | Seq.Nil -> raise Stale_view
-    | Seq.Cons ((k, _), tail) ->
-      streams.(r) := tail;
-      k
-  in
-  let rec existing i () =
-    if i >= t.count then Seq.Nil
-    else
-      let r = Bytes.get_uint8 t.selectors i in
-      Seq.Cons ((pop r, r), existing (i + 1))
-  in
-  of_tagged ~run_count:(t.run_count + 1)
-    (Merge_iter.merge [ existing 0; tag t.run_count run ])
+let selectors t = t.selectors
+
+(* Extend with one run: replay the view — pop the old runs in selector
+   order, no comparisons — merged against the new run. *)
+let add_run t runs run =
+  of_merge ~run_count:(t.run_count + 1)
+    (Merge.create
+       ((if Array.length runs = 0 then []
+         else
+           [ Merge.walk ~selectors:t.selectors ~count:t.count ~start:0 ~from:"" runs ])
+       @ [ Merge.run ~tag:t.run_count run ]))
 
 (* ------------------------------------------------------------------ *)
 (* An engine's cached view: the view plus the run set it was built over.
-   Building or extending replays whole runs through [stream] (the engine's
-   cache-bypassing table stream) and is timed into the env's stats. *)
+   Building or extending replays whole runs through [cursor] (the engine's
+   cache-bypassing whole-table cursor) and is timed into the env's stats. *)
 
 let timed stats f =
   let started = Unix.gettimeofday () in
@@ -120,14 +104,17 @@ let timed stats f =
     ~ns:(int_of_float ((Unix.gettimeofday () -. started) *. 1e9));
   v
 
-let build ~enabled ~min_runs ~stats ~stream tables =
+let build ~enabled ~min_runs ~stats ~cursor tables =
   let n = List.length tables in
   if (not enabled) || n < min_runs || n > max_runs then None
   else
     let runs = Array.of_list tables in
-    Some (timed stats (fun () -> of_streams (Array.map stream runs)), runs)
+    let merge () =
+      Merge.create (List.mapi (fun tag m -> Merge.run ~tag (cursor m)) tables)
+    in
+    Some (timed stats (fun () -> of_merge ~run_count:n (merge ())), runs)
 
-let extend ~enabled ~stats ~stream cached meta =
+let extend ~enabled ~stats ~cursor cached meta =
   match cached with
   | None -> None
   | Some (view, runs) ->
@@ -135,5 +122,5 @@ let extend ~enabled ~stats ~stream cached meta =
     else
       Some
         ( timed stats (fun () ->
-              add_run view (Array.map (fun m -> stream m) runs) (stream meta)),
+              add_run view (Array.map cursor runs) (cursor meta)),
           Array.append runs [| meta |] )

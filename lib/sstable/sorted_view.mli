@@ -24,22 +24,26 @@ val position : t -> from:string -> int * string
 val selector : t -> int -> int
 (** [selector t i] is the run that holds merged entry [i]. *)
 
+val selectors : t -> Bytes.t
+(** Every entry's selector, one byte each — what {!Merge.walk} replays.
+    Do not mutate. *)
+
 val entry_count : t -> int
 
 val run_count : t -> int
 
 (** {1 An engine's cached view}
 
-    Engines keep [(view, runs)], the tables in run order. [stream m] is the
-    engine's cache-bypassing stream over table [m]. A build is one heap
-    merge of the runs; an extension 2-way merges the view's replay against
+    Engines keep [(view, runs)], the tables in run order. [cursor m] is the
+    engine's cache-bypassing whole-table cursor over table [m]. A build is
+    one {!Merge} of the runs; an extension merges the view's replay against
     the new run. Both are timed into [stats] as view rebuilds. *)
 
 val build :
   enabled:bool ->
   min_runs:int ->
   stats:Wip_storage.Io_stats.t ->
-  stream:(Table.meta -> (string * string) Seq.t) ->
+  cursor:(Table.meta -> Table.Reader.Cursor.t) ->
   Table.meta list ->
   (t * Table.meta array) option
 (** A view over [tables] when views are enabled and there are [min_runs]
@@ -48,7 +52,7 @@ val build :
 val extend :
   enabled:bool ->
   stats:Wip_storage.Io_stats.t ->
-  stream:(Table.meta -> (string * string) Seq.t) ->
+  cursor:(Table.meta -> Table.Reader.Cursor.t) ->
   (t * Table.meta array) option ->
   Table.meta ->
   (t * Table.meta array) option

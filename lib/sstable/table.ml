@@ -18,21 +18,24 @@ module Builder = struct
     block_size : int;
     writer : Env.writer;
     bloom : Wip_bloom.Bloom.t;
-    mutable block : Block.Builder.t;
+    block : Block.Builder.t; (* one buffer for every block of the table *)
     mutable index_entries : (string * Table_format.block_handle) list; (* rev *)
     mutable entry_count : int;
-    mutable smallest_enc : string option;
-    mutable largest_enc : string;
+    mutable smallest_enc : string; (* "" until the first entry *)
+    mutable largest : Bytes.t; (* the last encoded key added *)
+    mutable largest_len : int;
     mutable written : int;
     mutable flushed_blocks : int;
     (* Perfect-hash point index bookkeeping: the escaped-user slice and
        (block, entry) locator of each distinct user key's first (= newest)
-       version, in table order. [ph_ok] drops to false — and the table
-       ships without an index — once any locator outgrows its fixed16
-       slot. *)
+       version, in table order, in the first [ph_count] slots. [ph_ok]
+       drops to false — and the table ships without an index — once any
+       locator outgrows its fixed16 slot. *)
     ph_wanted : bool;
     mutable ph_ok : bool;
-    mutable ph_keys : (string * int) list; (* rev *)
+    mutable ph_keys : string array;
+    mutable ph_locators : int array;
+    mutable ph_count : int;
   }
 
   let create env ~name ~category ?(block_size = 4096) ?(bits_per_key = 10)
@@ -47,55 +50,85 @@ module Builder = struct
       block = Block.Builder.create ();
       index_entries = [];
       entry_count = 0;
-      smallest_enc = None;
-      largest_enc = "";
+      smallest_enc = "";
+      largest = Bytes.create 64;
+      largest_len = 0;
       written = 0;
       flushed_blocks = 0;
       ph_wanted = ph_index;
       ph_ok = ph_index;
-      ph_keys = [];
+      ph_keys = [||];
+      ph_locators = [||];
+      ph_count = 0;
     }
 
-  let flush_block t ~last_key =
+  let append t sealed =
+    let handle = { Table_format.offset = t.written; size = String.length sealed } in
+    Env.append t.writer ~category:t.category sealed;
+    t.written <- t.written + String.length sealed;
+    handle
+
+  let flush_block t =
     if Block.Builder.entry_count t.block > 0 then begin
-      let raw = Block.Builder.finish t.block in
-      let sealed = Table_format.seal_block raw in
-      let handle =
-        { Table_format.offset = t.written; size = String.length sealed }
-      in
-      Env.append t.writer ~category:t.category sealed;
-      t.written <- t.written + String.length sealed;
-      t.index_entries <- (last_key, handle) :: t.index_entries;
-      t.block <- Block.Builder.create ();
+      let handle = append t (Block.Builder.seal t.block) in
+      Block.Builder.reset t.block;
+      t.index_entries <-
+        (Bytes.sub_string t.largest 0 t.largest_len, handle) :: t.index_entries;
       t.flushed_blocks <- t.flushed_blocks + 1
     end
 
-  let add_encoded t ~key ~value =
-    assert (t.entry_count = 0 || String.compare t.largest_enc key < 0);
-    if
-      t.ph_ok
-      && (t.entry_count = 0 || not (Ikey.encoded_same_user t.largest_enc key))
-    then begin
-      let blk = t.flushed_blocks in
-      let ord = Block.Builder.entry_count t.block in
-      if blk > 0xFFFF || ord > 0xFFFF then t.ph_ok <- false
-      else
-        t.ph_keys <-
-          ( String.sub key 0 (String.length key - Ikey.trailer_length),
-            (blk lsl 16) lor ord )
-          :: t.ph_keys
-    end;
-    Block.Builder.add t.block ~key ~value;
+  let shares_user t key ~len =
+    t.entry_count > 0
+    && t.largest_len = len
+    && Block.equal_prefix t.largest key (len - Ikey.trailer_length)
+
+  let note_ph_key t key ~len =
+    let blk = t.flushed_blocks and ord = Block.Builder.entry_count t.block in
+    if blk > 0xFFFF || ord > 0xFFFF then t.ph_ok <- false
+    else begin
+      if t.ph_count = Array.length t.ph_keys then begin
+        let cap = max 64 (2 * t.ph_count) in
+        let keys = Array.make cap "" and locators = Array.make cap 0 in
+        Array.blit t.ph_keys 0 keys 0 t.ph_count;
+        Array.blit t.ph_locators 0 locators 0 t.ph_count;
+        t.ph_keys <- keys;
+        t.ph_locators <- locators
+      end;
+      t.ph_keys.(t.ph_count) <- Bytes.sub_string key 0 (len - Ikey.trailer_length);
+      t.ph_locators.(t.ph_count) <- (blk lsl 16) lor ord;
+      t.ph_count <- t.ph_count + 1
+    end
+
+  (* Everything but the block bytes: order check, ph locator, bloom, key
+     bounds. [key.[0..len)] is an encoded internal key. *)
+  let note_key t key ~len =
+    assert (
+      t.entry_count = 0
+      || Block.compare_bytes t.largest t.largest_len key len < 0);
+    if t.ph_ok && not (shares_user t key ~len) then note_ph_key t key ~len;
     (* The bloom hashes the escaped-user slice of the encoded key; probes
        hash the same slice of the seek target, so no unescaping on either
-       side. *)
-    Wip_bloom.Bloom.add_sub t.bloom key ~pos:0
-      ~len:(String.length key - Ikey.trailer_length);
-    if t.smallest_enc = None then t.smallest_enc <- Some key;
-    t.largest_enc <- key;
-    t.entry_count <- t.entry_count + 1;
-    if Block.Builder.size_estimate t.block >= t.block_size then
-      flush_block t ~last_key:key
+       side. The slice is hashed before [key] can change. *)
+    Wip_bloom.Bloom.add_sub t.bloom (Bytes.unsafe_to_string key) ~pos:0
+      ~len:(len - Ikey.trailer_length);
+    if t.entry_count = 0 then t.smallest_enc <- Bytes.sub_string key 0 len;
+    if Bytes.length t.largest < len then
+      t.largest <- Bytes.create (max len (2 * Bytes.length t.largest));
+    Bytes.blit key 0 t.largest 0 len;
+    t.largest_len <- len;
+    t.entry_count <- t.entry_count + 1
+
+  let added t = if Block.Builder.size_estimate t.block >= t.block_size then flush_block t
+
+  let add_encoded t ~key ~value =
+    note_key t (Bytes.unsafe_of_string key) ~len:(String.length key);
+    Block.Builder.add t.block ~key ~value;
+    added t
+
+  let add_entry t blk =
+    note_key t (Block.Cursor.key_bytes blk) ~len:(Block.Cursor.key_length blk);
+    Block.Builder.add_cursor t.block blk;
+    added t
 
   let add t ikey value = add_encoded t ~key:(Ikey.encode ikey) ~value
 
@@ -104,52 +137,34 @@ module Builder = struct
   let estimated_size t = t.written + Block.Builder.size_estimate t.block
 
   let finish t =
-    if t.entry_count > 0 then flush_block t ~last_key:t.largest_enc;
-    (* Filter block *)
-    let filter_raw = Wip_bloom.Bloom.encode t.bloom in
-    let filter_sealed = Table_format.seal_block filter_raw in
+    if t.entry_count > 0 then flush_block t;
     let filter_handle =
-      { Table_format.offset = t.written; size = String.length filter_sealed }
+      append t (Table_format.seal_block (Wip_bloom.Bloom.encode t.bloom))
     in
-    Env.append t.writer ~category:t.category filter_sealed;
-    t.written <- t.written + String.length filter_sealed;
-    (* Index block *)
-    let index_builder = Block.Builder.create () in
+    (* Index block, in the data blocks' buffer. *)
+    let value = Buffer.create 16 in
     List.iter
       (fun (key, (handle : Table_format.block_handle)) ->
-        let buf = Buffer.create 16 in
-        Wip_util.Coding.put_varint buf handle.offset;
-        Wip_util.Coding.put_varint buf handle.size;
-        Block.Builder.add index_builder ~key ~value:(Buffer.contents buf))
+        Buffer.clear value;
+        Wip_util.Coding.put_varint value handle.offset;
+        Wip_util.Coding.put_varint value handle.size;
+        Block.Builder.add t.block ~key ~value:(Buffer.contents value))
       (List.rev t.index_entries);
-    let index_raw = Block.Builder.finish index_builder in
-    let index_sealed = Table_format.seal_block index_raw in
-    let index_handle =
-      { Table_format.offset = t.written; size = String.length index_sealed }
-    in
-    Env.append t.writer ~category:t.category index_sealed;
-    t.written <- t.written + String.length index_sealed;
+    let index_handle = append t (Block.Builder.seal t.block) in
     (* Perfect-hash point-index block (optional: absent when disabled,
        overweight or when CHD construction fails — readers fall back to
        restart binary search). *)
     let ph_handle =
       if not (t.ph_wanted && t.ph_ok && t.entry_count > 0) then
         Table_format.no_handle
-      else begin
-        let pairs = Array.of_list (List.rev t.ph_keys) in
-        let keys = Array.map fst pairs in
-        let locators = Array.map snd pairs in
-        match Ph_index.build ~keys ~locators with
+      else
+        match
+          Ph_index.build
+            ~keys:(Array.sub t.ph_keys 0 t.ph_count)
+            ~locators:(Array.sub t.ph_locators 0 t.ph_count)
+        with
         | None -> Table_format.no_handle
-        | Some raw ->
-          let sealed = Table_format.seal_block raw in
-          let handle =
-            { Table_format.offset = t.written; size = String.length sealed }
-          in
-          Env.append t.writer ~category:t.category sealed;
-          t.written <- t.written + String.length sealed;
-          handle
-      end
+        | Some raw -> append t (Table_format.seal_block raw)
     in
     (* Footer *)
     let footer =
@@ -159,17 +174,14 @@ module Builder = struct
         ph = ph_handle;
         entry_count = t.entry_count;
         smallest =
-          (match t.smallest_enc with
-          | Some enc -> Ikey.user_key_of_encoded enc
-          | None -> "");
+          (if t.entry_count = 0 then ""
+           else Ikey.user_key_of_encoded t.smallest_enc);
         largest =
           (if t.entry_count = 0 then ""
-           else Ikey.user_key_of_encoded t.largest_enc);
+           else Ikey.user_key_of_encoded_bytes t.largest ~len:t.largest_len);
       }
     in
-    let footer_bytes = Table_format.encode_footer footer in
-    Env.append t.writer ~category:t.category footer_bytes;
-    t.written <- t.written + String.length footer_bytes;
+    ignore (append t (Table_format.encode_footer footer));
     Env.sync t.writer;
     Env.close_writer t.writer;
     {
@@ -483,7 +495,7 @@ module Reader = struct
   let get t ~category user_key ~snapshot =
     get_encoded t ~category (Ikey.encode_seek user_key ~seq:snapshot)
 
-  (* The one-shot sequence flush, compaction, split and view build read. *)
+  (* A one-shot sequence over a cursor, for tests and tools. *)
   let stream t ~category ~admit ?from () =
     let c = Cursor.create t ~category ~admit ?from () in
     let rec go () =

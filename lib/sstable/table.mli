@@ -47,13 +47,23 @@ module Builder : sig
       compaction and split streams carry, so re-writing an entry encodes
       nothing. *)
 
+  val add_entry : t -> Block.Cursor.t -> unit
+  (** Like {!add_encoded} for the block cursor's current entry: its key and
+      value bytes are copied from the source block straight into this
+      table's block buffer, with no string in between. *)
+
+  val shares_user : t -> Bytes.t -> len:int -> bool
+  (** Whether the encoded key [key.[0..len)] has the same user key as the
+      last entry added (false when none was). *)
+
   val entry_count : t -> int
 
   val estimated_size : t -> int
 
   val finish : t -> meta
   (** Flushes remaining data, writes filter, index and footer, syncs and
-      closes the file. *)
+      closes the file. Every block is built in one buffer the builder
+      reuses and reaches the Env as one sealed string. *)
 
   val abandon : t -> unit
   (** Close and delete the partially written file. *)
@@ -147,7 +157,8 @@ module Reader : sig
     unit ->
     (string * string) Seq.t
   (** {!Cursor} as a one-shot sequence of fresh [(key, value)] pairs, for
-      flush, compaction, split and view build. Force it at most once. *)
+      tests and tools; the engines read through {!Cursor} and {!Merge}.
+      Force it at most once. *)
 
   val close : t -> unit
 end

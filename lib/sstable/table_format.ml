@@ -87,11 +87,11 @@ let decode_footer s =
   }
 
 let seal_block raw =
-  let crc = Crc32c.masked (Crc32c.string raw) in
-  let buf = Buffer.create (String.length raw + 4) in
-  Buffer.add_string buf raw;
-  Coding.put_fixed32 buf crc;
-  Buffer.contents buf
+  let n = String.length raw in
+  let sealed = Bytes.create (n + 4) in
+  Bytes.blit_string raw 0 sealed 0 n;
+  Bytes.set_int32_le sealed n (Int32.of_int (Crc32c.masked (Crc32c.string raw)));
+  Bytes.unsafe_to_string sealed
 
 let payload_length sealed =
   let n = String.length sealed in

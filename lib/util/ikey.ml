@@ -164,21 +164,21 @@ let encoded_same_user a b =
   in
   loop 0
 
+let rec compare_user_from eu b i n lu lb =
+  if i = n then Stdlib.compare lu lb
+  else
+    let c = Char.compare (String.unsafe_get eu i) (Bytes.unsafe_get b i) in
+    if c <> 0 then c else compare_user_from eu b (i + 1) n lu lb
+
+(* [eu] is an [encode_user] result; compare it against the user portion of
+   the encoded key [b.[0..len)]. Escaped forms are prefix-free, so distinct
+   user keys always differ at some byte both sides have. *)
+let compare_encoded_user_bytes eu b ~len =
+  let lu = String.length eu and lb = len - trailer_length in
+  compare_user_from eu b 0 (min lu lb) lu lb
+
 let compare_encoded_user eu s =
-  (* [eu] is an [encode_user] result; compare it against the user portion of
-     the encoded key [s]. Escaped forms are prefix-free, so distinct user
-     keys always differ at some byte both sides have. *)
-  let lu = String.length eu and ls = String.length s - trailer_length in
-  let n = min lu ls in
-  let rec loop i =
-    if i = n then Stdlib.compare lu ls
-    else
-      let c =
-        Char.compare (String.unsafe_get eu i) (String.unsafe_get s i)
-      in
-      if c <> 0 then c else loop (i + 1)
-  in
-  loop 0
+  compare_encoded_user_bytes eu (Bytes.unsafe_of_string s) ~len:(String.length s)
 
 (* Bytes-buffer variants for Block.Cursor's reusable key buffer. *)
 

@@ -76,6 +76,9 @@ val encoded_kind_bytes : Bytes.t -> len:int -> kind
 val user_key_of_encoded_bytes : Bytes.t -> len:int -> string
 (** {!user_key_of_encoded} over the first [len] bytes of a buffer. *)
 
+val compare_encoded_user_bytes : string -> Bytes.t -> len:int -> int
+(** {!compare_encoded_user} against the encoded key held in [b.[0..len)]. *)
+
 val encoded_same_user_bytes : Bytes.t -> len:int -> string -> bool
 (** [encoded_same_user_bytes buf ~len enc]: whether the encoded key held in
     [buf.[0..len)] shares its user key with the encoded string [enc]. *)

@@ -1,6 +1,7 @@
 module Env = Wip_storage.Env
 module Io_stats = Wip_storage.Io_stats
 module Coding = Wip_util.Coding
+module Bytebuf = Wip_util.Bytebuf
 module Crc32c = Wip_util.Crc32c
 module Ikey = Wip_util.Ikey
 
@@ -28,6 +29,7 @@ type t = {
   mutable max_seq : int64;
   mutable durable_seq : int64; (* max_seq as of the last sync *)
   mutable next_seg_no : int;
+  out : Bytebuf.t; (* the records of one append, reused across appends *)
 }
 
 let segment_name prefix n = Printf.sprintf "%s-%06d.log" prefix n
@@ -53,6 +55,7 @@ let create env ?(prefix = "wal") ?(segment_bytes = 4 * 1024 * 1024) () =
       max_seq = 0L;
       durable_seq = 0L;
       next_seg_no = 1;
+      out = Bytebuf.create 4096;
     }
   in
   t
@@ -62,23 +65,28 @@ let create env ?(prefix = "wal") ?(segment_bytes = 4 * 1024 * 1024) () =
    payload: fixed64 first_seq | varint count
             (kind byte | length-prefixed key | length-prefixed value)* *)
 
-let encode_batch ~first_seq items =
-  let payload = Buffer.create 256 in
-  Coding.put_fixed64 payload first_seq;
-  Coding.put_varint payload (List.length items);
+(* Append one record to [out]: the header is reserved, the payload written
+   after it, and then length and checksum are patched in place. *)
+let encode_batch out ~first_seq items =
+  let header = Bytebuf.length out in
+  Bytebuf.put_fixed32 out 0;
+  Bytebuf.put_fixed32 out 0;
+  let start = Bytebuf.length out in
+  Bytebuf.put_fixed64 out first_seq;
+  Bytebuf.put_varint out (List.length items);
   List.iter
     (fun (kind, key, value) ->
-      Buffer.add_char payload
+      Bytebuf.add_char out
         (match kind with Ikey.Value -> '\001' | Ikey.Deletion -> '\000');
-      Coding.put_length_prefixed payload key;
-      Coding.put_length_prefixed payload value)
+      Bytebuf.put_varint out (String.length key);
+      Bytebuf.add_string out key;
+      Bytebuf.put_varint out (String.length value);
+      Bytebuf.add_string out value)
     items;
-  let payload = Buffer.contents payload in
-  let out = Buffer.create (String.length payload + 8) in
-  Coding.put_fixed32 out (Crc32c.masked (Crc32c.string payload));
-  Coding.put_fixed32 out (String.length payload);
-  Buffer.add_string out payload;
-  Buffer.contents out
+  let len = Bytebuf.length out - start in
+  Bytebuf.set_fixed32 out ~pos:(header + 4) len;
+  Bytebuf.set_fixed32 out ~pos:header
+    (Crc32c.masked (Bytebuf.crc32c out ~pos:start ~len))
 
 let decode_records contents ~emit =
   let n = String.length contents in
@@ -183,6 +191,7 @@ let recover env ?(prefix = "wal") ?(segment_bytes = 4 * 1024 * 1024) ~replay () 
       max_seq = !max_seq;
       durable_seq = !max_seq;
       next_seg_no = next_seg_no + 1;
+      out = Bytebuf.create 4096;
     }
   in
   t
@@ -209,16 +218,16 @@ let append_batches t ~first_seq batches =
     List.fold_left (fun acc items -> acc + List.length items) 0 batches
   in
   if total_items > 0 then begin
-    let out = Buffer.create 512 in
+    Bytebuf.clear t.out;
     let seq = ref first_seq in
     List.iter
       (fun items ->
         if items <> [] then begin
-          Buffer.add_string out (encode_batch ~first_seq:!seq items);
+          encode_batch t.out ~first_seq:!seq items;
           seq := Int64.add !seq (Int64.of_int (List.length items))
         end)
       batches;
-    let bytes = Buffer.contents out in
+    let bytes = Bytebuf.contents t.out in
     Env.append t.writer ~category:Io_stats.Wal bytes;
     let last_seq = Int64.add first_seq (Int64.of_int (total_items - 1)) in
     t.current.seg_bytes <- t.current.seg_bytes + String.length bytes;

@@ -1,3 +1,10 @@
+(* Reference implementation of the k-way merge and version GC that
+   compaction, split and view build used before they moved onto run cursors
+   ({!Wip_sstable.Merge}): a pairing heap over [(key, value)] sequences with
+   a lazy filter. The cursor merge must write byte-identical tables (see
+   test_compaction.ml), and the merge and property tests check their
+   expectations against this too. *)
+
 module Ikey = Wip_util.Ikey
 
 (* A pairing heap keyed by the head element of each sequence: find-min is

@@ -20,6 +20,7 @@ let () =
       ("iterator", Test_iterator.suite);
       ("sorted-view", Test_sorted_view.suite);
       ("range-reader", Test_range_reader.suite);
+      ("compaction", Test_compaction.suite);
       ("snapshot", Test_snapshot.suite);
       ("concurrent", Test_concurrent.suite);
       ("sharded", Test_sharded.suite);

@@ -5,7 +5,7 @@ module Ikey = Wip_util.Ikey
 module Env = Wip_storage.Env
 module Io_stats = Wip_storage.Io_stats
 module Block = Wip_sstable.Block
-module Merge_iter = Wip_sstable.Merge_iter
+module Merge_iter = Merge_iter_reference
 module Distribution = Wip_workload.Distribution
 
 (* Blocks must roundtrip keys with heavy shared prefixes and arbitrary

@@ -304,8 +304,8 @@ let test_stale_view_raises () =
   let view =
     match
       Sorted_view.build ~enabled:true ~min_runs:2 ~stats:(Env.stats env)
-        ~stream:(fun m ->
-          Table.Reader.stream
+        ~cursor:(fun m ->
+          Table.Reader.Cursor.create
             (if m.Table.name = "a" then a else b)
             ~category:Io_stats.Read_path ~admit:Wip_storage.Block_cache.Bypass
             ())

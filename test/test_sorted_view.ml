@@ -12,7 +12,7 @@
 
 module Ikey = Wip_util.Ikey
 module Rng = Wip_util.Rng
-module Merge_iter = Wip_sstable.Merge_iter
+module Merge_iter = Merge_iter_reference
 module Sorted_view = Wip_sstable.Sorted_view
 module Range_reader = Wip_sstable.Range_reader
 module Ph_index = Wip_sstable.Ph_index
@@ -72,8 +72,8 @@ let reference_rows runs ~lo =
 
 (* Views are built the way engines build them: through [build] and
    [extend] over the runs' tables. *)
-let stream_of readers (m : Table.meta) =
-  Table.Reader.stream
+let cursor_of readers (m : Table.meta) =
+  Table.Reader.Cursor.create
     (List.find
        (fun r -> String.equal (Table.Reader.meta r).Table.name m.Table.name)
        (Array.to_list readers))
@@ -84,7 +84,7 @@ let metas readers = Array.to_list (Array.map Table.Reader.meta readers)
 let build_view env readers =
   match
     Sorted_view.build ~enabled:true ~min_runs:1
-      ~stats:(Wip_storage.Env.stats env) ~stream:(stream_of readers)
+      ~stats:(Wip_storage.Env.stats env) ~cursor:(cursor_of readers)
       (metas readers)
   with
   | Some (view, _) -> view
@@ -152,7 +152,7 @@ let test_view_add_run () =
     let view' =
       match
         Sorted_view.extend ~enabled:true ~stats:(Wip_storage.Env.stats env)
-          ~stream:(stream_of readers)
+          ~cursor:(cursor_of readers)
           (Some (build_view env base, Array.of_list (metas base)))
           (Table.Reader.meta readers.(k))
       with

@@ -6,7 +6,7 @@ module Io_stats = Wip_storage.Io_stats
 module Block = Wip_sstable.Block
 module Table = Wip_sstable.Table
 module Table_format = Wip_sstable.Table_format
-module Merge_iter = Wip_sstable.Merge_iter
+module Merge_iter = Merge_iter_reference
 
 let ik ?(kind = Ikey.Value) key seq = Ikey.make ~kind key ~seq:(Int64.of_int seq)
 

@@ -50,6 +50,16 @@ let test_crc_known () =
   (* CRC-32C("123456789") = 0xE3069283, a standard test vector. *)
   check Alcotest.int "check value" 0xE3069283 (Crc32c.string "123456789")
 
+(* RFC 3720 (iSCSI) CRC-32C vectors over 32-byte buffers. *)
+let test_crc_vectors () =
+  check Alcotest.int "32 zero bytes" 0x8A9136AA (Crc32c.string (String.make 32 '\000'));
+  check Alcotest.int "32 0xFF bytes" 0x62A8AB43 (Crc32c.string (String.make 32 '\255'));
+  check Alcotest.int "ascending 0..31" 0x46DD794E
+    (Crc32c.string (String.init 32 Char.chr));
+  check Alcotest.int "descending 31..0" 0x113FDB5C
+    (Crc32c.string (String.init 32 (fun i -> Char.chr (31 - i))));
+  check Alcotest.int "empty" 0 (Crc32c.string "")
+
 let test_crc_mask_roundtrip () =
   let crc = Crc32c.string "some data" in
   check Alcotest.int "unmask . mask = id" crc (Crc32c.unmask (Crc32c.masked crc))
@@ -153,6 +163,43 @@ let qcheck_crc_detects_flip =
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
       Crc32c.string s <> Crc32c.string (Bytes.to_string b))
 
+(* Bit-at-a-time CRC-32C, the definition the eight-byte path must agree
+   with. *)
+let crc_reference ?(init = 0) s ~pos ~len =
+  let crc = ref (init lxor 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    crc := !crc lxor Char.code s.[i];
+    for _ = 1 to 8 do
+      crc := if !crc land 1 = 1 then (!crc lsr 1) lxor 0x82F63B78 else !crc lsr 1
+    done
+  done;
+  !crc lxor 0xFFFFFFFF
+
+(* Every start alignment 0..8 and every length to the end of the string —
+   so every tail of 0..7 bytes after the eight-byte steps — agrees with the
+   reference, and so does every chaining split of the first lengths through
+   [?init]. *)
+let qcheck_crc_eightwise =
+  QCheck.Test.make ~name:"crc eight-byte path equals bytewise reference"
+    ~count:150
+    QCheck.(string_of_size Gen.(0 -- 80))
+    (fun s ->
+      let n = String.length s in
+      let ok = ref true in
+      for pos = 0 to min 8 n do
+        for len = 0 to n - pos do
+          let want = crc_reference s ~pos ~len in
+          if Crc32c.substring s ~pos ~len <> want then ok := false;
+          for k = 0 to min len 9 do
+            let head = Crc32c.substring s ~pos ~len:k in
+            if
+              Crc32c.substring ~init:head s ~pos:(pos + k) ~len:(len - k) <> want
+            then ok := false
+          done
+        done
+      done;
+      !ok)
+
 let suite =
   [
     Alcotest.test_case "varint roundtrip" `Quick test_varint_roundtrip;
@@ -160,6 +207,7 @@ let suite =
     Alcotest.test_case "length prefixed" `Quick test_length_prefixed;
     Alcotest.test_case "varint truncated" `Quick test_varint_truncated;
     Alcotest.test_case "crc known vector" `Quick test_crc_known;
+    Alcotest.test_case "crc vectors" `Quick test_crc_vectors;
     Alcotest.test_case "crc mask roundtrip" `Quick test_crc_mask_roundtrip;
     Alcotest.test_case "crc incremental" `Quick test_crc_incremental;
     Alcotest.test_case "hash deterministic" `Quick test_hash_deterministic;
@@ -174,4 +222,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_varint;
     QCheck_alcotest.to_alcotest qcheck_ikey_compare_encode;
     QCheck_alcotest.to_alcotest qcheck_crc_detects_flip;
+    QCheck_alcotest.to_alcotest qcheck_crc_eightwise;
   ]

@@ -1,14 +1,17 @@
 (* Fixture: R7 — heap merges outside lib/sstable bypass the sorted view. *)
 
-let scan_all seqs = Merge_iter.merge seqs (* FINDING: R7 *)
+let scan_all inputs = Merge.create inputs (* FINDING: R7 *)
 
-let scan_user seqs =
-  Wip_sstable.Merge_iter.merge_by ~compare:String.compare seqs (* FINDING: R7 *)
+let replay ~selectors ~count runs =
+  Wip_sstable.Merge.walk ~selectors ~count ~start:0 ~from:"" runs (* FINDING: R7 *)
 
-(* Negative case: compact is the sanctioned engine entry point. *)
-let flush seqs = Merge_iter.compact ~dedup_user_keys:true seqs
+(* Negative cases: compact and single are the sanctioned engine entry
+   points. *)
+let compact inputs = Merge.compact ~drop_tombstones:false ~snapshot_floor:0L inputs
+
+let flush entries = Merge.single (Merge.mem entries)
 
 (* Suppressed case: disjoint-shard concatenation is not a run merge. *)
-let shard_concat seqs =
+let shard_concat inputs =
   (* lint: allow R7 — fixture: shard streams are disjoint, not runs *)
-  Merge_iter.merge_by ~compare:String.compare seqs
+  Merge.create inputs

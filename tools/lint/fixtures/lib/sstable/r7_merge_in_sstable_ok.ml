@@ -1,6 +1,7 @@
-(* Fixture: R7 negative — lib/sstable owns the heap merge: view rebuilds
-   and compaction are built on it. *)
+(* Fixture: R7 negative — lib/sstable owns the heap merge: scans, view
+   rebuilds and compaction are built on it. *)
 
-let build runs = Merge_iter.merge_by ~compare:String.compare runs
+let build runs = Merge.create runs
 
-let merge_runs seqs = Merge_iter.merge seqs
+let replay ~selectors ~count runs =
+  Merge.walk ~selectors ~count ~start:0 ~from:"" runs

@@ -28,13 +28,14 @@
          fault would skip retry accounting and the Healthy→Degraded
          transition; upper layers catch generically and consult the
          Env.io_fault_detail / io_fault_retryable classifiers.
-     R7  Merge_iter.merge / merge_by only inside lib/sstable — the heap
-         merge is the primitive under sorted-view rebuilds and compaction
-         ([Sorted_view.build]/[add_run], [Merge_iter.compact]); a fresh
-         heap merge anywhere else in lib/ is a read path that silently
-         bypasses the view replay the scan acceleration depends on.
-         [Merge_iter.compact] itself stays legal everywhere (engines call
-         it at their flush/compaction sites).
+     R7  Merge.create / Merge.walk only inside lib/sstable — the heap
+         merge is the primitive under scans, sorted-view rebuilds and
+         compaction ([Range_reader], [Sorted_view.build]/[add_run],
+         [Merge.compact]); a fresh heap merge anywhere else in lib/ is a
+         read path that silently bypasses the view replay the scan
+         acceleration depends on. [Merge.compact] and [Merge.single] stay
+         legal everywhere (engines reach them at their flush, compaction
+         and split sites).
 
    Lock-discipline rules (R8–R10) run a scoped lexical lock-set analysis:
 
@@ -119,9 +120,9 @@ let rules : (string * string) list =
     ("R6", "only Wip_util.Retry and lib/storage may match Env.Io_fault — \
             catch generically and use Env.io_fault_detail / \
             io_fault_retryable so retries and degradation stay accounted");
-    ("R7", "Merge_iter.merge / merge_by outside lib/sstable is a heap \
-            merge on the read path — scans go through the sorted-view \
-            replay (or the engine's existing Merge_iter.compact sites)");
+    ("R7", "Merge.create / Merge.walk outside lib/sstable is a heap \
+            merge on the read path — scans go through Range_reader and the \
+            sorted-view replay (compaction through Merge.compact)");
     ("R8", "shared mutable state carries (* guarded_by: <lock> *) and is \
             only touched inside Sync.with_lock on that lock (reserved \
             guards: caller, none); functions entered with a lock held \
@@ -737,12 +738,12 @@ let check_expr env ~bound (e : Parsetree.expression) =
         add_finding ~file ~line ~rule:"R5"
           (Printf.sprintf "%s writes to stdout from lib/" (path_of lid))
     end;
-    (* R7: heap merges outside lib/sstable. Only [merge]/[merge_by] —
-       [compact] is the sanctioned engine entry point. *)
+    (* R7: heap merges outside lib/sstable. Only [create]/[walk] —
+       [compact] and [single] are the sanctioned engine entry points. *)
     if
       ctx = Lib && (not env.le_in_sstable)
-      && List.mem "Merge_iter" comps
-      && (String.equal last "merge" || String.equal last "merge_by")
+      && List.mem "Merge" comps
+      && (String.equal last "create" || String.equal last "walk")
     then
       add_finding ~file ~line ~rule:"R7"
         (Printf.sprintf "%s heap-merges outside lib/sstable, bypassing the \

@@ -21,6 +21,11 @@
        per returned row, exact in the single-threaded bench; it rises only
        if the range reader copies entries it does not return. Same
        budget.
+     - compact_write_alloc_bytes_per_entry: bytes allocated per entry by a
+       4-run compaction merge written out through the table builder on the
+       in-memory Env, exact in the same way; it rises if compaction copies
+       entries into strings again or the builder stops reusing its block
+       buffer. Same budget.
 
    Usage: readpath_gate BASELINE.json FRESH.json *)
 
@@ -176,8 +181,8 @@ let gate_probes ~what b f =
     Printf.printf "%-46s missing field\n" what;
     incr failures
 
-(* Short-scan device and allocated bytes may not exceed baseline * 1.1 +
-   64. *)
+(* Short-scan device and allocated bytes, and compaction's allocated bytes
+   per entry, may not exceed baseline * 1.1 + 64. *)
 let gate_bytes ~what b f =
   match (b, f) with
   | Some b, Some f ->
@@ -214,7 +219,11 @@ let () =
     (num_at f [ "point_get_cold_probes_per_op" ]);
   List.iter
     (fun what -> gate_bytes ~what (num_at b [ what ]) (num_at f [ what ]))
-    [ "short_scan_read_path_bytes_per_scan"; "short_scan_alloc_bytes_per_row" ];
+    [
+      "short_scan_read_path_bytes_per_scan";
+      "short_scan_alloc_bytes_per_row";
+      "compact_write_alloc_bytes_per_entry";
+    ];
   let engines = engine_names b in
   if engines = [] then begin
     Printf.printf "baseline has no engines object\n";
