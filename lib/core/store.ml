@@ -385,8 +385,7 @@ let split_bucket t bucket =
       (fun (k, v) ->
         let ik = Ikey.decode k in
         let b = new_bucket_for ik.Ikey.user_key in
-        (* Capacity cannot be exceeded: the old table held all of these. *)
-        ignore (Memtable.try_add b.memtable ik v))
+        b.memtable <- Memtable.adopt b.memtable ik v)
       (Memtable.entries bucket.memtable);
     (* Retire the old bucket. Log every edit of the split first, make them
        durable, and only then delete the retired files — recovery either
@@ -426,7 +425,8 @@ let merge_buckets t left right =
   List.iter
     (fun b ->
       Seq.iter
-        (fun (k, v) -> ignore (Memtable.try_add merged.memtable (Ikey.decode k) v))
+        (fun (k, v) ->
+          merged.memtable <- Memtable.adopt merged.memtable (Ikey.decode k) v)
         (Memtable.entries b.memtable);
       log_retire_bucket t b)
     [ left; right ];

@@ -1,5 +1,6 @@
 module Env = Wip_storage.Env
 module Io_stats = Wip_storage.Io_stats
+module Bytebuf = Wip_util.Bytebuf
 module Coding = Wip_util.Coding
 module Crc32c = Wip_util.Crc32c
 
@@ -48,17 +49,17 @@ let create env ~name =
   }
 
 let encode_edit edit =
-  let buf = Buffer.create 64 in
+  let buf = Bytebuf.create 64 in
   (match edit with
   | Add_bucket { id; lo } ->
-    Buffer.add_char buf '\001';
+    Bytebuf.add_char buf '\001';
     Coding.put_varint buf id;
     Coding.put_length_prefixed buf lo
   | Remove_bucket { id } ->
-    Buffer.add_char buf '\002';
+    Bytebuf.add_char buf '\002';
     Coding.put_varint buf id
   | Add_table { bucket; level; name; size; entry_count; smallest; largest } ->
-    Buffer.add_char buf '\003';
+    Bytebuf.add_char buf '\003';
     Coding.put_varint buf bucket;
     Coding.put_varint buf level;
     Coding.put_length_prefixed buf name;
@@ -67,15 +68,15 @@ let encode_edit edit =
     Coding.put_length_prefixed buf smallest;
     Coding.put_length_prefixed buf largest
   | Remove_table { bucket; level; name } ->
-    Buffer.add_char buf '\004';
+    Bytebuf.add_char buf '\004';
     Coding.put_varint buf bucket;
     Coding.put_varint buf level;
     Coding.put_length_prefixed buf name
   | Watermark { seq; next_file } ->
-    Buffer.add_char buf '\005';
+    Bytebuf.add_char buf '\005';
     Coding.put_fixed64 buf seq;
     Coding.put_varint buf next_file);
-  Buffer.contents buf
+  Bytebuf.contents buf
 
 let decode_edit payload =
   let tag = payload.[0] in
@@ -109,11 +110,11 @@ let decode_edit payload =
 
 let append t edit =
   let payload = encode_edit edit in
-  let buf = Buffer.create (String.length payload + 8) in
+  let buf = Bytebuf.create (String.length payload + 8) in
   Coding.put_fixed32 buf (Crc32c.masked (Crc32c.string payload));
   Coding.put_fixed32 buf (String.length payload);
-  Buffer.add_string buf payload;
-  let bytes = Buffer.contents buf in
+  Bytebuf.add_string buf payload;
+  let bytes = Bytebuf.contents buf in
   Env.append t.writer ~category:Io_stats.Manifest bytes;
   t.written <- t.written + String.length bytes
 

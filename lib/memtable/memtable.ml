@@ -81,6 +81,33 @@ let entries ?lo t =
   | I_sorted s ->
     Skiplist.to_sorted_seq ?lo s |> Seq.map (fun (ik, v) -> (Ikey.encode ik, v))
 
+let rec adopt t ikey value =
+  let added =
+    match t.impl with
+    | I_hash h -> Hash_memtable.try_add h ikey value
+    | I_sorted s ->
+      Skiplist.add s ikey value;
+      true
+  in
+  if added then begin
+    note_seq t ikey.Ikey.seq;
+    t
+  end
+  else begin
+    (* A hash table out of room: the key's directory entry is full, or
+       every item slot is taken. *)
+    let sorted =
+      create ~structure:Sorted ~capacity_items:t.capacity_items
+        ~capacity_bytes:t.capacity_bytes
+    in
+    let sorted =
+      Seq.fold_left
+        (fun acc (k, v) -> adopt acc (Ikey.decode k) v)
+        sorted (entries t)
+    in
+    adopt sorted ikey value
+  end
+
 let sorts t =
   match t.impl with I_hash h -> Hash_memtable.sorts h | I_sorted _ -> 0
 

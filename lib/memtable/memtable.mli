@@ -19,6 +19,15 @@ val try_add : t -> Wip_util.Ikey.t -> string -> bool
     table is full when [capacity_bytes] or [capacity_items] is reached; a
     hash table additionally when a directory entry overflows. *)
 
+val adopt : t -> Wip_util.Ikey.t -> string -> t
+(** Add an entry that a bucket split or merge moves over from a retired
+    bucket's table, and return the table to keep: [t], or — when [t] is a
+    hash table out of room for it (the key's directory entry full, or
+    [capacity_items] held) — a sorted table holding [t]'s entries and this
+    one. The entry is never refused, since it was acknowledged and its WAL
+    record may be reclaimed; capacity does not bind here, and the next
+    {!try_add} into a full table fails so its owner flushes. *)
+
 val find : t -> string -> snapshot:int64 -> (Wip_util.Ikey.kind * string) option
 
 val find_with_seq :

@@ -240,6 +240,7 @@ module Builder = struct
   }
 
   module Buf = Wip_util.Bytebuf
+  module Coding = Wip_util.Coding
 
   let create () =
     {
@@ -273,8 +274,9 @@ module Builder = struct
     t.restarts.(t.nrestarts) <- Buf.length t.buf;
     t.nrestarts <- t.nrestarts + 1
 
-  (* The entry [key.[0..klen)] -> [src.[voff..voff+vlen)]. *)
-  let add_raw t key klen src voff vlen =
+  (* An entry's header and key [key.[0..klen)]; its [vlen] value bytes
+     follow. *)
+  let add_key t key klen vlen =
     assert (
       t.entries = 0
       || compare_bytes t.last t.last_len key klen <= 0);
@@ -287,11 +289,10 @@ module Builder = struct
         0
       end
     in
-    Buf.put_varint t.buf shared;
-    Buf.put_varint t.buf (klen - shared);
-    Buf.put_varint t.buf vlen;
+    Coding.put_varint t.buf shared;
+    Coding.put_varint t.buf (klen - shared);
+    Coding.put_varint t.buf vlen;
     Buf.add_subbytes t.buf key ~pos:shared ~len:(klen - shared);
-    Buf.add_substring t.buf src ~pos:voff ~len:vlen;
     if Bytes.length t.last < klen then
       t.last <- Bytes.create (max klen (2 * Bytes.length t.last));
     Bytes.blit key 0 t.last 0 klen;
@@ -300,11 +301,19 @@ module Builder = struct
     t.entries <- t.entries + 1
 
   let add t ~key ~value =
-    add_raw t (Bytes.unsafe_of_string key) (String.length key) value 0
-      (String.length value)
+    add_key t (Bytes.unsafe_of_string key) (String.length key)
+      (String.length value);
+    Buf.add_string t.buf value
 
   let add_cursor t (c : Cursor.t) =
-    add_raw t c.key_buf c.key_len c.raw c.val_off c.val_len
+    add_key t c.key_buf c.key_len c.val_len;
+    Buf.add_substring t.buf c.raw ~pos:c.val_off ~len:c.val_len
+
+  let add_handle t ~key (h : Table_format.block_handle) =
+    add_key t (Bytes.unsafe_of_string key) (String.length key)
+      (Coding.varint_length h.offset + Coding.varint_length h.size);
+    Coding.put_varint t.buf h.offset;
+    Coding.put_varint t.buf h.size
 
   let size_estimate t = Buf.length t.buf + (4 * t.nrestarts) + 4
 
@@ -312,17 +321,14 @@ module Builder = struct
 
   let put_restarts t =
     for i = 0 to t.nrestarts - 1 do
-      Buf.put_fixed32 t.buf t.restarts.(i)
+      Coding.put_fixed32 t.buf t.restarts.(i)
     done;
-    Buf.put_fixed32 t.buf t.nrestarts
-
-  let finish t =
-    put_restarts t;
-    Buf.contents t.buf
+    Coding.put_fixed32 t.buf t.nrestarts
 
   let seal t =
     put_restarts t;
     let n = Buf.length t.buf in
-    Buf.put_fixed32 t.buf (Wip_util.Crc32c.masked (Buf.crc32c t.buf ~pos:0 ~len:n));
+    Coding.put_fixed32 t.buf
+      (Wip_util.Crc32c.masked (Buf.crc32c t.buf ~pos:0 ~len:n));
     Buf.contents t.buf
 end

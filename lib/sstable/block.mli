@@ -58,9 +58,9 @@ end
 
 module Builder : sig
   type t
-  (** One block at a time, in a buffer reused across blocks: {!seal} or
-      {!finish} hands a block out, {!reset} starts the next. Adding an
-      entry allocates nothing once the buffer has grown to a block. *)
+  (** One block at a time, in a buffer reused across blocks: {!seal} hands
+      a block out, {!reset} starts the next. Adding an entry allocates
+      nothing once the buffer has grown to a block. *)
 
   val create : unit -> t
 
@@ -70,18 +70,19 @@ module Builder : sig
   (** Add the cursor's current entry, copying its key and value bytes
       straight from the source block. *)
 
+  val add_handle : t -> key:string -> Table_format.block_handle -> unit
+  (** An index entry: the value is the handle's offset and size as two
+      varints, written in place. *)
+
   val size_estimate : t -> int
   (** Bytes the finished (unsealed) block would occupy so far. *)
 
   val entry_count : t -> int
 
-  val finish : t -> string
-  (** Raw block bytes (no CRC trailer). Call {!reset} before reuse. *)
-
   val seal : t -> string
-  (** The block with its masked CRC-32C trailer ({!Table_format.seal_block}
-      of {!finish}), written in place: one string copy. Call {!reset}
-      before reuse. *)
+  (** The block — entries, restart array — with its masked CRC-32C trailer
+      (as {!Table_format.seal_block} adds it), written in place: one string
+      copy. Call {!reset} before reuse. *)
 
   val reset : t -> unit
 end

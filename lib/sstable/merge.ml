@@ -1,9 +1,10 @@
-(* The inputs sit in one binary heap ordered by their current encoded key;
-   ties cannot arise within a store, whose encoded keys are unique (the
-   sequence trailer differs even between rewrites of one user key). The
-   head taken by [next] stays in place until the following [next], so its
-   bytes can be read — and copied into a table builder — without a string
-   per entry. *)
+(* The inputs sit in one binary heap ordered by their current encoded key.
+   Equal encoded keys — one write present in two inputs, as when a WAL
+   replay re-ingests a flushed table's contents — carry the same entry, so
+   the order the heap yields them in cannot show; version GC keeps one of
+   them at or below the snapshot floor. The head taken by [next] stays in
+   place until the following [next], so its bytes can be read — and copied
+   into a table builder — without a string per entry. *)
 
 module Ikey = Wip_util.Ikey
 module Cursor = Table.Reader.Cursor

@@ -22,6 +22,7 @@
    unrelated entry; the table layer verifies the user key before trusting the
    slot and counts the rejection as a ph false hit. *)
 
+module Bytebuf = Wip_util.Bytebuf
 module Coding = Wip_util.Coding
 module Hashing = Wip_util.Hashing
 
@@ -69,8 +70,8 @@ let byte_size r = String.length r.data
 (* --- encoding ------------------------------------------------------- *)
 
 let put_fixed16 buf v =
-  Buffer.add_char buf (Char.chr (v land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF))
+  Bytebuf.add_char buf (Char.chr (v land 0xFF));
+  Bytebuf.add_char buf (Char.chr ((v lsr 8) land 0xFF))
 
 let get_fixed16 s off =
   Char.code (String.unsafe_get s off)
@@ -149,7 +150,7 @@ let build ~keys ~locators =
     in
     if not (Array.for_all (fun k -> size k = 0 || place k 0) order) then None
     else begin
-      let buf = Buffer.create (16 + (2 * b) + (slot_bytes * m)) in
+      let buf = Bytebuf.create (16 + (2 * b) + (slot_bytes * m)) in
       Coding.put_varint buf n;
       Coding.put_varint buf m;
       Coding.put_varint buf b;
@@ -157,11 +158,11 @@ let build ~keys ~locators =
       Array.iter
         (fun i ->
           let loc = if i < 0 then 0 else locators.(i) in
-          Buffer.add_char buf (Char.chr (if i < 0 then 0 else fp.(i)));
+          Bytebuf.add_char buf (Char.chr (if i < 0 then 0 else fp.(i)));
           put_fixed16 buf (loc lsr 16);
           put_fixed16 buf (loc land 0xFFFF))
         slots;
-      Some (Buffer.contents buf)
+      Some (Bytebuf.contents buf)
     end
   end
 

@@ -78,8 +78,6 @@ let position t ~from =
     let seg = bs 0 (Array.length t.anchors) in
     (seg * seg_size, t.anchors.(seg))
 
-let selector t i = Bytes.get_uint8 t.selectors i
-
 let selectors t = t.selectors
 
 (* Extend with one run: replay the view — pop the old runs in selector

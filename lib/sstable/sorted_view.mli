@@ -21,9 +21,6 @@ val position : t -> from:string -> int * string
     anchor. Runs seeked to the anchor and popped in selector order from
     there replay the merge; at most [seg_size] entries precede [from]. *)
 
-val selector : t -> int -> int
-(** [selector t i] is the run that holds merged entry [i]. *)
-
 val selectors : t -> Bytes.t
 (** Every entry's selector, one byte each — what {!Merge.walk} replays.
     Do not mutate. *)

@@ -142,13 +142,8 @@ module Builder = struct
       append t (Table_format.seal_block (Wip_bloom.Bloom.encode t.bloom))
     in
     (* Index block, in the data blocks' buffer. *)
-    let value = Buffer.create 16 in
     List.iter
-      (fun (key, (handle : Table_format.block_handle)) ->
-        Buffer.clear value;
-        Wip_util.Coding.put_varint value handle.offset;
-        Wip_util.Coding.put_varint value handle.size;
-        Block.Builder.add t.block ~key ~value:(Buffer.contents value))
+      (fun (key, handle) -> Block.Builder.add_handle t.block ~key handle)
       (List.rev t.index_entries);
     let index_handle = append t (Block.Builder.seal t.block) in
     (* Perfect-hash point-index block (optional: absent when disabled,
@@ -494,17 +489,6 @@ module Reader = struct
 
   let get t ~category user_key ~snapshot =
     get_encoded t ~category (Ikey.encode_seek user_key ~seq:snapshot)
-
-  (* A one-shot sequence over a cursor, for tests and tools. *)
-  let stream t ~category ~admit ?from () =
-    let c = Cursor.create t ~category ~admit ?from () in
-    let rec go () =
-      if Cursor.next c then
-        let b = Cursor.block c in
-        Seq.Cons ((Block.Cursor.key b, Block.Cursor.value b), go)
-      else Seq.Nil
-    in
-    go
 
   let close t = Env.close_reader t.reader
 end

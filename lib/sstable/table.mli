@@ -149,17 +149,6 @@ module Reader : sig
     (** The block cursor holding the current entry, valid until [next]. *)
   end
 
-  val stream :
-    t ->
-    category:Wip_storage.Io_stats.category ->
-    admit:Wip_storage.Block_cache.admission ->
-    ?from:string ->
-    unit ->
-    (string * string) Seq.t
-  (** {!Cursor} as a one-shot sequence of fresh [(key, value)] pairs, for
-      tests and tools; the engines read through {!Cursor} and {!Merge}.
-      Force it at most once. *)
-
   val close : t -> unit
 end
 

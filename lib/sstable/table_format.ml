@@ -1,3 +1,4 @@
+module Bytebuf = Wip_util.Bytebuf
 module Coding = Wip_util.Coding
 module Crc32c = Wip_util.Crc32c
 
@@ -38,7 +39,7 @@ let footer_fixed_prefix_length = 12 (* magic (8) + length (4) *)
 
 let encode_footer f =
   let v2 = f.ph.size > 0 in
-  let buf = Buffer.create 64 in
+  let buf = Bytebuf.create 64 in
   Coding.put_varint buf f.index.offset;
   Coding.put_varint buf f.index.size;
   Coding.put_varint buf f.filter.offset;
@@ -51,9 +52,9 @@ let encode_footer f =
   Coding.put_length_prefixed buf f.smallest;
   Coding.put_length_prefixed buf f.largest;
   Coding.put_fixed64 buf (if v2 then magic_v2 else magic);
-  let total = Buffer.length buf + 4 in
+  let total = Bytebuf.length buf + 4 in
   Coding.put_fixed32 buf total;
-  Buffer.contents buf
+  Bytebuf.contents buf
 
 let decode_footer s =
   let n = String.length s in

@@ -31,22 +31,16 @@ let add_subbytes t b ~pos ~len =
   Bytes.blit b pos t.bytes t.len len;
   t.len <- t.len + len
 
-let rec put_varint t v =
-  assert (v >= 0);
-  if v < 0x80 then add_char t (Char.unsafe_chr v)
-  else begin
-    add_char t (Char.unsafe_chr (0x80 lor (v land 0x7f)));
-    put_varint t (v lsr 7)
-  end
+let set_int32_le t ~pos v =
+  if pos < 0 || pos + 4 > t.len then invalid_arg "Bytebuf.set_int32_le";
+  Bytes.set_int32_le t.bytes pos (Int32.of_int v)
 
-let set_fixed32 t ~pos v = Bytes.set_int32_le t.bytes pos (Int32.of_int v)
-
-let put_fixed32 t v =
+let add_int32_le t v =
   reserve t 4;
-  set_fixed32 t ~pos:t.len v;
+  Bytes.set_int32_le t.bytes t.len (Int32.of_int v);
   t.len <- t.len + 4
 
-let put_fixed64 t v =
+let add_int64_le t v =
   reserve t 8;
   Bytes.set_int64_le t.bytes t.len v;
   t.len <- t.len + 8

@@ -3,7 +3,7 @@
     Unlike [Buffer.t] it exposes its bytes in place, so a checksum can be
     computed over what was just written and patched into a header reserved
     before it, and the finished record leaves as a single string copy. The
-    encodings match {!Coding}'s. *)
+    on-disk integer encodings ({!Coding}) write into it. *)
 
 type t
 
@@ -23,14 +23,14 @@ val add_substring : t -> string -> pos:int -> len:int -> unit
 
 val add_subbytes : t -> Bytes.t -> pos:int -> len:int -> unit
 
-val put_varint : t -> int -> unit
+val add_int32_le : t -> int -> unit
+(** The low 32 bits, little-endian. *)
 
-val put_fixed32 : t -> int -> unit
+val add_int64_le : t -> int64 -> unit
 
-val put_fixed64 : t -> int64 -> unit
-
-val set_fixed32 : t -> pos:int -> int -> unit
-(** Overwrite four already written bytes at [pos]. *)
+val set_int32_le : t -> pos:int -> int -> unit
+(** Overwrite four already written bytes at [pos] with the low 32 bits of
+    the value, little-endian. *)
 
 val crc32c : t -> pos:int -> len:int -> int
 (** {!Crc32c.substring} over written bytes, read in place. *)

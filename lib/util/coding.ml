@@ -1,26 +1,18 @@
-let put_fixed32 buf v =
-  Buffer.add_char buf (Char.unsafe_chr (v land 0xff));
-  Buffer.add_char buf (Char.unsafe_chr ((v lsr 8) land 0xff));
-  Buffer.add_char buf (Char.unsafe_chr ((v lsr 16) land 0xff));
-  Buffer.add_char buf (Char.unsafe_chr ((v lsr 24) land 0xff))
+let put_fixed32 = Bytebuf.add_int32_le
 
-let put_fixed64 buf v =
-  for i = 0 to 7 do
-    let byte = Int64.(to_int (logand (shift_right_logical v (8 * i)) 0xffL)) in
-    Buffer.add_char buf (Char.unsafe_chr byte)
-  done
+let put_fixed64 = Bytebuf.add_int64_le
 
 let rec put_varint buf v =
   assert (v >= 0);
-  if v < 0x80 then Buffer.add_char buf (Char.unsafe_chr v)
+  if v < 0x80 then Bytebuf.add_char buf (Char.unsafe_chr v)
   else begin
-    Buffer.add_char buf (Char.unsafe_chr (0x80 lor (v land 0x7f)));
+    Bytebuf.add_char buf (Char.unsafe_chr (0x80 lor (v land 0x7f)));
     put_varint buf (v lsr 7)
   end
 
 let put_length_prefixed buf s =
   put_varint buf (String.length s);
-  Buffer.add_string buf s
+  Bytebuf.add_string buf s
 
 let get_fixed32 s off =
   Char.code s.[off]

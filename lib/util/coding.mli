@@ -1,18 +1,19 @@
 (** Binary coding primitives shared by the on-disk formats.
 
     Integers are little-endian. Varints follow the LEB128-style encoding used
-    by LevelDB: seven payload bits per byte, continuation bit in the MSB. *)
+    by LevelDB: seven payload bits per byte, continuation bit in the MSB.
+    Every on-disk writer encodes into a {!Bytebuf}. *)
 
-val put_fixed32 : Buffer.t -> int -> unit
+val put_fixed32 : Bytebuf.t -> int -> unit
 (** Append a 32-bit little-endian unsigned integer (given as an OCaml [int]
     in [\[0, 2^32)]). *)
 
-val put_fixed64 : Buffer.t -> int64 -> unit
+val put_fixed64 : Bytebuf.t -> int64 -> unit
 
-val put_varint : Buffer.t -> int -> unit
+val put_varint : Bytebuf.t -> int -> unit
 (** Append a non-negative [int] as a varint (1–9 bytes on 63-bit ints). *)
 
-val put_length_prefixed : Buffer.t -> string -> unit
+val put_length_prefixed : Bytebuf.t -> string -> unit
 (** Append [varint (String.length s)] followed by the raw bytes of [s]. *)
 
 val get_fixed32 : string -> int -> int

@@ -69,23 +69,21 @@ let create env ?(prefix = "wal") ?(segment_bytes = 4 * 1024 * 1024) () =
    after it, and then length and checksum are patched in place. *)
 let encode_batch out ~first_seq items =
   let header = Bytebuf.length out in
-  Bytebuf.put_fixed32 out 0;
-  Bytebuf.put_fixed32 out 0;
+  Coding.put_fixed32 out 0;
+  Coding.put_fixed32 out 0;
   let start = Bytebuf.length out in
-  Bytebuf.put_fixed64 out first_seq;
-  Bytebuf.put_varint out (List.length items);
+  Coding.put_fixed64 out first_seq;
+  Coding.put_varint out (List.length items);
   List.iter
     (fun (kind, key, value) ->
       Bytebuf.add_char out
         (match kind with Ikey.Value -> '\001' | Ikey.Deletion -> '\000');
-      Bytebuf.put_varint out (String.length key);
-      Bytebuf.add_string out key;
-      Bytebuf.put_varint out (String.length value);
-      Bytebuf.add_string out value)
+      Coding.put_length_prefixed out key;
+      Coding.put_length_prefixed out value)
     items;
   let len = Bytebuf.length out - start in
-  Bytebuf.set_fixed32 out ~pos:(header + 4) len;
-  Bytebuf.set_fixed32 out ~pos:header
+  Bytebuf.set_int32_le out ~pos:(header + 4) len;
+  Bytebuf.set_int32_le out ~pos:header
     (Crc32c.masked (Bytebuf.crc32c out ~pos:start ~len))
 
 let decode_records contents ~emit =

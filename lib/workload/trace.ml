@@ -1,5 +1,6 @@
 module Env = Wip_storage.Env
 module Io_stats = Wip_storage.Io_stats
+module Bytebuf = Wip_util.Bytebuf
 module Coding = Wip_util.Coding
 module Crc32c = Wip_util.Crc32c
 
@@ -10,24 +11,24 @@ type op =
   | Scan of { lo : string; hi : string; limit : int }
 
 let encode_op op =
-  let buf = Buffer.create 64 in
+  let buf = Bytebuf.create 64 in
   (match op with
   | Put (k, v) ->
-    Buffer.add_char buf 'P';
+    Bytebuf.add_char buf 'P';
     Coding.put_length_prefixed buf k;
     Coding.put_length_prefixed buf v
   | Delete k ->
-    Buffer.add_char buf 'D';
+    Bytebuf.add_char buf 'D';
     Coding.put_length_prefixed buf k
   | Get k ->
-    Buffer.add_char buf 'G';
+    Bytebuf.add_char buf 'G';
     Coding.put_length_prefixed buf k
   | Scan { lo; hi; limit } ->
-    Buffer.add_char buf 'S';
+    Bytebuf.add_char buf 'S';
     Coding.put_length_prefixed buf lo;
     Coding.put_length_prefixed buf hi;
     Coding.put_varint buf limit);
-  Buffer.contents buf
+  Bytebuf.contents buf
 
 let decode_op payload =
   match payload.[0] with
@@ -57,11 +58,11 @@ module Writer = struct
   let record t op =
     assert (not t.closed);
     let payload = encode_op op in
-    let buf = Buffer.create (String.length payload + 8) in
+    let buf = Bytebuf.create (String.length payload + 8) in
     Coding.put_fixed32 buf (Crc32c.masked (Crc32c.string payload));
     Coding.put_fixed32 buf (String.length payload);
-    Buffer.add_string buf payload;
-    Env.append t.writer ~category:Io_stats.Manifest (Buffer.contents buf);
+    Bytebuf.add_string buf payload;
+    Env.append t.writer ~category:Io_stats.Manifest (Bytebuf.contents buf);
     t.ops <- t.ops + 1
 
   let close t =

@@ -2,8 +2,8 @@
    compaction, split and view build used before they moved onto run cursors
    ({!Wip_sstable.Merge}): a pairing heap over [(key, value)] sequences with
    a lazy filter. The cursor merge must write byte-identical tables (see
-   test_compaction.ml), and the merge and property tests check their
-   expectations against this too. *)
+   test_compaction.ml), and a sorted view must replay this merge's order
+   (see test_sorted_view.ml). *)
 
 module Ikey = Wip_util.Ikey
 

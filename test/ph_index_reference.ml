@@ -4,6 +4,7 @@
    test_sorted_view.ml, "ph build matches reference"). Constants and slot
    arithmetic are restated here because ph_index.mli keeps them private. *)
 
+module Bytebuf = Wip_util.Bytebuf
 module Coding = Wip_util.Coding
 module Hashing = Wip_util.Hashing
 
@@ -28,8 +29,8 @@ let slot_params hb ~m =
 let slot_of ~h1 ~h2 ~m d = (h1 + ((d / 256) * h2) + (d mod 256)) mod m
 
 let put_fixed16 buf v =
-  Buffer.add_char buf (Char.chr (v land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF))
+  Bytebuf.add_char buf (Char.chr (v land 0xFF));
+  Bytebuf.add_char buf (Char.chr ((v lsr 8) land 0xFF))
 
 let build ~keys ~locators =
   let n = Array.length keys in
@@ -94,7 +95,7 @@ let build ~keys ~locators =
       in
       if not (search 0) then None
       else begin
-        let buf = Buffer.create (16 + (2 * b) + (slot_bytes * m)) in
+        let buf = Bytebuf.create (16 + (2 * b) + (slot_bytes * m)) in
         Coding.put_varint buf n;
         Coding.put_varint buf m;
         Coding.put_varint buf b;
@@ -102,18 +103,18 @@ let build ~keys ~locators =
         Array.iter
           (fun i ->
             if i < 0 then begin
-              Buffer.add_char buf '\000';
+              Bytebuf.add_char buf '\000';
               put_fixed16 buf 0;
               put_fixed16 buf 0
             end
             else begin
               let ha = Hashing.hash64 ~seed:seed_bucket keys.(i) in
-              Buffer.add_char buf (Char.chr (fingerprint ha));
+              Bytebuf.add_char buf (Char.chr (fingerprint ha));
               put_fixed16 buf (locators.(i) lsr 16);
               put_fixed16 buf (locators.(i) land 0xFFFF)
             end)
           slots;
-        Some (Buffer.contents buf)
+        Some (Bytebuf.contents buf)
       end
     end
   end

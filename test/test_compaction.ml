@@ -164,7 +164,7 @@ let check_case seed =
     Merge_iter_reference.compact ~drop_tombstones ~snapshot_floor:floor
       (List.map
          (fun m ->
-           Table.Reader.stream (Table_set.reader_of ts m) ~category
+           Sstable_helpers.stream (Table_set.reader_of ts m) ~category
              ~admit:Block_cache.Bypass ())
          metas)
   in

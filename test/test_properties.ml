@@ -5,7 +5,7 @@ module Ikey = Wip_util.Ikey
 module Env = Wip_storage.Env
 module Io_stats = Wip_storage.Io_stats
 module Block = Wip_sstable.Block
-module Merge_iter = Merge_iter_reference
+module Merge = Wip_sstable.Merge
 module Distribution = Wip_workload.Distribution
 
 (* Blocks must roundtrip keys with heavy shared prefixes and arbitrary
@@ -23,7 +23,7 @@ let qcheck_block_prefix_compression =
       in
       let b = Block.Builder.create () in
       List.iter (fun (k, v) -> Block.Builder.add b ~key:k ~value:v) keys;
-      let raw_block = Block.Builder.finish b in
+      let raw_block = Sstable_helpers.block_contents b in
       Block.decode_all raw_block = keys)
 
 (* The memcomparable encoding is the load-bearing invariant of the whole
@@ -61,6 +61,13 @@ let qcheck_encode_order_agrees =
          keys we think it is about *)
       && Ikey.decode (Ikey.encode a) = a)
 
+let drain = Sstable_helpers.drain
+
+let compact_dropping_tombstones entries =
+  drain
+    (Merge.compact ~drop_tombstones:true ~snapshot_floor:Int64.max_int
+       [ Merge.mem (List.to_seq entries) ])
+
 (* compact is idempotent: compacting an already-compacted stream changes
    nothing. *)
 let qcheck_compact_idempotent =
@@ -75,15 +82,8 @@ let qcheck_compact_idempotent =
                  "v" ))
         |> List.sort_uniq (fun (a, _) (b, _) -> String.compare a b)
       in
-      let once =
-        List.of_seq
-          (Merge_iter.compact ~drop_tombstones:true [ List.to_seq entries ])
-      in
-      let twice =
-        List.of_seq
-          (Merge_iter.compact ~drop_tombstones:true [ List.to_seq once ])
-      in
-      once = twice)
+      let once = compact_dropping_tombstones entries in
+      once = compact_dropping_tombstones once)
 
 (* Splitting one sorted stream into chunks and merging them back is the
    identity. *)
@@ -104,7 +104,7 @@ let qcheck_merge_of_partition_is_identity =
       let seqs =
         Array.to_list chunks |> List.map (fun c -> List.to_seq (List.rev c))
       in
-      List.of_seq (Merge_iter.merge seqs) = entries)
+      drain (Merge.create (List.map Merge.mem seqs)) = entries)
 
 (* Every distribution shape stays within the space bound. *)
 let qcheck_distribution_bounds =

@@ -8,6 +8,7 @@
 
 module Protocol = Wip_server.Protocol
 module Ikey = Wip_util.Ikey
+module Bytebuf = Wip_util.Bytebuf
 module Coding = Wip_util.Coding
 
 (* ------------------------------------------------------------------ *)
@@ -154,17 +155,17 @@ let qcheck_corruption_never_raises =
 (* Build a raw frame from an explicit body (id + tag + payload supplied
    by the test), bypassing the encoder's invariants. *)
 let raw_frame body =
-  let b = Buffer.create 32 in
+  let b = Bytebuf.create 32 in
   Coding.put_fixed32 b (String.length body);
-  Buffer.add_string b body;
-  Buffer.contents b
+  Bytebuf.add_string b body;
+  Bytebuf.contents b
 
 let body ~id ~tag payload =
-  let b = Buffer.create 32 in
+  let b = Bytebuf.create 32 in
   Coding.put_fixed32 b id;
-  Buffer.add_char b (Char.chr tag);
-  Buffer.add_string b payload;
-  Buffer.contents b
+  Bytebuf.add_char b (Char.chr tag);
+  Bytebuf.add_string b payload;
+  Bytebuf.contents b
 
 let check_fail name expect got =
   match got with
@@ -176,10 +177,10 @@ let check_fail name expect got =
 let test_adversarial_frames () =
   (* Declared frame length beyond the cap: typed Oversized before any
      allocation of that size. *)
-  let b = Buffer.create 8 in
+  let b = Bytebuf.create 8 in
   Coding.put_fixed32 b (Protocol.max_frame_bytes + 1);
-  Buffer.add_string b "xxxx";
-  (match Protocol.decode_request (Buffer.contents b) ~pos:0 with
+  Bytebuf.add_string b "xxxx";
+  (match Protocol.decode_request (Bytebuf.contents b) ~pos:0 with
   | Protocol.Fail (Protocol.Oversized { len }) ->
     Alcotest.(check int) "oversized len" (Protocol.max_frame_bytes + 1) len
   | _ -> Alcotest.fail "oversized: wrong result");
@@ -192,14 +193,14 @@ let test_adversarial_frames () =
      frame is complete (declared length satisfied) so this is Truncated,
      not Need_more. *)
   let get_body =
-    let b = Buffer.create 8 in
+    let b = Bytebuf.create 8 in
     Coding.put_fixed32 b 9;
     (* id *)
-    Buffer.add_char b '\x02';
+    Bytebuf.add_char b '\x02';
     (* tag_get *)
     Coding.put_varint b 200;
     (* key claims 200 bytes; none follow *)
-    Buffer.contents b
+    Bytebuf.contents b
   in
   check_fail "inner truncation" "truncated frame body"
     (Protocol.decode_request (raw_frame get_body) ~pos:0);
@@ -211,15 +212,15 @@ let test_adversarial_frames () =
     (Protocol.decode_request (raw_frame "abc") ~pos:0);
   (* A write_batch item with an unknown kind byte. *)
   let batch_body =
-    let b = Buffer.create 8 in
+    let b = Bytebuf.create 8 in
     Coding.put_varint b 1;
-    Buffer.add_char b '\x09';
+    Bytebuf.add_char b '\x09';
     (* bogus kind *)
     Coding.put_varint b 1;
-    Buffer.add_char b 'k';
+    Bytebuf.add_char b 'k';
     Coding.put_varint b 1;
-    Buffer.add_char b 'v';
-    Buffer.contents b
+    Bytebuf.add_char b 'v';
+    Bytebuf.contents b
   in
   (match
      Protocol.decode_request (raw_frame (body ~id:1 ~tag:0x05 batch_body)) ~pos:0
@@ -294,16 +295,16 @@ let test_error_frames_roundtrip () =
    it onto the wire as something else. *)
 let test_negative_scan_limit () =
   let scan_body =
-    let b = Buffer.create 16 in
+    let b = Bytebuf.create 16 in
     Coding.put_varint b 0;
     (* lo = "" *)
     Coding.put_varint b 0;
     (* hi = "" *)
     for _ = 1 to 8 do
-      Buffer.add_char b '\x80'
+      Bytebuf.add_char b '\x80'
     done;
-    Buffer.add_char b '\x40';
-    Buffer.contents b
+    Bytebuf.add_char b '\x40';
+    Bytebuf.contents b
   in
   (match
      Protocol.decode_request (raw_frame (body ~id:6 ~tag:0x06 scan_body)) ~pos:0

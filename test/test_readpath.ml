@@ -75,7 +75,7 @@ let test_stream_scan_resistance () =
   let cache = Block_cache.create ~capacity_bytes:(1 lsl 20) in
   let r = build_table ~cache env 2000 in
   let drain s = Seq.iter (fun _ -> ()) s in
-  drain (Table.Reader.stream r ~category:(Io_stats.Compaction_read 0)
+  drain (Sstable_helpers.stream r ~category:(Io_stats.Compaction_read 0)
            ~admit:Block_cache.Bypass ());
   Alcotest.(check int) "cold pass caches nothing" 0
     (Block_cache.entry_count cache);
@@ -83,7 +83,7 @@ let test_stream_scan_resistance () =
     (Block_cache.bypasses cache > 0);
   Alcotest.(check int) "not as misses" 0 (Block_cache.misses cache);
   drain
-    (Table.Reader.stream r ~category:Io_stats.Read_path
+    (Sstable_helpers.stream r ~category:Io_stats.Read_path
        ~admit:Block_cache.Scan ());
   Alcotest.(check bool) "filling pass populates" true
     (Block_cache.entry_count cache > 0);
@@ -91,7 +91,7 @@ let test_stream_scan_resistance () =
      cache hits: no device I/O. *)
   let stats = Env.stats env in
   let device0 = Io_stats.read_by stats (Io_stats.Compaction_read 0) in
-  drain (Table.Reader.stream r ~category:(Io_stats.Compaction_read 0)
+  drain (Sstable_helpers.stream r ~category:(Io_stats.Compaction_read 0)
            ~admit:Block_cache.Bypass ());
   Alcotest.(check int) "warm non-filling pass reads no device bytes" device0
     (Io_stats.read_by stats (Io_stats.Compaction_read 0))

@@ -200,11 +200,11 @@ let test_malformed_frame_hangs_up () =
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
       Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port srv));
       (* A frame with an unknown opcode 0x7f. *)
-      let buf = Buffer.create 16 in
+      let buf = Wip_util.Bytebuf.create 16 in
       Wip_util.Coding.put_fixed32 buf 5;
       Wip_util.Coding.put_fixed32 buf 1;
-      Buffer.add_char buf '\x7f';
-      let garbage = Buffer.contents buf in
+      Wip_util.Bytebuf.add_char buf '\x7f';
+      let garbage = Wip_util.Bytebuf.contents buf in
       let _ = Unix.write_substring fd garbage 0 (String.length garbage) in
       (* Read everything until EOF: exactly one Bad_request frame. *)
       let chunk = Bytes.create 4096 in
@@ -251,13 +251,13 @@ let test_negative_scan_limit_over_wire () =
         Buffer.add_char payload '\x80'
       done;
       Buffer.add_char payload '\x40';
-      let buf = Buffer.create 32 in
+      let buf = Wip_util.Bytebuf.create 32 in
       Wip_util.Coding.put_fixed32 buf (4 + 1 + Buffer.length payload);
       Wip_util.Coding.put_fixed32 buf 9;
-      Buffer.add_char buf '\x06';
+      Wip_util.Bytebuf.add_char buf '\x06';
       (* tag_scan *)
-      Buffer.add_buffer buf payload;
-      let frame = Buffer.contents buf in
+      Wip_util.Bytebuf.add_string buf (Buffer.contents payload);
+      let frame = Wip_util.Bytebuf.contents buf in
       let _ = Unix.write_substring fd frame 0 (String.length frame) in
       let chunk = Bytes.create 4096 in
       let rec drain acc =

@@ -1,4 +1,4 @@
-(* Tests for wip_sstable: block coding, table build/read, merge iterator. *)
+(* Tests for wip_sstable: block coding, table build/read, the k-way merge. *)
 
 module Ikey = Wip_util.Ikey
 module Env = Wip_storage.Env
@@ -6,7 +6,7 @@ module Io_stats = Wip_storage.Io_stats
 module Block = Wip_sstable.Block
 module Table = Wip_sstable.Table
 module Table_format = Wip_sstable.Table_format
-module Merge_iter = Merge_iter_reference
+module Merge = Wip_sstable.Merge
 
 let ik ?(kind = Ikey.Value) key seq = Ikey.make ~kind key ~seq:(Int64.of_int seq)
 
@@ -15,9 +15,11 @@ let enc ?kind key seq = Ikey.encode (ik ?kind key seq)
 (* A table's decoded entries from user key [lo] (default: all). *)
 let iter_from r ?(lo = "") () =
   let from = if lo = "" then "" else Ikey.encode_seek lo ~seq:Ikey.max_seq in
-  Table.Reader.stream r ~category:Io_stats.Read_path
+  Sstable_helpers.stream r ~category:Io_stats.Read_path
     ~admit:Wip_storage.Block_cache.Scan ~from ()
   |> Seq.map (fun (k, v) -> (Ikey.decode k, v))
+
+let block_contents = Sstable_helpers.block_contents
 
 (* ------------------------------------------------------------------ *)
 (* Block layer *)
@@ -28,7 +30,7 @@ let test_block_roundtrip () =
     List.init 100 (fun i -> (Printf.sprintf "key-%05d" i, "value" ^ string_of_int i))
   in
   List.iter (fun (k, v) -> Block.Builder.add b ~key:k ~value:v) entries;
-  let raw = Block.Builder.finish b in
+  let raw = block_contents b in
   Alcotest.(check (list (pair string string))) "all entries back" entries
     (Block.decode_all raw)
 
@@ -37,7 +39,7 @@ let test_block_seek () =
   for i = 0 to 99 do
     Block.Builder.add b ~key:(Printf.sprintf "k%04d" (i * 2)) ~value:(string_of_int i)
   done;
-  let cur = Block.Cursor.create (Block.Builder.finish b) in
+  let cur = Block.Cursor.create (block_contents b) in
   let seek target =
     if Block.Cursor.seek cur target then Some (Block.Cursor.key cur) else None
   in
@@ -239,16 +241,23 @@ let test_overlaps () =
     (Table.overlaps empty ~lo:"a" ~hi:"z")
 
 (* ------------------------------------------------------------------ *)
-(* Merge iterator *)
+(* The k-way merge *)
 
 let seq_of_list l = List.to_seq l
+
+let drain = Sstable_helpers.drain
+
+let merge seqs = drain (Merge.create (List.map Merge.mem seqs))
+
+let compact ?(drop_tombstones = false) ?(snapshot_floor = Int64.max_int) seqs =
+  drain (Merge.compact ~drop_tombstones ~snapshot_floor (List.map Merge.mem seqs))
 
 let user_of = Ikey.user_key_of_encoded
 
 let test_merge_order () =
   let s1 = seq_of_list [ (enc "a" 1, "1"); (enc "c" 2, "2") ] in
   let s2 = seq_of_list [ (enc "b" 3, "3"); (enc "d" 4, "4") ] in
-  let merged = List.of_seq (Merge_iter.merge [ s1; s2 ]) in
+  let merged = merge [ s1; s2 ] in
   Alcotest.(check (list string)) "interleaved"
     [ "a"; "b"; "c"; "d" ]
     (List.map (fun (k, _) -> user_of k) merged)
@@ -256,7 +265,7 @@ let test_merge_order () =
 let test_compact_dedup () =
   let newer = seq_of_list [ (enc "k" 9, "new") ] in
   let older = seq_of_list [ (enc "k" 2, "old"); (enc "z" 1, "zv") ] in
-  let out = List.of_seq (Merge_iter.compact [ newer; older ]) in
+  let out = compact [ newer; older ] in
   Alcotest.(check (list (pair string string)))
     "newest survives"
     [ ("k", "new"); ("z", "zv") ]
@@ -266,7 +275,7 @@ let test_compact_tombstones () =
   let s =
     seq_of_list [ (enc ~kind:Ikey.Deletion "k" 5, ""); (enc "k" 2, "old") ]
   in
-  let keep = List.of_seq (Merge_iter.compact ~drop_tombstones:false [ s ]) in
+  let keep = compact ~drop_tombstones:false [ s ] in
   Alcotest.(check int) "tombstone kept" 1 (List.length keep);
   (match keep with
   | [ (k, _) ] ->
@@ -276,7 +285,7 @@ let test_compact_tombstones () =
   let s =
     seq_of_list [ (enc ~kind:Ikey.Deletion "k" 5, ""); (enc "k" 2, "old") ]
   in
-  let dropped = List.of_seq (Merge_iter.compact ~drop_tombstones:true [ s ]) in
+  let dropped = compact ~drop_tombstones:true [ s ] in
   Alcotest.(check int) "tombstone and shadowed value gone" 0 (List.length dropped)
 
 let test_compact_snapshot_floor () =
@@ -284,13 +293,13 @@ let test_compact_snapshot_floor () =
     seq_of_list
       [ (enc "k" 9, "v9"); (enc "k" 7, "v7"); (enc "k" 3, "v3"); (enc "k" 1, "v1") ]
   in
-  let out = List.of_seq (Merge_iter.compact ~snapshot_floor:7L [ s ]) in
+  let out = compact ~snapshot_floor:7L [ s ] in
   (* Versions above the floor (9) are kept; newest at/below floor (7) kept;
      older (3, 1) dropped. *)
   Alcotest.(check (list string)) "floor semantics" [ "v9"; "v7" ]
     (List.map snd out)
 
-(* Regression for the pairing-heap [merge]: the output must stay exactly the
+(* Regression for the heap [merge]: the output must stay exactly the
    multiset of inputs sorted by encoded-key order — same ordering and
    duplicate handling as a reference sort — across many streams, empty
    streams, and (key, seq) entries duplicated between streams (as after a
@@ -310,7 +319,7 @@ let test_merge_matches_reference_sort () =
     List.concat streams
     |> List.stable_sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  let out = List.of_seq (Merge_iter.merge (List.map seq_of_list streams)) in
+  let out = merge (List.map seq_of_list streams) in
   Alcotest.(check int) "length preserved" (List.length expected)
     (List.length out);
   List.iter2
@@ -319,9 +328,7 @@ let test_merge_matches_reference_sort () =
       Alcotest.(check string) "value" ev ov)
     expected out;
   (* Duplicate handling downstream: compact keeps one entry per user key. *)
-  let compacted =
-    List.of_seq (Merge_iter.compact (List.map seq_of_list streams))
-  in
+  let compacted = compact (List.map seq_of_list streams) in
   Alcotest.(check (list (pair string string)))
     "compact dedups to newest per key"
     [ ("a", "a9"); ("b", "b7"); ("c", "c4"); ("d", "d2"); ("f", "f1"); ("z", "z1") ]
@@ -340,7 +347,7 @@ let qcheck_merge_is_sorted =
             |> seq_of_list)
           lists
       in
-      let out = List.of_seq (Merge_iter.merge seqs) in
+      let out = merge seqs in
       let rec sorted = function
         | (a, _) :: ((b, _) :: _ as rest) ->
           String.compare a b <= 0 && sorted rest
@@ -450,13 +457,13 @@ let test_cursor_matches_decode_all () =
     in
     Block.Builder.add b ~key ~value:(String.make (i mod 7) 'v')
   done;
-  check_cursor_agrees (Block.Builder.finish b);
+  check_cursor_agrees (block_contents b);
   (* Rewind re-walks from the start. *)
   let b = Block.Builder.create () in
   List.iter
     (fun k -> Block.Builder.add b ~key:k ~value:k)
     [ "a"; "ab"; "abc"; "b" ];
-  let raw = Block.Builder.finish b in
+  let raw = block_contents b in
   let cur = Block.Cursor.create raw in
   ignore (Block.Cursor.seek cur "abc");
   Block.Cursor.rewind cur;
@@ -470,10 +477,10 @@ let test_cursor_restart_boundaries () =
   for i = 0 to n - 1 do
     Block.Builder.add b ~key:(Printf.sprintf "%06d" (2 * i)) ~value:""
   done;
-  check_cursor_agrees (Block.Builder.finish b)
+  check_cursor_agrees (block_contents b)
 
 let test_cursor_empty_block () =
-  let raw = Block.Builder.finish (Block.Builder.create ()) in
+  let raw = block_contents (Block.Builder.create ()) in
   let cur = Block.Cursor.create raw in
   Alcotest.(check bool) "next on empty" false (Block.Cursor.next cur);
   Alcotest.(check bool) "seek on empty" false (Block.Cursor.seek cur "x")
@@ -489,7 +496,7 @@ let qcheck_cursor_equivalence =
       in
       let b = Block.Builder.create () in
       List.iter (fun (k, v) -> Block.Builder.add b ~key:k ~value:v) entries;
-      let raw = Block.Builder.finish b in
+      let raw = block_contents b in
       check_cursor_agrees raw;
       true)
 
@@ -547,7 +554,7 @@ let test_cursor_steps_allocate_nothing () =
   let b = Block.Builder.create () in
   let keys = Array.init n (fun i -> enc (Printf.sprintf "user-%06d" i) (n - i)) in
   Array.iteri (fun i k -> Block.Builder.add b ~key:k ~value:(string_of_int i)) keys;
-  let cur = Block.Cursor.create (Block.Builder.finish b) in
+  let cur = Block.Cursor.create (block_contents b) in
   (* Warm-up: grow the key buffer to its final size. *)
   while Block.Cursor.next cur do () done;
   let words f =

@@ -1,5 +1,6 @@
 (* Tests for wip_util: coding, CRC, hashing, internal keys, RNG. *)
 
+module Bytebuf = Wip_util.Bytebuf
 module Coding = Wip_util.Coding
 module Crc32c = Wip_util.Crc32c
 module Hashing = Wip_util.Hashing
@@ -11,9 +12,9 @@ let check = Alcotest.check
 let test_varint_roundtrip () =
   List.iter
     (fun v ->
-      let buf = Buffer.create 16 in
+      let buf = Bytebuf.create 16 in
       Coding.put_varint buf v;
-      let s = Buffer.contents buf in
+      let s = Bytebuf.contents buf in
       let v', off = Coding.get_varint s 0 in
       check Alcotest.int "value" v v';
       check Alcotest.int "length" (String.length s) off;
@@ -22,19 +23,19 @@ let test_varint_roundtrip () =
     [ 0; 1; 127; 128; 300; 16383; 16384; 1 lsl 20; 1 lsl 40; max_int ]
 
 let test_fixed_roundtrip () =
-  let buf = Buffer.create 16 in
+  let buf = Bytebuf.create 16 in
   Coding.put_fixed32 buf 0xDEADBEEF;
   Coding.put_fixed64 buf 0x1122334455667788L;
-  let s = Buffer.contents buf in
+  let s = Bytebuf.contents buf in
   check Alcotest.int "fixed32" 0xDEADBEEF (Coding.get_fixed32 s 0);
   check Alcotest.bool "fixed64" true
     (Int64.equal 0x1122334455667788L (Coding.get_fixed64 s 4))
 
 let test_length_prefixed () =
-  let buf = Buffer.create 16 in
+  let buf = Bytebuf.create 16 in
   Coding.put_length_prefixed buf "hello";
   Coding.put_length_prefixed buf "";
-  let s = Buffer.contents buf in
+  let s = Bytebuf.contents buf in
   let a, off = Coding.get_length_prefixed s 0 in
   let b, off' = Coding.get_length_prefixed s off in
   check Alcotest.string "first" "hello" a;
@@ -138,9 +139,9 @@ let qcheck_varint =
   QCheck.Test.make ~name:"varint roundtrips any nat" ~count:500
     QCheck.(map abs int)
     (fun v ->
-      let buf = Buffer.create 16 in
+      let buf = Bytebuf.create 16 in
       Coding.put_varint buf v;
-      fst (Coding.get_varint (Buffer.contents buf) 0) = v)
+      fst (Coding.get_varint (Bytebuf.contents buf) 0) = v)
 
 let qcheck_ikey_compare_encode =
   QCheck.Test.make ~name:"ikey encode/decode preserves compare" ~count:500

@@ -377,6 +377,25 @@ let test_bucket_merge () =
     if Store.get db (key i) = None then Alcotest.failf "merge lost key %d" i
   done
 
+(* A split moves the retired bucket's MemTable items to the new buckets in
+   key order. Each batch here adds a small item, then a bigger one that
+   sorts first and takes the table past its byte capacity: moved in key
+   order, the small item reaches a full table and must still be kept. *)
+let test_split_keeps_memtable_items () =
+  let db = Store.create small_config in
+  let big = String.make (small_config.Config.memtable_bytes + 1) 'x' in
+  let n = 400 in
+  for i = 0 to n - 1 do
+    let k = key (i * 1000) in
+    Store.write_batch db
+      [ (Wip_util.Ikey.Value, k ^ "b", "small"); (Wip_util.Ikey.Value, k ^ "a", big) ]
+  done;
+  Alcotest.(check bool) "buckets split" true (Store.split_count db > 0);
+  for i = 0 to n - 1 do
+    let k = key (i * 1000) ^ "b" in
+    if Store.get db k = None then Alcotest.failf "split lost %s" k
+  done
+
 let test_write_batch_atomic_visibility () =
   let db = Store.create small_config in
   Store.write_batch db
@@ -473,6 +492,8 @@ let suite =
       test_read_aware_scheduling_prioritizes_hot_bucket;
     Alcotest.test_case "DRC ignores reads" `Quick test_drc_ignores_reads;
     Alcotest.test_case "bucket merge" `Quick test_bucket_merge;
+    Alcotest.test_case "split keeps memtable items" `Quick
+      test_split_keeps_memtable_items;
     Alcotest.test_case "write batch" `Quick test_write_batch_atomic_visibility;
     Alcotest.test_case "edge values/keys" `Quick test_empty_value_and_binary_keys;
     QCheck_alcotest.to_alcotest qcheck_model;
