@@ -64,8 +64,8 @@ let make_rocksdb_bigmem ~scale () =
   }
 
 let make_pebblesdb ~scale () =
-  let db = Wip_flsm.Flsm.create (Wip_flsm.Flsm.default_config ~scale) in
-  { label = "PebblesDB"; store = Store_intf.Store ((module Wip_flsm.Flsm), db) }
+  let db = Wip_lsm.Flsm.create (Wip_lsm.Flsm.default_config ~scale) in
+  { label = "PebblesDB"; store = Store_intf.Store ((module Wip_lsm.Flsm), db) }
 
 (* ------------------------------------------------------------------ *)
 (* Drivers *)

@@ -214,15 +214,15 @@ let leveled_arm ~accel =
 let flsm_arm ~accel =
   let cfg =
     {
-      (Wip_flsm.Flsm.default_config ~scale:1) with
-      Wip_flsm.Flsm.memtable_bytes = 40 * 1024;
+      (Wip_lsm.Flsm.default_config ~scale:1) with
+      Wip_lsm.Flsm.memtable_bytes = 40 * 1024;
       max_files_per_guard = 999;
       sorted_view = accel;
       ph_index = accel;
       name = (if accel then "flsm-on" else "flsm-off");
     }
   in
-  Store_intf.Store ((module Wip_flsm.Flsm), Wip_flsm.Flsm.create cfg)
+  Store_intf.Store ((module Wip_lsm.Flsm), Wip_lsm.Flsm.create cfg)
 
 let engine_json name (on, off) =
   Printf.sprintf

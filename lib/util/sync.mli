@@ -14,7 +14,7 @@
     - [rank_shard_base + i] (1000 + shard index) — shard locks, acquired
       in ascending shard order by cross-shard operations.
     - [rank_leaf] (1_000_000, the default) — leaf locks (Env, Io_stats,
-      Block_cache, Histogram, Throughput): critical sections that take no
+      Block_cache, Histogram): critical sections that take no
       further lock. Two leaf locks must never nest.
 
     In debug mode ({!set_debug}) every acquisition is validated against a

@@ -247,7 +247,11 @@ let reclaim t ~persisted_below =
   let freed = ref 0 in
   let keep, drop =
     List.partition
-      (fun seg -> Int64.compare seg.seg_max_seq persisted_below >= 0)
+      (fun seg ->
+        Int64.compare seg.seg_max_seq persisted_below >= 0
+        (* Right after a roll the current segment is empty, and the newest
+           record sits in the last rolled one. *)
+        || Int64.equal seg.seg_max_seq t.max_seq)
       t.segments
   in
   List.iter

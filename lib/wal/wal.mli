@@ -65,10 +65,13 @@ val durable_seq : t -> int64
 
 val reclaim : t -> persisted_below:int64 -> int
 (** [reclaim t ~persisted_below:s] deletes every segment all of whose
-    records have sequence numbers [< s]; returns bytes freed. This is the
-    Figure 5 tail advance: [s] should be the minimum over live MemTables of
-    their smallest unpersisted sequence number (or the next unassigned
-    sequence number if everything is persisted). *)
+    records have sequence numbers [< s], except the one holding the newest
+    record: {!recover} learns {!max_seq_logged} from it, and a store
+    restarting from the log takes its sequence number from there. Returns
+    bytes freed. This is the Figure 5 tail advance: [s] should be the
+    minimum over live MemTables of their smallest unpersisted sequence
+    number (or the next unassigned sequence number if everything is
+    persisted). *)
 
 val total_bytes : t -> int
 (** Live log footprint. *)

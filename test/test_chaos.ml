@@ -92,12 +92,12 @@ let leveled =
 let flsm =
   Engine
     ( "flsm",
-      (module Wip_flsm.Flsm),
+      (module Wip_lsm.Flsm),
       fun ~env ~name ->
-        Wip_flsm.Flsm.create ~env
+        Wip_lsm.Flsm.create ~env
           {
-            (Wip_flsm.Flsm.default_config ~scale:1) with
-            Wip_flsm.Flsm.memtable_bytes = 4 * 1024;
+            (Wip_lsm.Flsm.default_config ~scale:1) with
+            Wip_lsm.Flsm.memtable_bytes = 4 * 1024;
             name;
           } )
 

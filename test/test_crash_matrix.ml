@@ -19,11 +19,12 @@
 module Config = Wipdb.Config
 module Store = Wipdb.Store
 module Leveled = Wip_lsm.Leveled
-module Flsm = Wip_flsm.Flsm
+module Flsm = Wip_lsm.Flsm
 module Env = Wip_storage.Env
 module Fault_env = Wip_storage.Fault_env
 module Io_stats = Wip_storage.Io_stats
 module Ikey = Wip_util.Ikey
+module Table = Wip_sstable.Table
 
 (* ------------------------------------------------------------------ *)
 (* Uniform view of the three engines *)
@@ -527,6 +528,128 @@ let test_crash_during_retry_backoff () =
           (Io_stats.fault_count (Env.stats (Fault_env.env fenv)) >= 1))
     sample
 
+(* Matrix row: a torn manifest tail inside a guard commit. Committing a
+   guard splits every fragment straddling it; a crash at any durable op of
+   that commit, keeping the whole unsynced tail of the file it wrote, must
+   lose no key. The WAL segment holding the split fragments' writes is
+   reclaimed before the commit, so recovery has only the manifest to
+   rebuild them from. The recovered store then overwrites every key,
+   reclaims that WAL segment too and compacts into the guarded level; a
+   second recovery, which replays the first session's manifest segment
+   and then the second's, must read every overwrite and rebuild the same
+   guards. *)
+let test_flsm_torn_guard_split () =
+  let cfg =
+    {
+      flsm_cfg with
+      Flsm.memtable_bytes = 16 * 1024 * 1024;
+      max_files_per_guard = 1;
+      top_level_bits = 1;
+      bits_decrement = 0;
+      max_levels = 2;
+    }
+  in
+  let n = 10 in
+  let key i = Printf.sprintf "k%03d" i in
+  (* Returns the durable-op range of the compaction that commits the new
+     guards, and the bytes its splits wrote. *)
+  let run fenv =
+    let db = Flsm.create ~env:(Fault_env.env fenv) cfg in
+    let write parity value =
+      for i = 0 to n - 1 do
+        Flsm.put db ~key:(key ((2 * i) + parity)) ~value
+      done
+    in
+    (* Two fragments per span, newest holding v2. *)
+    List.iter
+      (fun value ->
+        write 0 value;
+        Flsm.flush db;
+        Flsm.maintenance db ())
+      [ "v1"; "v2" ];
+    (* Past the 4 MiB segment: the tail write lands in a fresh one, and
+       the flush reclaims the segment holding every key's writes, so
+       recovery does not observe the new guards again. *)
+    write 1 "odd";
+    Flsm.put db ~key:"~filler" ~value:(String.make (4 * 1024 * 1024) 'f');
+    Flsm.put db ~key:"~tail" ~value:"t";
+    Flsm.flush db;
+    let first = Fault_env.durable_ops fenv + 1 in
+    let split_bytes () = Io_stats.written_by (Flsm.io_stats db) Io_stats.Split in
+    let before = split_bytes () in
+    Flsm.maintenance db ();
+    (first, Fault_env.durable_ops fenv, split_bytes () - before)
+  in
+  let first, last, split = run (Fault_env.create ()) in
+  Alcotest.(check bool) "the compaction split fragments" true (split > 0);
+  for op = first to last do
+    let fenv = Fault_env.create () in
+    Fault_env.crash_at fenv ~op ~torn:(1 lsl 30) ();
+    match run fenv with
+    | _ -> Alcotest.failf "crash at op %d never fired" op
+    | exception Fault_env.Crashed ->
+      let env = Fault_env.image fenv in
+      let db = Flsm.recover ~env cfg in
+      let keys = List.init (2 * n) key in
+      Alcotest.(check (list (option string)))
+        (Printf.sprintf "op %d: every key's newest value" op)
+        (List.init (2 * n) (fun i -> Some (if i mod 2 = 0 then "v2" else "odd")))
+        (List.map (Flsm.get db) keys);
+      (* An even key's versions sit in one live table each, no more:
+         recovery drops the halves a torn split logged before it splits
+         that fragment again. *)
+      let check_holders what db ~versions =
+        let holders k =
+          List.length
+            (List.filter
+               (fun name ->
+                 let r = Table.Reader.open_ env ~name in
+                 let found =
+                   Table.Reader.get r ~category:Io_stats.Read_path k
+                     ~snapshot:Int64.max_int
+                 in
+                 Table.Reader.close r;
+                 Option.is_some found)
+               (Flsm.live_table_files db))
+        in
+        Alcotest.(check (list int))
+          (Printf.sprintf "op %d: %d tables hold each even key %s" op versions
+             what)
+          (List.init n (fun _ -> versions))
+          (List.init n (fun i -> holders (key (2 * i))))
+      in
+      check_holders "after recovery" db ~versions:2;
+      (* Overwrite the even keys, already guards, so no guard is
+         committed again; key 0's filler rolls the segment holding the
+         overwrites and its last write lands in a fresh one, so the flush
+         reclaims them. *)
+      let expected =
+        List.init (2 * n) (fun i -> Some (if i mod 2 = 0 then "v3" else "odd"))
+      in
+      List.iteri
+        (fun i k -> if i mod 2 = 0 then Flsm.put db ~key:k ~value:"v3")
+        keys;
+      Flsm.put db ~key:(key 0) ~value:(String.make (4 * 1024 * 1024) 'f');
+      Flsm.put db ~key:(key 0) ~value:"v3";
+      Flsm.flush db;
+      Flsm.maintenance db ();
+      Alcotest.(check (list (option string)))
+        (Printf.sprintf "op %d: every overwrite" op)
+        expected
+        (List.map (Flsm.get db) keys);
+      let guards = Flsm.guard_count db ~level:1 in
+      let db = Flsm.recover ~env cfg in
+      Alcotest.(check (list (option string)))
+        (Printf.sprintf "op %d: every overwrite after a second recovery" op)
+        expected
+        (List.map (Flsm.get db) keys);
+      check_holders "after a second recovery" db ~versions:3;
+      Alcotest.(check int)
+        (Printf.sprintf "op %d: the same guards after a second recovery" op)
+        guards
+        (Flsm.guard_count db ~level:1)
+  done
+
 let suite =
   [
     Alcotest.test_case "wipdb crash matrix" `Slow test_store_matrix;
@@ -538,4 +661,6 @@ let suite =
       test_disk_full_during_flush;
     Alcotest.test_case "crash during retry backoff" `Quick
       test_crash_during_retry_backoff;
+    Alcotest.test_case "flsm torn guard split" `Quick
+      test_flsm_torn_guard_split;
   ]

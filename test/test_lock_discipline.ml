@@ -7,8 +7,8 @@
    the calling thread's held stack and records a contradiction otherwise.
 
    This suite drives a concurrent workload through every witness-bearing
-   module (sharded store, group commit, block cache, io stats, histogram,
-   throughput) with the validator on and asserts the runtime never
+   module (sharded store, group commit, block cache, io stats, histogram)
+   with the validator on and asserts the runtime never
    contradicts a static annotation. If an annotation rots — a field's real
    guard changes but the comment (and hence the linter's model) does not —
    the witness fires here before the stale annotation can mislead anyone. *)
@@ -21,7 +21,6 @@ module Group_commit = Wip_server.Group_commit
 module Block_cache = Wip_storage.Block_cache
 module Io_stats = Wip_storage.Io_stats
 module Histogram = Wip_stats.Histogram
-module Throughput = Wip_stats.Throughput
 
 let () = Sync.set_debug true
 
@@ -106,7 +105,6 @@ let test_concurrent_agreement () =
   let cache = Block_cache.create ~capacity_bytes:4096 in
   let stats = Io_stats.create () in
   let hist = Histogram.create () in
-  let tput = Throughput.create ~window:16 in
   let n = 200 in
   let writer t0 () =
     for i = 0 to n - 1 do
@@ -129,8 +127,7 @@ let test_concurrent_agreement () =
       Block_cache.add cache ~file:"f" ~offset:(i mod 16) (String.make 32 'x');
       ignore (Block_cache.find cache ~file:"f" ~offset:(i mod 16));
       Io_stats.record_sync stats;
-      Histogram.add hist (float_of_int i);
-      Throughput.tick tput ()
+      Histogram.add hist (float_of_int i)
     done
   in
   join_all

@@ -243,38 +243,75 @@ let qcheck_bit_flip_never_wrong =
         done;
         !ok)
 
-(* Recovery is an identity on reads, regardless of where writes stopped. *)
-let qcheck_leveled_recovery =
-  QCheck.Test.make ~name:"leveled recovery preserves live keys" ~count:10
-    QCheck.(small_list (pair (int_bound 80) (option (int_bound 100))))
-    (fun ops ->
-      let env = Env.in_memory () in
-      let cfg =
+(* Recovery is an identity on reads, regardless of where writes stopped —
+   on every engine, and from the manifest alone: one filler record past the
+   largest default WAL segment (4 MiB) rolls the log, the next record
+   lands in a fresh segment, and the flush after it reclaims every segment
+   holding the model's writes, so no replayed record can hide a manifest
+   replay error. *)
+let qcheck_recovery =
+  let engine (type a c)
+      (module E : Wip_kv.Store_intf.Engine with type t = a and type config = c)
+      (cfg : c) =
+    let wrap db = Wip_kv.Store_intf.Store ((module E), db) in
+    ((fun env -> wrap (E.create ~env cfg)), fun env -> wrap (E.recover ~env cfg))
+  in
+  let engines =
+    [
+      engine (module Wipdb.Store)
+        {
+          Wipdb.Config.default with
+          Wipdb.Config.name = "qwip";
+          memtable_items = 16;
+          bucket_merge_bytes = 0;
+        };
+      engine (module Wip_lsm.Leveled)
         {
           (Wip_lsm.Leveled.leveldb_config ~scale:1) with
           Wip_lsm.Leveled.memtable_bytes = 1024;
           sstable_bytes = 512;
           level1_bytes = 4096;
           name = "qlvl";
-        }
-      in
-      let db = Wip_lsm.Leveled.create ~env cfg in
-      let model = Hashtbl.create 16 in
-      List.iter
-        (fun (k, v) ->
-          let k = Printf.sprintf "%04d" k in
-          match v with
-          | Some v ->
-            Wip_lsm.Leveled.put db ~key:k ~value:(string_of_int v);
-            Hashtbl.replace model k (Some (string_of_int v))
-          | None ->
-            Wip_lsm.Leveled.delete db ~key:k;
-            Hashtbl.replace model k None)
-        ops;
-      let db2 = Wip_lsm.Leveled.recover ~env cfg in
-      Hashtbl.fold
-        (fun k v acc -> acc && Wip_lsm.Leveled.get db2 k = v)
-        model true)
+        };
+      engine (module Wip_lsm.Flsm)
+        {
+          (Wip_lsm.Flsm.default_config ~scale:1) with
+          Wip_lsm.Flsm.memtable_bytes = 1024;
+          max_files_per_guard = 2;
+          top_level_bits = 2;
+          bits_decrement = 1;
+          max_levels = 3;
+          name = "qflsm";
+        };
+    ]
+  in
+  let module S = Wip_kv.Store_intf in
+  QCheck.Test.make ~name:"all engines recover live keys" ~count:10
+    QCheck.(small_list (pair (int_bound 80) (option (int_bound 100))))
+    (fun ops ->
+      List.for_all
+        (fun (create, recover) ->
+          let env = Env.in_memory () in
+          let db = create env in
+          let model = Hashtbl.create 16 in
+          List.iter
+            (fun (k, v) ->
+              let k = Printf.sprintf "%04d" k in
+              match v with
+              | Some v ->
+                S.put db ~key:k ~value:(string_of_int v);
+                Hashtbl.replace model k (Some (string_of_int v))
+              | None ->
+                S.delete db ~key:k;
+                Hashtbl.replace model k None)
+            ops;
+          S.put db ~key:"~filler" ~value:(String.make (4 * 1024 * 1024) 'f');
+          S.put db ~key:"~filler" ~value:"";
+          S.flush db;
+          S.maintenance db ();
+          let db2 = recover env in
+          Hashtbl.fold (fun k v acc -> acc && S.get db2 k = v) model true)
+        engines)
 
 let suite =
   [
@@ -286,5 +323,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_io_stats_diff;
     QCheck_alcotest.to_alcotest qcheck_wa_bound_random_configs;
     QCheck_alcotest.to_alcotest qcheck_bit_flip_never_wrong;
-    QCheck_alcotest.to_alcotest qcheck_leveled_recovery;
+    QCheck_alcotest.to_alcotest qcheck_recovery;
   ]

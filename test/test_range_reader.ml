@@ -107,10 +107,10 @@ let leveled ~view () =
     }
 
 let flsm ~view () =
-  Wip_flsm.Flsm.create
+  Wip_lsm.Flsm.create
     {
-      (Wip_flsm.Flsm.default_config ~scale:1) with
-      Wip_flsm.Flsm.memtable_bytes = 256;
+      (Wip_lsm.Flsm.default_config ~scale:1) with
+      Wip_lsm.Flsm.memtable_bytes = 256;
       top_level_bits = 3;
       sorted_view = view;
       name = "rr-flsm";
@@ -132,9 +132,9 @@ let engines =
     ( "leveled, no views",
       fun () -> Store_intf.Store ((module Wip_lsm.Leveled), leveled ~view:false ()) );
     ( "flsm + views",
-      fun () -> Store_intf.Store ((module Wip_flsm.Flsm), flsm ~view:true ()) );
+      fun () -> Store_intf.Store ((module Wip_lsm.Flsm), flsm ~view:true ()) );
     ( "flsm, no views",
-      fun () -> Store_intf.Store ((module Wip_flsm.Flsm), flsm ~view:false ()) );
+      fun () -> Store_intf.Store ((module Wip_lsm.Flsm), flsm ~view:false ()) );
   ]
 
 let pp rows =
@@ -277,10 +277,10 @@ let test_corrupt_block_is_quarantined () =
       name = "rr-corrupt-lvl";
     };
   corrupt_block_is_quarantined
-    (module Wip_flsm.Flsm)
+    (module Wip_lsm.Flsm)
     {
-      (Wip_flsm.Flsm.default_config ~scale:1) with
-      Wip_flsm.Flsm.memtable_bytes = 1024;
+      (Wip_lsm.Flsm.default_config ~scale:1) with
+      Wip_lsm.Flsm.memtable_bytes = 1024;
       name = "rr-corrupt-flsm";
     }
 

@@ -7,7 +7,6 @@ module Sh = Wip_concurrent.Sharded_store.Make (Wipdb.Store)
 module Config = Wipdb.Config
 module Block_cache = Wip_storage.Block_cache
 module Histogram = Wip_stats.Histogram
-module Throughput = Wip_stats.Throughput
 
 let base_config =
   {
@@ -404,7 +403,6 @@ let test_block_cache_counters_under_contention () =
 
 let test_stats_under_contention () =
   let h = Histogram.create () in
-  let tp = Throughput.create ~window:100 in
   let domains = 4 and per_domain = 25_000 in
   let ds =
     List.init domains (fun d ->
@@ -412,19 +410,13 @@ let test_stats_under_contention () =
             let local = Histogram.create () in
             for i = 1 to per_domain do
               Histogram.add h (float_of_int (i mod 1000));
-              Histogram.add local (float_of_int ((d * per_domain) + i));
-              Throughput.tick tp ()
+              Histogram.add local (float_of_int ((d * per_domain) + i))
             done;
             Histogram.merge h local))
   in
   List.iter Domain.join ds;
   Alcotest.(check int) "histogram count (direct + merged)"
-    (2 * domains * per_domain) (Histogram.count h);
-  Alcotest.(check int) "throughput total" (domains * per_domain)
-    (Throughput.total_ops tp);
-  let s = Throughput.series tp in
-  Alcotest.(check int) "series reaches total" (domains * per_domain)
-    (fst (List.nth s (List.length s - 1)))
+    (2 * domains * per_domain) (Histogram.count h)
 
 let suite =
   [

@@ -44,10 +44,10 @@ let make_engines () =
       }
   in
   let flsm =
-    Wip_flsm.Flsm.create
+    Wip_lsm.Flsm.create
       {
-        (Wip_flsm.Flsm.default_config ~scale:1) with
-        Wip_flsm.Flsm.memtable_bytes = 2 * 1024;
+        (Wip_lsm.Flsm.default_config ~scale:1) with
+        Wip_lsm.Flsm.memtable_bytes = 2 * 1024;
         top_level_bits = 6;
         name = "sflsm";
       }
@@ -55,7 +55,7 @@ let make_engines () =
   [
     Store_intf.Store ((module Store), wip);
     Store_intf.Store ((module Wip_lsm.Leveled), lvl);
-    Store_intf.Store ((module Wip_flsm.Flsm), flsm);
+    Store_intf.Store ((module Wip_lsm.Flsm), flsm);
   ]
 
 (* ------------------------------------------------------------------ *)

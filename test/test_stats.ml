@@ -1,7 +1,6 @@
-(* Tests for wip_stats: histogram percentiles and throughput windows. *)
+(* Tests for wip_stats: histogram percentiles. *)
 
 module Histogram = Wip_stats.Histogram
-module Throughput = Wip_stats.Throughput
 
 let test_histogram_empty () =
   let h = Histogram.create () in
@@ -83,51 +82,6 @@ let test_histogram_sub_unit_samples () =
         Alcotest.failf "p%.1f = %f below observed min %f" p v mn)
     [ 1.0; 50.0; 90.0; 99.0; 99.9 ]
 
-let test_throughput_series () =
-  let t = Throughput.create ~window:10 in
-  for _ = 1 to 35 do
-    Throughput.tick t ()
-  done;
-  Alcotest.(check int) "total" 35 (Throughput.total_ops t);
-  let s = Throughput.series t in
-  Alcotest.(check int) "three full windows plus trailing partial" 4
-    (List.length s);
-  List.iter
-    (fun (_, rate) ->
-      if rate <= 0.0 then Alcotest.fail "non-positive rate")
-    s;
-  Alcotest.(check (list int)) "window boundaries" [ 10; 20; 30; 35 ]
-    (List.map fst s)
-
-(* Regression: series used to drop ops recorded after the last full window,
-   so the bins under-counted total_ops. The last bin must always land on the
-   total. *)
-let test_throughput_partial_window_counted () =
-  let t = Throughput.create ~window:3 in
-  for _ = 1 to 10 do
-    Throughput.tick t ()
-  done;
-  let s = Throughput.series t in
-  Alcotest.(check int) "bins" 4 (List.length s);
-  Alcotest.(check (list int)) "cumulative ops per bin" [ 3; 6; 9; 10 ]
-    (List.map fst s);
-  Alcotest.(check int) "last bin reaches total_ops" (Throughput.total_ops t)
-    (fst (List.nth s (List.length s - 1)));
-  (* Exact multiple of the window: no partial bin is fabricated. *)
-  let t2 = Throughput.create ~window:5 in
-  for _ = 1 to 10 do
-    Throughput.tick t2 ()
-  done;
-  Alcotest.(check (list int)) "exact multiple has no partial bin" [ 5; 10 ]
-    (List.map fst (Throughput.series t2))
-
-let test_throughput_bulk_ticks () =
-  let t = Throughput.create ~window:100 in
-  Throughput.tick t ~n:250 ();
-  Alcotest.(check int) "total" 250 (Throughput.total_ops t);
-  Alcotest.(check int) "one bin (n>=window flushes once)" 1
-    (List.length (Throughput.series t))
-
 let qcheck_histogram_percentile_monotone =
   QCheck.Test.make ~name:"percentiles are monotone" ~count:50
     QCheck.(small_list (float_bound_exclusive 100000.0))
@@ -153,9 +107,5 @@ let suite =
     Alcotest.test_case "negative clamped" `Quick test_histogram_negative_clamped;
     Alcotest.test_case "sub-unit samples stay within min/max" `Quick
       test_histogram_sub_unit_samples;
-    Alcotest.test_case "throughput series" `Quick test_throughput_series;
-    Alcotest.test_case "throughput partial window counted" `Quick
-      test_throughput_partial_window_counted;
-    Alcotest.test_case "throughput bulk" `Quick test_throughput_bulk_ticks;
     QCheck_alcotest.to_alcotest qcheck_histogram_percentile_monotone;
   ]

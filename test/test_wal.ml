@@ -129,7 +129,17 @@ let test_reclaim_respects_min_unpersisted () =
     Wal.recover env ~segment_bytes:128 ~replay:(fun r -> survivors := r.Wal.seq :: !survivors) ()
   in
   Alcotest.(check bool) "2 retained" true (List.mem 2L !survivors);
-  Alcotest.(check bool) "3 retained" true (List.mem 3L !survivors)
+  Alcotest.(check bool) "3 retained" true (List.mem 3L !survivors);
+  (* Everything persisted, and the roll after the newest record left the
+     current segment empty: that record's segment still stays, since a
+     restarted store takes its sequence number from it. *)
+  let env = Env.in_memory () in
+  let w = Wal.create env ~segment_bytes:128 () in
+  Wal.append_batch w ~first_seq:1L (batch [ ("a", String.make 100 'x') ]);
+  Wal.append_batch w ~first_seq:2L (batch [ ("b", String.make 100 'x') ]);
+  let _ = Wal.reclaim w ~persisted_below:3L in
+  let w = Wal.recover env ~segment_bytes:128 ~replay:ignore () in
+  Alcotest.(check int64) "newest seq survives reclaim" 2L (Wal.max_seq_logged w)
 
 let test_empty_batch_ignored () =
   let env = Env.in_memory () in

@@ -222,84 +222,3 @@ let suite =
     Alcotest.test_case "ycsb scan lengths" `Quick test_ycsb_scan_lengths;
     Alcotest.test_case "ycsb values" `Quick test_ycsb_value_deterministic;
   ]
-
-(* Trace record/replay *)
-
-module Trace = Wip_workload.Trace
-
-let test_trace_roundtrip () =
-  let env = Wip_storage.Env.in_memory () in
-  let w = Trace.Writer.create env ~name:"t.trace" in
-  let ops =
-    [
-      Trace.Put ("k1", "v1");
-      Trace.Get "k1";
-      Trace.Delete "k1";
-      Trace.Scan { lo = "a"; hi = "z"; limit = 10 };
-      Trace.Put ("binary\x00key", "binary\xffvalue");
-    ]
-  in
-  List.iter (Trace.Writer.record w) ops;
-  Alcotest.(check int) "op count" 5 (Trace.Writer.op_count w);
-  Trace.Writer.close w;
-  let replayed = ref [] in
-  let n = Trace.replay env ~name:"t.trace" (fun op -> replayed := op :: !replayed) in
-  Alcotest.(check int) "replayed" 5 n;
-  Alcotest.(check bool) "identical" true (List.rev !replayed = ops)
-
-let test_trace_torn_tail () =
-  let env = Wip_storage.Env.in_memory () in
-  let w = Trace.Writer.create env ~name:"t.trace" in
-  Trace.Writer.record w (Trace.Put ("a", "1"));
-  Trace.Writer.record w (Trace.Put ("b", "2"));
-  Trace.Writer.close w;
-  let r = Wip_storage.Env.open_file env "t.trace" in
-  let contents = Wip_storage.Env.read_all r ~category:Wip_storage.Io_stats.Manifest in
-  Wip_storage.Env.close_reader r;
-  let w2 = Wip_storage.Env.create_file env "t.trace" in
-  Wip_storage.Env.append w2 ~category:Wip_storage.Io_stats.Manifest
-    (String.sub contents 0 (String.length contents - 3));
-  Wip_storage.Env.close_writer w2;
-  let n = Trace.replay env ~name:"t.trace" (fun _ -> ()) in
-  Alcotest.(check int) "intact prefix only" 1 n
-
-let test_trace_drives_engines_identically () =
-  (* Record a workload once; replaying it into two engines must leave them
-     in agreement on every key. *)
-  let env = Wip_storage.Env.in_memory () in
-  let w = Trace.Writer.create env ~name:"w.trace" in
-  let rng = Wip_util.Rng.create ~seed:0x7246L in
-  for i = 0 to 1999 do
-    let k = Printf.sprintf "%05d" (Wip_util.Rng.int rng 300) in
-    if Wip_util.Rng.int rng 5 = 0 then Trace.Writer.record w (Trace.Delete k)
-    else Trace.Writer.record w (Trace.Put (k, "v" ^ string_of_int i))
-  done;
-  Trace.Writer.close w;
-  let wip =
-    Wipdb.Store.create
-      { Wipdb.Config.default with Wipdb.Config.memtable_items = 64; name = "tw" }
-  in
-  let lvl =
-    Wip_lsm.Leveled.create
-      { (Wip_lsm.Leveled.leveldb_config ~scale:1) with
-        Wip_lsm.Leveled.memtable_bytes = 2048; name = "tl" }
-  in
-  let s1 = Wip_kv.Store_intf.Store ((module Wipdb.Store), wip) in
-  let s2 = Wip_kv.Store_intf.Store ((module Wip_lsm.Leveled), lvl) in
-  let n1 = Trace.replay_into env ~name:"w.trace" s1 in
-  let n2 = Trace.replay_into env ~name:"w.trace" s2 in
-  Alcotest.(check int) "same op counts" n1 n2;
-  for i = 0 to 299 do
-    let k = Printf.sprintf "%05d" i in
-    if Wipdb.Store.get wip k <> Wip_lsm.Leveled.get lvl k then
-      Alcotest.failf "engines disagree on %s after trace replay" k
-  done
-
-let suite =
-  suite
-  @ [
-      Alcotest.test_case "trace roundtrip" `Quick test_trace_roundtrip;
-      Alcotest.test_case "trace torn tail" `Quick test_trace_torn_tail;
-      Alcotest.test_case "trace drives engines" `Quick
-        test_trace_drives_engines_identically;
-    ]
