@@ -112,10 +112,10 @@ let round ~ops ~threads ~value =
     Sharded.fold_shards c ~init:(0, 0, 0, 0)
       ~f:(fun (st, sn, re, dg) s ->
         let io = Wip_storage.Io_stats.snapshot (Wipdb.Store.io_stats s) in
-        ( st + Wip_storage.Io_stats.stall_count io,
-          sn + Wip_storage.Io_stats.stall_ns io,
-          re + Wip_storage.Io_stats.retry_count io,
-          dg + Wip_storage.Io_stats.degraded_transition_count io ))
+        ( st + Wip_storage.Io_stats.(count io stalls),
+          sn + Wip_storage.Io_stats.(count io stall_time),
+          re + Wip_storage.Io_stats.(count io retries),
+          dg + Wip_storage.Io_stats.(count io degraded_transitions) ))
   in
   {
     r_threads = threads;

@@ -173,8 +173,8 @@ let measure_arm st =
     a_scan_ns = scan_ns;
     a_get_ns = get_ns;
     a_get_probes = get_probes;
-    a_view_rebuilds = Io_stats.view_rebuild_count stats;
-    a_view_rebuild_ns = Io_stats.view_rebuild_ns stats;
+    a_view_rebuilds = Io_stats.(count stats view_rebuilds);
+    a_view_rebuild_ns = Io_stats.(count stats view_rebuild_time);
     a_ph_bytes = ph_bytes_of st;
   }
 
@@ -423,14 +423,18 @@ let run ~ops () =
      can produce a torn set (an FP count from a later instant than its
      probe count, say). *)
   let stats = Io_stats.snapshot (Env.stats env) in
-  let fp_rate = Io_stats.bloom_fp_rate stats in
-  row "%-28s %14.4f  (%d probes, %d FPs)" "bloom FP rate" fp_rate
-    (Io_stats.bloom_probe_count stats)
-    (Io_stats.bloom_false_positive_count stats);
+  let probes = Io_stats.(count stats bloom_probes) in
+  let fps = Io_stats.(count stats bloom_false_positives) in
+  (* False positives over maybe-answers; 0 with none. *)
+  let maybes = probes - Io_stats.(count stats bloom_negatives) in
+  let fp_rate =
+    if maybes <= 0 then 0.0 else float_of_int fps /. float_of_int maybes
+  in
+  row "%-28s %14.4f  (%d probes, %d FPs)" "bloom FP rate" fp_rate probes fps;
   row "%-28s %14d probes %8d false hits %4d fallbacks" "ph index"
-    (Io_stats.ph_probe_count stats)
-    (Io_stats.ph_false_hit_count stats)
-    (Io_stats.ph_fallback_count stats);
+    (Io_stats.(count stats ph_probes))
+    (Io_stats.(count stats ph_false_hits))
+    (Io_stats.(count stats ph_fallbacks));
   let cc = Block_cache.counters cache in
   row "%-28s %14d hits %10d misses %6d bypasses" "block cache"
     cc.Block_cache.c_hits cc.Block_cache.c_misses cc.Block_cache.c_bypasses;
@@ -480,10 +484,10 @@ let run ~ops () =
 |}
     keys ops hot_ops hot_alloc hot_probes cold_ops cold_alloc cold_probes
     nph_ops nph_probes scan_ops merge_ops merge_alloc write_alloc fp_rate
-    (Io_stats.ph_probe_count stats)
-    (Io_stats.ph_false_hit_count stats)
-    (Io_stats.ph_fallback_count stats)
-    (Io_stats.block_fetch_count stats)
+    (Io_stats.(count stats ph_probes))
+    (Io_stats.(count stats ph_false_hits))
+    (Io_stats.(count stats ph_fallbacks))
+    (Io_stats.(count stats block_fetches))
     cc.Block_cache.c_hits cc.Block_cache.c_misses short_scan_bytes
     short_scan_alloc
     (String.concat ",\n"

@@ -80,7 +80,7 @@ let one_run ~ops ~group_commit =
       stats = (fun () -> []);
     }
   in
-  let syncs_before = Io_stats.sync_count (Io_stats.snapshot (Store.io_stats db)) in
+  let syncs_before = Io_stats.(count (Store.io_stats db) syncs) in
   let srv = Server.start ~workers:clients ~group_commit ~ops:ops_rec () in
   let per_client = ops / clients in
   let client_domain c =
@@ -109,7 +109,7 @@ let one_run ~ops ~group_commit =
   let windows = Group_commit.windows gc in
   let requests = Group_commit.requests gc in
   Server.stop srv;
-  let syncs_after = Io_stats.sync_count (Io_stats.snapshot (Store.io_stats db)) in
+  let syncs_after = Io_stats.(count (Store.io_stats db) syncs) in
   let hist = Histogram.create () in
   let acked = ref 0 and errors = ref 0 in
   List.iter

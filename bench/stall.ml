@@ -89,8 +89,9 @@ let one_run ~ops ~admission =
     p50_us = Histogram.percentile h 50.0;
     p99_us = Histogram.percentile h 99.0;
     max_pressure = !max_pressure;
-    stalls = Wip_storage.Io_stats.stall_count stats;
-    stall_ms = float_of_int (Wip_storage.Io_stats.stall_ns stats) /. 1.0e6;
+    stalls = Wip_storage.Io_stats.(count stats stalls);
+    stall_ms =
+      float_of_int Wip_storage.Io_stats.(count stats stall_time) /. 1.0e6;
     rejected = !rejected;
   }
 

@@ -135,6 +135,9 @@ let stats_cmd =
     Printf.printf "live bytes:    %d\n" (Wip_storage.Env.total_live_bytes env);
     Printf.printf "session WA:    %.2f\n"
       (Wip_storage.Io_stats.write_amplification stats);
+    List.iter
+      (fun (k, v) -> Printf.printf "  %-26s %d\n" k v)
+      (Wip_storage.Io_stats.to_list stats);
     List.iteri
       (fun i (info : Wipdb.Store.bucket_info) ->
         if i < 20 then
@@ -309,17 +312,19 @@ let serve_cmd =
         commit = (fun batches -> Sharded.commit_batches st batches);
         stats =
           (fun () ->
-            [
-              ("shards", Int64.of_int (Sharded.shard_count st));
-              ("compaction_cycles",
-               Int64.of_int (Sharded.compaction_cycles st));
-              ("inflight_bytes", Int64.of_int (Sharded.inflight_bytes st));
-            ]);
+            List.map
+              (fun (k, v) -> (k, Int64.of_int v))
+              ([
+                 ("shards", Sharded.shard_count st);
+                 ("compaction_cycles", Sharded.compaction_cycles st);
+                 ("inflight_bytes", Sharded.inflight_bytes st);
+               ]
+              @ Wip_storage.Io_stats.to_list (Wip_storage.Env.stats env)));
       }
     in
     let srv =
       Server.start ~addr ~port ~workers ~group_commit:(not no_group_commit)
-        ~ops ()
+        ~stats:(Wip_storage.Env.stats env) ~ops ()
     in
     Printf.printf
       "serving %s on %s:%d (%d shards, %d workers, group commit %s)\n%!" dir
@@ -439,7 +444,7 @@ let client_stats_cmd =
   let run addr port =
     with_conn addr port (fun c ->
         List.iter
-          (fun (k, v) -> Printf.printf "%-20s %Ld\n" k v)
+          (fun (k, v) -> Printf.printf "%-26s %Ld\n" k v)
           (unwrap "stats" (Net_client.stats c));
         `Ok ())
   in

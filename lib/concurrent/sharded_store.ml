@@ -218,25 +218,36 @@ module Make (S : Wip_kv.Store_intf.S) = struct
 
   let slowdown_wait_s = 0.005
 
+  (* The stop rule: a batch of [bytes] is refused when it would push the
+     shard's debt past the stop watermark or its in-flight bytes past their
+     budget. The refusal carries the debt it saw.
+     requires: lock *)
+  let over_budget t i sh ~bytes =
+    let debt = S.maintenance_pending sh.store + sh.inflight in
+    if debt + bytes > t.stop_mark || sh.inflight + bytes > t.inflight_limit
+    then Some (Intf.Backpressure { shard = i; debt_bytes = debt })
+    else None
+
+  (* [over_budget] after refreshing the budget: a quiescent engine has no
+     residual debt, so eager-compacting engines (and pool-less fronts) never
+     stall on bytes that were drained inline. Every admission starts here.
+     requires: lock *)
+  let refusal t i sh ~bytes =
+    if S.maintenance_pending sh.store = 0 then sh.inflight <- 0;
+    over_budget t i sh ~bytes
+
   (* requires: lock *)
   let admit t i sh ~bytes =
     if not t.admission then Ok ()
     else begin
-      (* A quiescent engine has no residual debt; refresh the budget so
-         eager-compacting engines (and pool-less fronts) never stall on
-         bytes that were drained inline. *)
-      if S.maintenance_pending sh.store = 0 then sh.inflight <- 0;
       let debt () = S.maintenance_pending sh.store + sh.inflight in
-      let fits () =
-        debt () + bytes <= t.stop_mark
-        && sh.inflight + bytes <= t.inflight_limit
-      in
-      if fits () && debt () <= t.slowdown_mark then Ok ()
+      let fits = Option.is_none (refusal t i sh ~bytes) in
+      if fits && debt () <= t.slowdown_mark then Ok ()
       else begin
         let started = Unix.gettimeofday () in
         let deadline = started +. t.stall_deadline_s in
         let admitted =
-          if fits () then begin
+          if fits then begin
             (* Slowdown band: give the pool a moment, then admit anyway. *)
             ignore
               (Sync.await sh.lock
@@ -244,10 +255,13 @@ module Make (S : Wip_kv.Store_intf.S) = struct
                  (fun () -> debt () <= t.slowdown_mark));
             true
           end
-          else Sync.await sh.lock ~deadline fits
+          else
+            Sync.await sh.lock ~deadline (fun () ->
+                Option.is_none (over_budget t i sh ~bytes))
         in
-        Io_stats.record_stall (S.io_stats sh.store)
-          ~ns:(int_of_float ((Unix.gettimeofday () -. started) *. 1e9));
+        let ns = int_of_float ((Unix.gettimeofday () -. started) *. 1e9) in
+        Io_stats.(
+          add_many (S.io_stats sh.store) [ (stalls, 1); (stall_time, ns) ]);
         if admitted then Ok ()
         else Error (Intf.Backpressure { shard = i; debt_bytes = debt () })
       end
@@ -351,20 +365,7 @@ module Make (S : Wip_kv.Store_intf.S) = struct
                     Some (Intf.Store_degraded { reason })
                   | Intf.Healthy ->
                     if not t.admission then None
-                    else begin
-                      if S.maintenance_pending sh.store = 0 then
-                        sh.inflight <- 0;
-                      let bytes = batch_bytes groups.(i) in
-                      let debt =
-                        S.maintenance_pending sh.store + sh.inflight
-                      in
-                      if
-                        debt + bytes > t.stop_mark
-                        || sh.inflight + bytes > t.inflight_limit
-                      then
-                        Some (Intf.Backpressure { shard = i; debt_bytes = debt })
-                      else None
-                    end)
+                    else refusal t i sh ~bytes:(batch_bytes groups.(i)))
                 is
             in
             match refused with
@@ -454,20 +455,7 @@ module Make (S : Wip_kv.Store_intf.S) = struct
                     | Ok () -> ()
                     | Error e -> shard_err.(i) <- Some e)
                   | _ ->
-                    if t.admission then begin
-                      if S.maintenance_pending sh.store = 0 then
-                        sh.inflight <- 0;
-                      let debt =
-                        S.maintenance_pending sh.store + sh.inflight
-                      in
-                      if
-                        debt + bytes > t.stop_mark
-                        || sh.inflight + bytes > t.inflight_limit
-                      then
-                        shard_err.(i) <-
-                          Some
-                            (Intf.Backpressure { shard = i; debt_bytes = debt })
-                    end))
+                    if t.admission then shard_err.(i) <- refusal t i sh ~bytes))
               is;
             (* A batch touching a refusing shard is out of the window. *)
             Array.iteri

@@ -24,7 +24,6 @@ type t = {
   stop_watermark_bytes : int;
   stall_deadline_s : float;
   sorted_view : bool;
-  sorted_view_min_runs : int;
   ph_index : bool;
   name : string;
 }
@@ -56,7 +55,6 @@ let default =
     stop_watermark_bytes = 4 * 1024 * 1024;
     stall_deadline_s = 1.0;
     sorted_view = true;
-    sorted_view_min_runs = 2;
     ph_index = true;
     name = "WipDB";
   }
@@ -89,8 +87,6 @@ let validate t =
   else if t.stop_watermark_bytes < t.slowdown_watermark_bytes then
     err "stop_watermark_bytes must be >= slowdown_watermark_bytes"
   else if t.stall_deadline_s <= 0.0 then err "stall_deadline_s must be > 0"
-  else if t.sorted_view_min_runs < 2 then
-    err "sorted_view_min_runs must be >= 2 (a 1-run view accelerates nothing)"
   else Ok ()
 
 (* Boundary j of n sits at j/n of the numeric key space, formatted exactly

@@ -71,11 +71,9 @@ type t = {
       (** maintain a REMIX-style sorted view per bucket so scans replay one
           frozen merge instead of heap-merging the run set (default
           [true]); built lazily on the first scan of a bucket with at least
-          [sorted_view_min_runs] runs, extended incrementally at flush, and
-          invalidated by compaction/split/merge/quarantine *)
-  sorted_view_min_runs : int;
-      (** run count below which a bucket scan just heap-merges (default 2:
-          any overlap benefits) *)
+          two runs (below that a scan just heap-merges), extended
+          incrementally at flush, and invalidated by
+          compaction/split/merge/quarantine *)
   ph_index : bool;
       (** emit a CHD perfect-hash point-index block in every table so cold
           gets jump straight to their entry instead of binary-searching

@@ -116,8 +116,7 @@ let make ~reopen env cfg =
         ~wal_segment_bytes:cfg.Config.wal_segment_bytes
         ~cache_bytes:cfg.Config.block_cache_bytes
         ~bits_per_key:cfg.Config.bits_per_key ~ph_index:cfg.Config.ph_index
-        ~sorted_view:cfg.Config.sorted_view
-        ~sorted_view_min_runs:cfg.Config.sorted_view_min_runs ();
+        ~sorted_view:cfg.Config.sorted_view ();
     buckets = [||];
     next_bucket_id = 0;
     seq = 0L;
@@ -678,11 +677,14 @@ let flush t = Array.iter (fun b -> flush_bucket t b) t.buckets
 (* ------------------------------------------------------------------ *)
 (* Reads *)
 
-let get_at_seq t key ~snapshot =
+(* The newest version of [key] visible at [snapshot] as (kind, value, seq):
+   the owning bucket's MemTable, then each level's sublevels newest first.
+   With [count_reads], every table that passes the bloom is a real sublevel
+   access, charged to the §III-G read accounting. *)
+let find_version t key ~snapshot ~count_reads =
   let bucket = bucket_for t key in
-  match Memtable.find bucket.memtable key ~snapshot with
-  | Some (Ikey.Value, v) -> Some v
-  | Some (Ikey.Deletion, _) -> None
+  match Memtable.find_with_seq bucket.memtable key ~snapshot with
+  | Some _ as hit -> hit
   | None ->
     (* One seek target serves every sublevel probe: the bloom hashes its
        escaped-user prefix and the cursor seeks its full bytes, so the per-get
@@ -700,14 +702,13 @@ let get_at_seq t key ~snapshot =
               if not (Table.Reader.may_contain_encoded reader target) then
                 sublevels rest
               else begin
-                (* A real sublevel access: §III-G read accounting. *)
-                bucket.read_counts.(level) <- bucket.read_counts.(level) + 1;
+                if count_reads then
+                  bucket.read_counts.(level) <- bucket.read_counts.(level) + 1;
                 match
                   Table.Reader.get_encoded reader
                     ~category:Io_stats.Read_path ~filter_checked:true target
                 with
-                | Some (Ikey.Value, v, _) -> Some v
-                | Some (Ikey.Deletion, _, _) -> None
+                | Some _ as hit -> hit
                 | None -> sublevels rest
               end
             end
@@ -717,41 +718,19 @@ let get_at_seq t key ~snapshot =
     in
     levels 0
 
-(* Newest committed version's seq for [key] — across the owning bucket's
-   MemTable and every level — or None when the key was never written.
-   Transaction commit validation compares this against the transaction's
-   snapshot seq; it is robust to version GC because the newest version of a
-   key always survives compaction. *)
+let get_at_seq t key ~snapshot =
+  match find_version t key ~snapshot ~count_reads:true with
+  | Some (Ikey.Value, v, _) -> Some v
+  | Some (Ikey.Deletion, _, _) | None -> None
+
+(* Newest committed version's seq for [key], or None when the key was never
+   written. Transaction commit validation compares this against the
+   transaction's snapshot seq; it is robust to version GC because the newest
+   version of a key always survives compaction. *)
 let newest_seq t key =
-  let bucket = bucket_for t key in
-  match Memtable.find_with_seq bucket.memtable key ~snapshot:Ikey.max_seq with
-  | Some (_, _, seq) -> Some seq
-  | None ->
-    let target = Ikey.encode_seek key ~seq:Ikey.max_seq in
-    let rec levels level =
-      if level >= t.cfg.Config.l_max then None
-      else begin
-        let rec sublevels = function
-          | [] -> levels (level + 1)
-          | (m : Table.meta) :: rest ->
-            if not (Table.overlaps m ~lo:key ~hi:key) then sublevels rest
-            else begin
-              let reader = Table_set.reader_of t.ts m in
-              if not (Table.Reader.may_contain_encoded reader target) then
-                sublevels rest
-              else
-                match
-                  Table.Reader.get_encoded reader
-                    ~category:Io_stats.Read_path ~filter_checked:true target
-                with
-                | Some (_, _, seq) -> Some seq
-                | None -> sublevels rest
-            end
-        in
-        sublevels bucket.levels.(level)
-      end
-    in
-    levels 0
+  Option.map
+    (fun (_, _, seq) -> seq)
+    (find_version t key ~snapshot:Ikey.max_seq ~count_reads:false)
 
 (* [get]/[scan]/[get_at]/[scan_at] are defined in the resilience section
    below, wrapping the [_seq] versions with corruption quarantine. *)
@@ -928,8 +907,8 @@ let admit t =
           stall_loop ()
         end
       in
-      Io_stats.record_stall (io_stats t)
-        ~ns:(int_of_float ((Unix.gettimeofday () -. started) *. 1e9));
+      let ns = int_of_float ((Unix.gettimeofday () -. started) *. 1e9) in
+      Io_stats.(add_many (io_stats t) [ (stalls, 1); (stall_time, ns) ]);
       result
     end
   end

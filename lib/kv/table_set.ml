@@ -24,7 +24,6 @@ type t = {
   bits_per_key : int;
   ph_index : bool;
   sorted_view : bool;
-  sorted_view_min_runs : int;
   wal_segment_bytes : int option;
   manifest : Manifest.t;
   mutable wal : Wal.t; (* guarded_by: caller *)
@@ -49,7 +48,7 @@ let placeholder_prefix name = name ^ "-tmpwal"
 let exists env ~name = Manifest.exists env ~name:(manifest_name name)
 
 let create ~reopen env ~name ~suffix ?wal_segment_bytes ?(cache_bytes = 0)
-    ~bits_per_key ~ph_index ~sorted_view ~sorted_view_min_runs () =
+    ~bits_per_key ~ph_index ~sorted_view () =
   let manifest, wal =
     if reopen then
       ( Manifest.reopen env ~name:(manifest_name name),
@@ -67,7 +66,6 @@ let create ~reopen env ~name ~suffix ?wal_segment_bytes ?(cache_bytes = 0)
     bits_per_key;
     ph_index;
     sorted_view;
-    sorted_view_min_runs;
     wal_segment_bytes;
     manifest;
     wal;
@@ -149,9 +147,13 @@ let cursor t ~category meta =
   Table.Reader.Cursor.create (reader_of t meta) ~category
     ~admit:Block_cache.Bypass ()
 
+(* A one-run view accelerates nothing: views start at two runs. *)
 let build_view t runs =
-  Sorted_view.build ~enabled:t.sorted_view ~min_runs:t.sorted_view_min_runs
-    ~stats:(stats t) ~cursor:(cursor t ~category:Io_stats.Read_path) runs
+  match runs with
+  | [] | [ _ ] -> None
+  | _ ->
+    Sorted_view.build ~enabled:t.sorted_view ~stats:(stats t)
+      ~cursor:(cursor t ~category:Io_stats.Read_path) runs
 
 let extend_view t view meta =
   Sorted_view.extend ~enabled:t.sorted_view ~stats:(stats t)
@@ -310,7 +312,7 @@ let degrade t ~reason =
   | Intf.Degraded _ -> ()
   | Intf.Healthy ->
     t.health <- Intf.Degraded { reason };
-    Io_stats.record_degraded_transition (stats t)
+    Io_stats.(add (stats t) degraded_transitions 1)
 
 let try_write_batches t ?(admit = fun () -> Ok ()) write batches =
   match t.health with

@@ -37,7 +37,6 @@ val create :
   bits_per_key:int ->
   ph_index:bool ->
   sorted_view:bool ->
-  sorted_view_min_runs:int ->
   unit ->
   t
 (** The table set of the store [name]: table files are named
@@ -109,8 +108,8 @@ val compaction :
 val build_view :
   t -> Wip_sstable.Table.meta list ->
   (Wip_sstable.Sorted_view.t * Wip_sstable.Table.meta array) option
-(** {!Wip_sstable.Sorted_view.build} over a run list, with the store's view
-    settings, reading as {!cursor} does. *)
+(** {!Wip_sstable.Sorted_view.build} over a run list of at least two runs,
+    with the store's view settings, reading as {!cursor} does. *)
 
 val extend_view :
   t ->

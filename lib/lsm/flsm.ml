@@ -13,7 +13,6 @@ type config = {
   max_levels : int;
   bits_per_key : int;
   sorted_view : bool;
-  sorted_view_min_runs : int;
   ph_index : bool;
   name : string;
 }
@@ -30,7 +29,6 @@ let default_config ~scale =
     max_levels = 5;
     bits_per_key = 10;
     sorted_view = true;
-    sorted_view_min_runs = 2;
     ph_index = true;
     name = "PebblesDB";
   }
@@ -105,7 +103,6 @@ module Policy = struct
       bits_per_key = c.bits_per_key;
       ph_index = c.ph_index;
       sorted_view = c.sorted_view;
-      sorted_view_min_runs = c.sorted_view_min_runs;
     }
 
   let create cfg =

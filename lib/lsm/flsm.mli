@@ -27,9 +27,7 @@ type config = {
   sorted_view : bool;
       (** maintain a store-wide REMIX-style sorted view so scans replay one
           frozen merge instead of heap-merging every fragment (default
-          true) *)
-  sorted_view_min_runs : int;
-      (** fragment count below which scans just heap-merge (default 2) *)
+          true); built once there are two fragments *)
   ph_index : bool;
       (** emit a perfect-hash point-index block in every fragment (default
           true); see {!Wip_sstable.Table} *)

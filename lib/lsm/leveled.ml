@@ -12,7 +12,6 @@ type config = {
   max_levels : int;
   bits_per_key : int;
   sorted_view : bool;
-  sorted_view_min_runs : int;
   ph_index : bool;
   name : string;
 }
@@ -27,7 +26,6 @@ let leveldb_config ~scale =
     max_levels = 7;
     bits_per_key = 10;
     sorted_view = true;
-    sorted_view_min_runs = 2;
     ph_index = true;
     name = "LevelDB";
   }
@@ -79,7 +77,6 @@ module Policy = struct
       bits_per_key = c.bits_per_key;
       ph_index = c.ph_index;
       sorted_view = c.sorted_view;
-      sorted_view_min_runs = c.sorted_view_min_runs;
     }
 
   let create cfg =

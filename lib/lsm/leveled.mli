@@ -18,9 +18,8 @@ type config = {
   bits_per_key : int;
   sorted_view : bool;
       (** maintain a store-wide REMIX-style sorted view so scans replay one
-          frozen merge instead of heap-merging every table (default true) *)
-  sorted_view_min_runs : int;
-      (** table count below which scans just heap-merge (default 2) *)
+          frozen merge instead of heap-merging every table (default true);
+          built once there are two tables *)
   ph_index : bool;
       (** emit a perfect-hash point-index block in every table (default
           true); see {!Wip_sstable.Table} *)

@@ -30,7 +30,6 @@ type settings = {
   bits_per_key : int;
   ph_index : bool;
   sorted_view : bool;
-  sorted_view_min_runs : int;
 }
 
 module type POLICY = sig
@@ -108,8 +107,7 @@ module Make (P : POLICY) = struct
       ts =
         Table_set.create ~reopen env ~name:s.name ~suffix:".sst"
           ~bits_per_key:s.bits_per_key ~ph_index:s.ph_index
-          ~sorted_view:s.sorted_view
-          ~sorted_view_min_runs:s.sorted_view_min_runs ();
+          ~sorted_view:s.sorted_view ();
       mem = Skiplist.create ();
       l0 = [];
       layout = P.create cfg;

@@ -65,8 +65,10 @@ let record t ~requests ~started =
   match t.stats with
   | None -> ()
   | Some stats ->
-    Io_stats.record_group_commit stats ~requests
-      ~ns:(int_of_float ((Unix.gettimeofday () -. started) *. 1e9))
+    let ns = int_of_float ((Unix.gettimeofday () -. started) *. 1e9) in
+    Io_stats.(
+      add_many stats
+        [ (commit_windows, 1); (commit_requests, requests); (commit_time, ns) ])
 
 (* Deliver verdicts to a window and hand the leader slot back. Always
    broadcasts — followers must never stay parked, least of all when the

@@ -47,8 +47,8 @@ val create :
     [max_batch_bytes] (default 1 MiB) closes a window early;
     [max_delay_s] (default 2 ms) is the hard ceiling on the leader's fill
     wait (the window usually closes much sooner, when arrivals settle).
-    [stats] receives one {!Wip_storage.Io_stats.record_group_commit}
-    per window. *)
+    [stats] counts each window in {!Wip_storage.Io_stats.commit_windows},
+    with its requests and latency. *)
 
 val submit :
   t ->

@@ -98,13 +98,14 @@ let add_run t runs run =
 let timed stats f =
   let started = Unix.gettimeofday () in
   let v = f () in
-  Wip_storage.Io_stats.record_view_rebuild stats
-    ~ns:(int_of_float ((Unix.gettimeofday () -. started) *. 1e9));
+  let ns = int_of_float ((Unix.gettimeofday () -. started) *. 1e9) in
+  Wip_storage.Io_stats.(
+    add_many stats [ (view_rebuilds, 1); (view_rebuild_time, ns) ]);
   v
 
-let build ~enabled ~min_runs ~stats ~cursor tables =
+let build ~enabled ~stats ~cursor tables =
   let n = List.length tables in
-  if (not enabled) || n < min_runs || n > max_runs then None
+  if (not enabled) || n = 0 || n > max_runs then None
   else
     let runs = Array.of_list tables in
     let merge () =

@@ -38,13 +38,12 @@ val run_count : t -> int
 
 val build :
   enabled:bool ->
-  min_runs:int ->
   stats:Wip_storage.Io_stats.t ->
   cursor:(Table.meta -> Table.Reader.Cursor.t) ->
   Table.meta list ->
   (t * Table.meta array) option
-(** A view over [tables] when views are enabled and there are [min_runs]
-    to 255 of them (selectors are one byte); [None] otherwise. *)
+(** A view over [tables] when views are enabled and there are 1 to 255 of
+    them (selectors are one byte); [None] otherwise. *)
 
 val extend :
   enabled:bool ->

@@ -251,12 +251,12 @@ module Reader = struct
           | Invalid_argument _ | Env.Corruption _ -> None)
         with
         | None ->
-          Io_stats.record_ph_fallback (Env.stats env);
+          Io_stats.(add (Env.stats env) ph_fallbacks 1);
           None
         | Some raw -> (
           try Some (Ph_index.read raw) with
           | Invalid_argument _ ->
-            Io_stats.record_ph_fallback (Env.stats env);
+            Io_stats.(add (Env.stats env) ph_fallbacks 1);
             None)
     in
     let index =
@@ -301,10 +301,15 @@ module Reader = struct
 
   (* Probe the bloom with the escaped-user slice of an encoded (seek) key —
      the same bytes the builder hashed. *)
+  (* Built once: a negative probe moves two counters under one lock
+     without allocating its list per probe. *)
+  let negative_probe = Io_stats.[ (bloom_probes, 1); (bloom_negatives, 1) ]
+
   let may_contain_encoded t target =
     let len = String.length target - Ikey.trailer_length in
     let maybe = Wip_bloom.Bloom.mem_encoded_sub t.filter target ~pos:0 ~len in
-    Io_stats.record_bloom_probe (stats t) ~negative:(not maybe);
+    if maybe then Io_stats.(add (stats t) bloom_probes 1)
+    else Io_stats.add_many (stats t) negative_probe;
     maybe
 
   (* Data blocks are addressed by index ordinal and read through a cursor
@@ -315,7 +320,7 @@ module Reader = struct
      cold scan would otherwise dominate the scan itself. *)
   let block_cursor t ~category ?(admit = Wip_storage.Block_cache.Point) slot =
     let handle : Table_format.block_handle = snd t.index.(slot) in
-    Io_stats.record_block_fetch (stats t);
+    Io_stats.(add (stats t) block_fetches 1);
     guard ~file:t.meta.name @@ fun () ->
     let fetch () =
       let sealed = Env.read t.reader ~category ~pos:handle.offset ~len:handle.size in
@@ -428,9 +433,9 @@ module Reader = struct
      rejects it as a counted false hit. *)
   let get_via_ph t ~category ph target ~miss =
     let stats = stats t in
-    Io_stats.record_ph_probe stats;
+    Io_stats.(add stats ph_probes 1);
     let false_hit () =
-      Io_stats.record_ph_false_hit stats;
+      Io_stats.(add stats ph_false_hits 1);
       miss ()
     in
     let ulen = String.length target - Ikey.trailer_length in
@@ -472,7 +477,7 @@ module Reader = struct
     else begin
       let miss () =
         (* The filter said maybe, the table had nothing: a false positive. *)
-        Io_stats.record_bloom_false_positive (stats t);
+        Io_stats.(add (stats t) bloom_false_positives 1);
         None
       in
       match t.ph with

@@ -144,7 +144,7 @@ let with_retry ?(policy = Wip_util.Retry.default_policy)
 (* Run one durable operation under the env's retry policy, if any. Only
    transient faults ([Io_fault] with [retryable = true]) are re-attempted;
    the Io_fault contract — the failed op had no effect — is what makes the
-   blind re-run sound. Each re-attempt is counted in [Io_stats.retry_count]. *)
+   blind re-run sound. Each re-attempt is counted in [Io_stats.retries]. *)
 let retried t f =
   match t.retry with
   | None -> f ()
@@ -158,7 +158,7 @@ let retried t f =
     in
     Wip_util.Retry.run ~policy:r.r_policy ~rng ~sleep_ns:r.r_sleep_ns
       ~is_retryable:io_fault_retryable
-      ~on_retry:(fun ~attempt:_ ~delay_ns:_ -> Io_stats.record_retry t.stats)
+      ~on_retry:(fun ~attempt:_ ~delay_ns:_ -> Io_stats.(add t.stats retries 1))
       f
 
 let locked t f = Wip_util.Sync.with_lock t.lock f
@@ -204,7 +204,7 @@ let append w ~category s =
 let writer_offset w = w.w_off
 
 let sync w =
-  Io_stats.record_sync w.w_env.stats;
+  Io_stats.(add w.w_env.stats syncs 1);
   retried w.w_env (fun () ->
       match w.w_impl with
       | W_mem _ -> ()

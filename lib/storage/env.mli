@@ -107,7 +107,7 @@ val with_retry :
     The backoff schedule is deterministic: each durable op derives a fresh
     {!Wip_util.Rng} from [seed] and a per-env op counter. [sleep_ns]
     (default: real [Unix.sleepf]) is swappable for tests. Re-attempts are
-    counted by {!Io_stats.retry_count}.
+    counted by {!Io_stats.retries}.
     @raise Invalid_argument if [policy] fails [Retry.validate]. *)
 
 (** {1 Writing} *)
@@ -122,7 +122,7 @@ val writer_offset : writer -> int
 
 val sync : writer -> unit
 (** Durability barrier. No-op in memory; fsync on POSIX. Counted by
-    {!Io_stats.sync_count} on every backend. *)
+    {!Io_stats.syncs} on every backend. *)
 
 val close_writer : writer -> unit
 

@@ -78,15 +78,15 @@ let durable_op t ~op_name ~file ~torn_file ~buffered ~apply =
   if t.latency_ns > 0 then Unix.sleepf (float_of_int t.latency_ns /. 1e9);
   match List.assoc_opt t.durable_ops t.durable_plan with
   | Some (Crash { torn }) ->
-    Io_stats.record_fault (stats t);
+    Io_stats.(add (stats t) faults 1);
     capture t ~torn_file ~torn ~buffered;
     raise Crashed
   | Some (Fail { retryable }) ->
-    Io_stats.record_fault (stats t);
+    Io_stats.(add (stats t) faults 1);
     raise (Env.Io_fault { op = op_name; file; retryable })
   | None ->
     if in_storm t then begin
-      Io_stats.record_fault (stats t);
+      Io_stats.(add (stats t) faults 1);
       raise (Env.Io_fault { op = op_name; file; retryable = true })
     end;
     apply ()
@@ -102,7 +102,7 @@ let backend t =
              raised with [retryable = false] so no retry loop spins on it. *)
           (match t.space_budget with
           | Some budget when t.appended + String.length s > budget ->
-            Io_stats.record_fault (stats t);
+            Io_stats.(add (stats t) faults 1);
             raise (Env.Io_fault { op = "no_space"; file = name;
                                   retryable = false })
           | _ -> ());
@@ -133,7 +133,7 @@ let backend t =
         (fun ~pos ~len ->
           t.read_ops <- t.read_ops + 1;
           if List.mem t.read_ops t.read_plan then begin
-            Io_stats.record_fault (stats t);
+            Io_stats.(add (stats t) faults 1);
             (* Read faults are never retried by the env (reads fail the one
                lookup, typed); retryable = false keeps that explicit. *)
             raise (Env.Io_fault { op = "read"; file = name;
@@ -206,7 +206,7 @@ let flip_bit t ~file ~bit =
     invalid_arg
       (Printf.sprintf "Fault_env.flip_bit: bit %d outside %s (%d bytes)" bit
          file f.len);
-  Io_stats.record_fault (stats t);
+  Io_stats.(add (stats t) faults 1);
   Bytes.set f.data pos
     (Char.chr (Char.code (Bytes.get f.data pos) lxor (1 lsl (bit mod 8))))
 

@@ -36,7 +36,7 @@ val create : unit -> t
 val env : t -> Env.t
 (** The wrapped environment to hand to a store. All traffic through it is
     subject to the fault plan; injected faults are counted by
-    {!Io_stats.fault_count} on its stats. *)
+    {!Io_stats.faults} on its stats. *)
 
 (** {1 Scripting faults} *)
 

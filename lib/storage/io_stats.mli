@@ -2,7 +2,10 @@
 
     Every write and read issued through an {!Env.t} is attributed to a
     category, so experiments can report write amplification and the per-level
-    I/O breakdown of Figure 6(c) exactly. *)
+    I/O breakdown of Figure 6(c) exactly. Events that are not bytes (syncs,
+    stalls, probes, ...) are registered counters, each named once. One leaf
+    lock covers the whole record: every recorder, reader and {!snapshot} is
+    atomic, and an event that moves several counters takes it once. *)
 
 type category =
   | User_write  (** bytes of user payload accepted by the store front end *)
@@ -19,108 +22,40 @@ type category =
 
 type t
 
+type counter
+(** An event counter, registered once under the name {!to_list} gives it. *)
+
+val syncs : counter (* durability barriers: {!Env.sync} calls *)
+val faults : counter (* injected faults, counted by fault-injection backends *)
+val stalls : counter (* admission-control write stalls *)
+val stall_time : counter (* ["stall_ns"]: nanoseconds spent stalled *)
+val retries : counter (* durable-op re-attempts after a transient fault *)
+val degraded_transitions : counter (* Healthy → Degraded edges *)
+val bloom_probes : counter (* bloom-filter consultations on reads *)
+val bloom_negatives : counter (* probes answered "definitely absent" *)
+val bloom_false_positives : counter (* maybes whose table lacked the key *)
+val block_fetches : counter (* data-block requests, cache hits included *)
+val commit_windows : counter (* group-commit windows, one fsync each *)
+val commit_requests : counter (* logical commits those windows carried *)
+val commit_time : counter (* ["commit_ns"]: window latency, submit to ack *)
+val ph_probes : counter (* perfect-hash point-index lookups *)
+val ph_false_hits : counter (* fingerprint aliases the key check rejected *)
+val ph_fallbacks : counter (* ph blocks dropped (CRC/parse) at reader open *)
+val view_rebuilds : counter (* sorted-view builds and incremental add_runs *)
+val view_rebuild_time : counter (* ["view_rebuild_ns"]: time spent in them *)
+
 val create : unit -> t
+val count : t -> counter -> int
+
+val add : t -> counter -> int -> unit
+(** [add t c n] adds [n], clamped at 0, to [c]. *)
+
+val add_many : t -> (counter * int) list -> unit
+(** {!add} for each pair, under one lock acquisition: for an event that
+    moves several counters at once. *)
 
 val record_write : t -> category -> int -> unit
-
 val record_read : t -> category -> int -> unit
-
-val record_sync : t -> unit
-(** Count one durability barrier ({!Env.sync} call). *)
-
-val record_fault : t -> unit
-(** Count one injected fault (crash, transient I/O error, or bit flip);
-    only fault-injection backends call this. *)
-
-val record_stall : t -> ns:int -> unit
-(** Count one admission-control write stall and the time it spent waiting
-    ([ns], clamped at 0). *)
-
-val record_retry : t -> unit
-(** Count one durable-op re-attempt after a transient fault (the retry
-    itself, not the original attempt). *)
-
-val record_degraded_transition : t -> unit
-(** Count one Healthy → Degraded edge — a store giving up on its write path
-    after exhausting retries. *)
-
-val record_group_commit : t -> requests:int -> ns:int -> unit
-(** Count one group-commit window: [requests] logical commits coalesced
-    into a single WAL append + fsync, [ns] the window's latency from first
-    submit to acks (clamped at 0). Fsyncs saved by the window =
-    [requests - 1]. *)
-
-val record_bloom_probe : t -> negative:bool -> unit
-(** Count one bloom-filter consultation; [negative] when the filter ruled
-    the key definitely absent. *)
-
-val record_bloom_false_positive : t -> unit
-(** Count one probe where the filter said maybe but the table had no entry
-    for the user key — the measured FP rate's numerator. *)
-
-val record_block_fetch : t -> unit
-(** Count one data-block request (cache hits included). *)
-
-val record_ph_probe : t -> unit
-(** Count one perfect-hash point-index lookup on a table get. *)
-
-val record_ph_false_hit : t -> unit
-(** Count one fingerprint alias: the ph slot named an entry whose user key
-    did not match the target (probability ~1/255 per absent-key probe). *)
-
-val record_ph_fallback : t -> unit
-(** Count one ph block dropped at reader open (CRC or parse failure) — the
-    table serves gets through restart binary search instead. *)
-
-val record_view_rebuild : t -> ns:int -> unit
-(** Count one sorted-view construction (full build or incremental add_run)
-    taking [ns] nanoseconds (clamped at 0). *)
-
-val bloom_probe_count : t -> int
-
-val bloom_negative_count : t -> int
-
-val bloom_false_positive_count : t -> int
-
-val bloom_fp_rate : t -> float
-(** [false positives / (probes - negatives)]; 0 with no maybe-answers. *)
-
-val block_fetch_count : t -> int
-
-val ph_probe_count : t -> int
-
-val ph_false_hit_count : t -> int
-
-val ph_fallback_count : t -> int
-
-val view_rebuild_count : t -> int
-
-val view_rebuild_ns : t -> int
-(** Total nanoseconds spent building sorted views. *)
-
-val sync_count : t -> int
-(** Durability barriers issued — the denominator of fsync overhead. *)
-
-val fault_count : t -> int
-
-val stall_count : t -> int
-
-val stall_ns : t -> int
-(** Total nanoseconds spent in admission-control stalls. *)
-
-val retry_count : t -> int
-
-val degraded_transition_count : t -> int
-
-val group_commit_count : t -> int
-(** Group-commit windows committed (one fsync each). *)
-
-val group_commit_request_count : t -> int
-(** Logical commits carried by those windows; [request_count - count] is
-    the number of fsyncs group commit saved. *)
-
-val group_commit_ns : t -> int
-(** Total group-commit window latency (submit to ack), nanoseconds. *)
 
 val bytes_written : t -> int
 (** Total device bytes written, across all categories except [User_write]
@@ -133,7 +68,6 @@ val store_bytes_written : t -> int
     SSD (§IV-A). *)
 
 val bytes_read : t -> int
-
 val user_bytes : t -> int
 
 val write_amplification : t -> float
@@ -142,6 +76,8 @@ val write_amplification : t -> float
 val written_by : t -> category -> int
 
 val read_by : t -> category -> int
+(** [User_write] has one counter for both directions, and
+    [Compaction_read l] one per level whichever side records it. *)
 
 val per_level_write : t -> (int * int) list
 (** [(level, bytes)] written into each level by compaction, ascending level;
@@ -149,10 +85,35 @@ val per_level_write : t -> (int * int) list
 
 val per_level_read : t -> (int * int) list
 
-val reset : t -> unit
+val to_list : t -> (string * int) list
+(** Every counter under its registered name, then every category's bytes:
+    ["user_bytes"], ["<category>_bytes_written"] and ["_bytes_read"] for
+    the others, and ["level<l>_bytes_written"] / ["_read"] for each level
+    with traffic. Read under one lock acquisition. *)
 
+val reset : t -> unit
 val snapshot : t -> t
 (** An independent copy, for delta measurements. *)
 
 val diff : t -> t -> t
 (** [diff current baseline] — counters of [current] minus [baseline]. *)
+
+(** {2 Named readers}
+
+    [count] over one counter each. benchmark/server.ml calls them, and that
+    directory is the benchmark's own, out of reach of this module's
+    refactors; everything else uses {!count}. *)
+
+val sync_count : t -> int
+val stall_count : t -> int
+val stall_ns : t -> int
+val bloom_probe_count : t -> int
+val bloom_negative_count : t -> int
+val bloom_false_positive_count : t -> int
+val block_fetch_count : t -> int
+val ph_probe_count : t -> int
+val ph_false_hit_count : t -> int
+val view_rebuild_count : t -> int
+val view_rebuild_ns : t -> int
+val group_commit_count : t -> int
+val group_commit_request_count : t -> int

@@ -291,7 +291,7 @@ let test_bypass_never_inserts () =
   Alcotest.(check int) "one short scan" 1
     (List.length (Wipdb.Store.scan db ~lo:(key 0) ~hi:"\255" ~limit:1 ()));
   Alcotest.(check int) "the scan built the view" 1
-    (Io_stats.view_rebuild_count stats);
+    (Io_stats.(count stats view_rebuilds));
   let before = Io_stats.read_by stats Io_stats.Read_path in
   Alcotest.(check (option string)) "far get" (Some (String.make 64 'v'))
     (Wipdb.Store.get db (key 4321));

@@ -220,7 +220,7 @@ let run_scenario (Engine (_, (module E), make)) seed =
     Array.fold_left
       (fun (f, r) fenv ->
         let stats = Env.stats (Fault_env.env fenv) in
-        (f + Io_stats.fault_count stats, r + Io_stats.retry_count stats))
+        (f + Io_stats.(count stats faults), r + Io_stats.(count stats retries)))
       (0, 0) fenvs
   in
   Alcotest.(check bool)

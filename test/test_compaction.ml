@@ -154,8 +154,7 @@ let check_case seed =
   in
   let ts =
     Table_set.create ~reopen:false env ~name:"cmp" ~suffix:".lvt"
-      ~bits_per_key:10 ~ph_index:true ~sorted_view:false
-      ~sorted_view_min_runs:2 ()
+      ~bits_per_key:10 ~ph_index:true ~sorted_view:false ()
   in
   if not (Int64.equal floor Int64.max_int) then
     ignore (Table_set.snapshot ts ~seq:floor);

@@ -70,7 +70,6 @@ let leveled_cfg =
     max_levels = 3;
     bits_per_key = 10;
     sorted_view = true;
-    sorted_view_min_runs = 2;
     ph_index = true;
     name = "mxl";
   }
@@ -84,7 +83,6 @@ let flsm_cfg =
     max_levels = 3;
     bits_per_key = 10;
     sorted_view = true;
-    sorted_view_min_runs = 2;
     ph_index = true;
     name = "mxf";
   }
@@ -525,7 +523,7 @@ let test_crash_during_retry_backoff () =
         Alcotest.(check bool)
           (Printf.sprintf "op %d: transient fault fired first" k)
           true
-          (Io_stats.fault_count (Env.stats (Fault_env.env fenv)) >= 1))
+          (Io_stats.(count (Env.stats (Fault_env.env fenv)) faults) >= 1))
     sample
 
 (* Matrix row: a torn manifest tail inside a guard commit. Committing a

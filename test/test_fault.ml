@@ -73,7 +73,8 @@ let test_write_fault_is_transient () =
   Env.append w ~category:cat "x";
   Env.sync w;
   Alcotest.(check int) "exactly one byte landed" 1 (Fault_env.file_size fenv "a");
-  Alcotest.(check int) "fault counted" 1 (Io_stats.fault_count (Env.stats env))
+  Alcotest.(check int) "fault counted" 1
+    Io_stats.(count (Env.stats env) faults)
 
 let test_read_fault_is_transient () =
   let fenv = Fault_env.create () in
@@ -101,7 +102,7 @@ let test_flip_bit () =
   Fault_env.flip_bit fenv ~file:"a" ~bit:1;
   Alcotest.(check string) "bit 1 flipped: 0x41 -> 0x43" "C" (read_file env "a");
   Alcotest.(check int) "corruption counted as a fault" 1
-    (Io_stats.fault_count (Env.stats env));
+    (Io_stats.(count (Env.stats env) faults));
   (match Fault_env.flip_bit fenv ~file:"a" ~bit:800 with
   | () -> Alcotest.fail "out-of-range flip accepted"
   | exception Invalid_argument _ -> ())
@@ -224,10 +225,10 @@ let test_sync_counter () =
   let w = Env.create_file env "a" in
   Env.sync w;
   Env.sync w;
-  Alcotest.(check int) "sync_count" 2 (Io_stats.sync_count (Env.stats env));
+  Alcotest.(check int) "sync_count" 2 (Io_stats.(count (Env.stats env) syncs));
   Io_stats.reset (Env.stats env);
   Alcotest.(check int) "reset clears syncs" 0
-    (Io_stats.sync_count (Env.stats env))
+    (Io_stats.(count (Env.stats env) syncs))
 
 let suite =
   [

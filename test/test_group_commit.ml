@@ -76,9 +76,9 @@ let test_windows_coalesce () =
   if w >= n then
     Alcotest.failf "no coalescing: %d windows for %d requests" w n;
   (* The stats hook saw the same window/request totals. *)
-  Alcotest.(check int) "stats windows" w (Io_stats.group_commit_count stats);
+  Alcotest.(check int) "stats windows" w Io_stats.(count stats commit_windows);
   Alcotest.(check int) "stats requests" n
-    (Io_stats.group_commit_request_count stats)
+    (Io_stats.(count stats commit_requests))
 
 let test_no_coalesce_baseline () =
   let commit batches = Array.map (fun _ -> Ok ()) batches in

@@ -16,7 +16,6 @@ let small_config =
     max_levels = 7;
     bits_per_key = 10;
     sorted_view = true;
-    sorted_view_min_runs = 2;
     ph_index = true;
     name = "LevelDB-test";
   }

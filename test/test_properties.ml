@@ -134,29 +134,175 @@ let qcheck_distribution_bounds =
       done;
       !ok)
 
-(* Io_stats.diff algebra: diff(current, base) + base = current, per category. *)
+(* Io_stats against a model: random event sequences over every counter and
+   every category, levels included, folded by hand into a map. Every
+   reader, [snapshot], [diff], [reset] and [to_list] must agree with the
+   fold, and [to_list] must name each counter exactly once. *)
+module Model = Map.Make (String)
+
 let qcheck_io_stats_diff =
-  QCheck.Test.make ~name:"io_stats diff is the counter delta" ~count:100
-    QCheck.(pair (small_list (pair (int_bound 5) small_nat)) (small_list (pair (int_bound 5) small_nat)))
+  let counters =
+    Io_stats.
+      [
+        (syncs, "syncs"); (faults, "faults"); (stalls, "stalls");
+        (stall_time, "stall_ns"); (retries, "retries");
+        (degraded_transitions, "degraded_transitions");
+        (bloom_probes, "bloom_probes"); (bloom_negatives, "bloom_negatives");
+        (bloom_false_positives, "bloom_false_positives");
+        (block_fetches, "block_fetches"); (commit_windows, "commit_windows");
+        (commit_requests, "commit_requests"); (commit_time, "commit_ns");
+        (ph_probes, "ph_probes"); (ph_false_hits, "ph_false_hits");
+        (ph_fallbacks, "ph_fallbacks"); (view_rebuilds, "view_rebuilds");
+        (view_rebuild_time, "view_rebuild_ns");
+      ]
+  in
+  let readers =
+    Io_stats.
+      [
+        (sync_count, syncs); (stall_count, stalls); (stall_ns, stall_time);
+        (bloom_probe_count, bloom_probes);
+        (bloom_negative_count, bloom_negatives);
+        (bloom_false_positive_count, bloom_false_positives);
+        (block_fetch_count, block_fetches); (ph_probe_count, ph_probes);
+        (ph_false_hit_count, ph_false_hits);
+        (view_rebuild_count, view_rebuilds);
+        (view_rebuild_ns, view_rebuild_time);
+        (group_commit_count, commit_windows);
+        (group_commit_request_count, commit_requests);
+      ]
+  in
+  let scalars =
+    Io_stats.
+      [
+        (User_write, "user"); (Wal, "wal"); (Flush, "flush"); (Split, "split");
+        (Read_path, "read_path"); (Manifest, "manifest");
+        (Table_meta, "table_meta");
+      ]
+  in
+  let levels = List.init 12 Fun.id in
+  let categories =
+    List.map fst scalars
+    @ List.concat_map
+        (fun l -> Io_stats.[ Compaction l; Compaction_read l ])
+        levels
+  in
+  let counter k = List.nth counters (k mod List.length counters) in
+  let category k l =
+    match k mod 9 with
+    | 7 -> Io_stats.Compaction l
+    | 8 -> Io_stats.Compaction_read l
+    | k -> fst (List.nth scalars k)
+  in
+  (* Model keys: user payload has one slot for both sides; a compaction's
+     reads land in its level's read slot whichever side records them. *)
+  let key ~read cat =
+    let side = if read then "r:" else "w:" in
+    match cat with
+    | Io_stats.User_write -> "user"
+    | Compaction l -> side ^ string_of_int l
+    | Compaction_read l -> "r:" ^ string_of_int l
+    | c -> side ^ List.assoc c scalars
+  in
+  let get m k = Option.value (Model.find_opt k m) ~default:0 in
+  let bump k n m = Model.add k (get m k + n) m in
+  let fold events =
+    List.fold_left
+      (fun m (kind, a, l, n) ->
+        match kind with
+        | 0 -> bump (key ~read:false (category a l)) n m
+        | 1 -> bump (key ~read:true (category a l)) n m
+        | 2 -> bump (snd (counter a)) (max 0 n) m
+        | _ ->
+          bump (snd (counter a)) (max 0 n) m
+          |> bump (snd (counter l)) (max 0 (n / 2)))
+      Model.empty events
+  in
+  let apply stats =
+    List.iter (fun (kind, a, l, n) ->
+        match kind with
+        | 0 -> Io_stats.record_write stats (category a l) n
+        | 1 -> Io_stats.record_read stats (category a l) n
+        | 2 -> Io_stats.add stats (fst (counter a)) n
+        | _ ->
+          Io_stats.add_many stats
+            [ (fst (counter a), n); (fst (counter l), n / 2) ])
+  in
+  let agrees stats m =
+    let sum side names =
+      List.fold_left (fun acc k -> acc + get m (side ^ k)) 0
+        (names @ List.map string_of_int levels)
+    in
+    let store_w = sum "w:" [ "flush"; "split"; "manifest"; "table_meta" ] in
+    let per_level ~read =
+      List.filter_map
+        (fun l ->
+          let n = get m (key ~read (Io_stats.Compaction l)) in
+          if n > 0 then Some (l, n) else None)
+        levels
+    in
+    let side read = if read then "read" else "written" in
+    let expected =
+      List.map (fun (_, name) -> (name, get m name)) counters
+      @ [ ("user_bytes", get m "user") ]
+      @ List.concat_map
+          (fun (c, name) ->
+            if c = Io_stats.User_write then []
+            else
+              List.map
+                (fun read ->
+                  (Printf.sprintf "%s_bytes_%s" name (side read),
+                   get m (key ~read c)))
+                [ false; true ])
+          scalars
+      @ List.concat_map
+          (fun read ->
+            List.map
+              (fun (l, n) ->
+                (Printf.sprintf "level%d_bytes_%s" l (side read), n))
+              (per_level ~read))
+          [ false; true ]
+    in
+    let listed = Io_stats.to_list stats in
+    let user = get m "user" in
+    List.for_all (fun (c, name) -> Io_stats.count stats c = get m name) counters
+    && List.for_all
+         (fun (reader, c) -> reader stats = get m (List.assoc c counters))
+         readers
+    && List.for_all
+         (fun c ->
+           Io_stats.written_by stats c = get m (key ~read:false c)
+           && Io_stats.read_by stats c = get m (key ~read:true c))
+         categories
+    && Io_stats.user_bytes stats = user
+    && Io_stats.store_bytes_written stats = store_w
+    && Io_stats.bytes_written stats = store_w + get m "w:wal"
+    && Io_stats.bytes_read stats
+       = sum "r:"
+           [ "wal"; "flush"; "split"; "read_path"; "manifest"; "table_meta" ]
+    && Io_stats.write_amplification stats
+       = (if user = 0 then 0.0 else float_of_int store_w /. float_of_int user)
+    && Io_stats.per_level_write stats = per_level ~read:false
+    && Io_stats.per_level_read stats = per_level ~read:true
+    && List.sort compare listed = List.sort compare expected
+    && List.length (List.sort_uniq compare (List.map fst listed))
+       = List.length listed
+  in
+  let event =
+    QCheck.(
+      quad (int_bound 3) (int_bound 17) (int_bound 11) (int_range (-3) 500))
+  in
+  QCheck.Test.make ~name:"io_stats diff is the counter delta" ~count:200
+    QCheck.(pair (small_list event) (small_list event))
     (fun (first, second) ->
-      let cat = function
-        | 0 -> Io_stats.Flush
-        | 1 -> Io_stats.Wal
-        | 2 -> Io_stats.Compaction 1
-        | 3 -> Io_stats.Compaction 3
-        | 4 -> Io_stats.Split
-        | _ -> Io_stats.Manifest
-      in
       let stats = Io_stats.create () in
-      List.iter (fun (c, n) -> Io_stats.record_write stats (cat c) n) first;
+      apply stats first;
       let base = Io_stats.snapshot stats in
-      List.iter (fun (c, n) -> Io_stats.record_write stats (cat c) n) second;
+      apply stats second;
       let d = Io_stats.diff stats base in
-      List.for_all
-        (fun c ->
-          Io_stats.written_by d (cat c)
-          = Io_stats.written_by stats (cat c) - Io_stats.written_by base (cat c))
-        [ 0; 1; 2; 3; 4; 5 ])
+      let both = agrees stats (fold (first @ second)) in
+      let parts = agrees base (fold first) && agrees d (fold second) in
+      Io_stats.reset stats;
+      both && parts && agrees stats Model.empty)
 
 (* WipDB's WA bound holds for arbitrary (valid) small configurations. *)
 let qcheck_wa_bound_random_configs =

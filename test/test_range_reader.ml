@@ -91,7 +91,6 @@ let wipdb ~structure ~view () =
       adaptive_memtable = false;
       memtable_structure = structure;
       sorted_view = view;
-      sorted_view_min_runs = 2;
       block_cache_bytes = 16 * 1024;
     }
 
@@ -303,7 +302,7 @@ let test_stale_view_raises () =
   let a = table "a" 100 and b = table "b" 100 and short = table "c" 10 in
   let view =
     match
-      Sorted_view.build ~enabled:true ~min_runs:2 ~stats:(Env.stats env)
+      Sorted_view.build ~enabled:true ~stats:(Env.stats env)
         ~cursor:(fun m ->
           Table.Reader.Cursor.create
             (if m.Table.name = "a" then a else b)

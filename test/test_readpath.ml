@@ -40,7 +40,7 @@ let test_hot_get_block_budget () =
   in
   (* Warm the block holding key 700. *)
   Alcotest.(check bool) "warm get found" true (get 700 <> None);
-  let fetches0 = Io_stats.block_fetch_count stats in
+  let fetches0 = Io_stats.(count stats block_fetches) in
   let decodes0 = Atomic.get Block.decode_count in
   let device0 = Io_stats.read_by stats Io_stats.Read_path in
   (match get 700 with
@@ -49,7 +49,7 @@ let test_hot_get_block_budget () =
     Alcotest.(check int64) "seq" 701L seq
   | _ -> Alcotest.fail "hot get lost the key");
   Alcotest.(check bool) "at most one block fetch" true
-    (Io_stats.block_fetch_count stats - fetches0 <= 1);
+    (Io_stats.(count stats block_fetches) - fetches0 <= 1);
   Alcotest.(check int) "zero full-block decodes" decodes0
     (Atomic.get Block.decode_count);
   Alcotest.(check int) "zero device bytes" device0
@@ -131,7 +131,7 @@ let test_bloom_accounting () =
   let r = build_table env 1000 in
   let stats = Env.stats env in
   let absent = 500 in
-  let probes0 = Io_stats.bloom_probe_count stats in
+  let probes0 = Io_stats.(count stats bloom_probes) in
   for i = 0 to absent - 1 do
     let missing = Printf.sprintf "zz-not-there-%04d" i in
     Alcotest.(check bool) "absent key misses" true
@@ -140,19 +140,12 @@ let test_bloom_accounting () =
       = None)
   done;
   Alcotest.(check int) "every get probes once" absent
-    (Io_stats.bloom_probe_count stats - probes0);
+    (Io_stats.(count stats bloom_probes) - probes0);
   Alcotest.(check int) "each probe is a negative or a measured FP" absent
-    (Io_stats.bloom_negative_count stats
-    + Io_stats.bloom_false_positive_count stats);
-  let fp = Io_stats.bloom_false_positive_count stats in
-  let maybes =
-    Io_stats.bloom_probe_count stats - Io_stats.bloom_negative_count stats
-  in
-  Alcotest.(check (float 1e-9)) "fp_rate = fp / maybes"
-    (if maybes = 0 then 0.0 else float_of_int fp /. float_of_int maybes)
-    (Io_stats.bloom_fp_rate stats);
+    (Io_stats.(count stats bloom_negatives)
+    + Io_stats.(count stats bloom_false_positives));
   (* Present keys: maybe-answers that are not false positives. *)
-  let fp0 = Io_stats.bloom_false_positive_count stats in
+  let fp0 = Io_stats.(count stats bloom_false_positives) in
   for i = 0 to 99 do
     Alcotest.(check bool) "present key found" true
       (Table.Reader.get r ~category:Io_stats.Read_path (key (i * 7))
@@ -160,7 +153,7 @@ let test_bloom_accounting () =
       <> None)
   done;
   Alcotest.(check int) "hits are not FPs" fp0
-    (Io_stats.bloom_false_positive_count stats)
+    (Io_stats.(count stats bloom_false_positives))
 
 (* The full-store hot path composes the same way: a repeated Wipdb get on a
    flushed key decodes no blocks wholesale. *)

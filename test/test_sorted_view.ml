@@ -83,7 +83,7 @@ let metas readers = Array.to_list (Array.map Table.Reader.meta readers)
 
 let build_view env readers =
   match
-    Sorted_view.build ~enabled:true ~min_runs:1
+    Sorted_view.build ~enabled:true
       ~stats:(Wip_storage.Env.stats env) ~cursor:(cursor_of readers)
       (metas readers)
   with
@@ -350,7 +350,7 @@ let test_table_ph_equals_binary () =
   (* The ph path was actually exercised. *)
   let stats = Wip_storage.Env.stats env in
   Alcotest.(check bool) "ph probes recorded" true
-    (Io_stats.ph_probe_count stats > 0);
+    (Io_stats.(count stats ph_probes) > 0);
   Table.Reader.close with_ph;
   Table.Reader.close without
 
@@ -425,7 +425,7 @@ let test_store_equivalence_under_churn () =
   (* The accelerated store actually used its accelerators. *)
   let stats_on = Wip_storage.Env.stats (Store.env on) in
   Alcotest.(check bool) "views were built" true
-    (Io_stats.view_rebuild_count stats_on > 0)
+    (Io_stats.(count stats_on view_rebuilds) > 0)
 
 let suite =
   [
