@@ -11,8 +11,9 @@
      dune exec bench/main.exe -- micro           # Bechamel microbenches
 
    "--exact" prints only what is deterministic on the simulated device: the
-   fig6 WA and per-category byte tables (bytes in full) and the fig11
-   histograms, without throughput or timings. The @io_exact alias diffs
+   fig6 WA and per-category byte tables (bytes in full), the fig11
+   histograms and fig8's hot/cold sublevel means, without throughput or
+   timings. The @io_exact alias diffs
    that output against bench/io_exact.expected. *)
 
 let experiments =
