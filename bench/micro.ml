@@ -39,7 +39,8 @@ let memtable_lookup structure =
   let i = ref 0 in
   Staged.stage (fun () ->
       incr i;
-      ignore (Memtable.find t keys.(!i land 4095) ~snapshot:Int64.max_int))
+      ignore
+        (Memtable.find_with_seq t keys.(!i land 4095) ~snapshot:Int64.max_int))
 
 (* Figure 6: the WipDB write path end to end (memtable + wal + compactions). *)
 let wipdb_write () =

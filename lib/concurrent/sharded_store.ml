@@ -277,25 +277,7 @@ module Make (S : Wip_kv.Store_intf.S) = struct
   let retag i = function
     | Intf.Backpressure { debt_bytes; _ } ->
       Intf.Backpressure { shard = i; debt_bytes }
-    | (Intf.Store_degraded _ | Intf.Txn_conflict _) as e -> e
-
-  (* Admission, then the engine's own guarded write path.
-     requires: lock *)
-  let sub_batch t i sh items =
-    match S.health sh.store with
-    | Intf.Degraded { reason } -> Error (Intf.Store_degraded { reason })
-    | Intf.Healthy -> (
-      let bytes = batch_bytes items in
-      match admit t i sh ~bytes with
-      | Error _ as e -> e
-      | Ok () -> (
-        (* Debug witness that the [requires] precondition really held. *)
-        Sync.check_guard sh.lock ~field:"inflight";
-        match S.try_write_batch sh.store items with
-        | Ok () ->
-          sh.inflight <- sh.inflight + bytes;
-          Ok ()
-        | Error e -> Error (retag i e)))
+    | Intf.Store_degraded _ as e -> e
 
   (* ---------------------------------------------------------------- *)
   (* Single-shard operations *)
@@ -320,85 +302,20 @@ module Make (S : Wip_kv.Store_intf.S) = struct
      all writers, readers and pool workers (which take a single lock), so no
      lock cycle can form. *)
 
-  let lock_range t i0 i1 f =
-    let locks = List.init (i1 - i0 + 1) (fun k -> t.shards.(i0 + k).lock) in
-    Sync.with_locks_ordered locks f
-
-  let try_write_batch t items =
-    if items = [] then Ok ()
-    else begin
-      let n = Array.length t.shards in
-      let groups = Array.make n [] in
-      List.iter
-        (fun ((_, key, _) as item) ->
-          let i = shard_index t key in
-          groups.(i) <- item :: groups.(i))
-        items;
-      let touched = ref [] in
-      for i = n - 1 downto 0 do
-        if groups.(i) <> [] then begin
-          groups.(i) <- List.rev groups.(i);
-          touched := i :: !touched
-        end
-      done;
-      match !touched with
-      | [] -> Ok ()
-      | [ i ] ->
-        let sh = t.shards.(i) in
-        Sync.with_lock sh.lock (fun () -> sub_batch t i sh groups.(i))
-      | is ->
-        (* The batch is atomic per shard (each sub-batch is one WAL record
-           in its shard's engine) and isolated across shards: all involved
-           locks are held for the whole application, so no reader observes
-           a half-applied batch. *)
-        let i0 = List.hd is and i1 = List.nth is (List.length is - 1) in
-        lock_range t i0 i1 (fun () ->
-            (* Admission across several held locks cannot stall: awaiting
-               would release only one of them. Check every shard's debt up
-               front and fail fast; only when all admit does anything apply. *)
-            let refused =
-              List.find_map
-                (fun i ->
-                  let sh = t.shards.(i) in
-                  match S.health sh.store with
-                  | Intf.Degraded { reason } ->
-                    Some (Intf.Store_degraded { reason })
-                  | Intf.Healthy ->
-                    if not t.admission then None
-                    else refusal t i sh ~bytes:(batch_bytes groups.(i)))
-                is
-            in
-            match refused with
-            | Some e -> Error e
-            | None ->
-              (* A failure mid-application leaves earlier sub-batches
-                 applied: the documented contract is atomic per shard, not
-                 across shards, and the failing shard's engine has already
-                 flipped itself Degraded. *)
-              let rec apply = function
-                | [] -> Ok ()
-                | i :: rest -> (
-                  let sh = t.shards.(i) in
-                  match S.try_write_batch sh.store groups.(i) with
-                  | Ok () ->
-                    sh.inflight <- sh.inflight + batch_bytes groups.(i);
-                    apply rest
-                  | Error e -> Error (retag i e))
-              in
-              apply is)
-    end
-
   (* ---------------------------------------------------------------- *)
-  (* Group commit: several independent logical batches committed as one
+  (* The write path: several independent logical batches applied as one
      unit — per shard, one WAL append carrying one record per batch
-     (S.try_write_batches) followed by one durability barrier (S.log_sync).
-     Each batch gets its own verdict: a batch fails if any shard it touches
-     refuses admission, fails to apply, or fails to sync — an [Ok] result
-     therefore means "durable", which is what lets the server ack it. As
-     with [try_write_batch], a batch is atomic per shard, not across
-     shards. *)
+     (S.try_write_batches) — and, with [sync], followed by one
+     durability barrier per shard (S.log_sync). Each batch gets its own
+     verdict: a batch fails if any shard it touches refuses admission,
+     fails to apply, or fails to sync, the first such shard in ascending
+     order giving the error. With [sync] an [Ok] result therefore means
+     "durable", which is what lets the server ack it. A batch is atomic
+     per shard (each sub-batch is one WAL record in its shard's engine)
+     and isolated across shards: all involved locks are held for the
+     whole window, so no reader observes a half-applied batch. *)
 
-  let commit_batches t batches =
+  let commit_window t batches ~sync =
     let nb = Array.length batches in
     let results = Array.make nb (Ok ()) in
     if nb = 0 then results
@@ -406,14 +323,11 @@ module Make (S : Wip_kv.Store_intf.S) = struct
       let n = Array.length t.shards in
       (* groups.(i).(j): batch [j]'s items routed to shard [i] (reversed). *)
       let groups = Array.make_matrix n nb [] in
-      let batch_shards = Array.make nb [] in
       Array.iteri
         (fun j items ->
           List.iter
             (fun ((_, key, _) as item) ->
               let i = shard_index t key in
-              if groups.(i).(j) = [] then
-                batch_shards.(j) <- i :: batch_shards.(j);
               groups.(i).(j) <- item :: groups.(i).(j))
             items)
         batches;
@@ -430,6 +344,19 @@ module Make (S : Wip_kv.Store_intf.S) = struct
       | [] -> results
       | is ->
         let shard_err = Array.make n None in
+        (* The first error among the shards batch [j] touches. *)
+        let batch_error j =
+          List.find_map
+            (fun i -> if groups.(i).(j) <> [] then shard_err.(i) else None)
+            is
+        in
+        let fail_batches () =
+          Array.iteri
+            (fun j r ->
+              if r = Ok () then
+                Option.iter (fun e -> results.(j) <- Error e) (batch_error j))
+            results
+        in
         let shard_bytes i =
           Array.fold_left
             (fun acc g -> acc + batch_bytes g)
@@ -440,7 +367,8 @@ module Make (S : Wip_kv.Store_intf.S) = struct
             (* Health + admission per shard, over the window's merged
                bytes. With a single shard involved the stall-capable path
                applies (only its own lock is held, so awaiting is safe);
-               with several locks held, fail fast like try_write_batch. *)
+               with several locks held, admission cannot stall — awaiting
+               would release only one of them — so it fails fast. *)
             List.iter
               (fun i ->
                 let sh = t.shards.(i) in
@@ -458,15 +386,11 @@ module Make (S : Wip_kv.Store_intf.S) = struct
                     if t.admission then shard_err.(i) <- refusal t i sh ~bytes))
               is;
             (* A batch touching a refusing shard is out of the window. *)
-            Array.iteri
-              (fun j is_j ->
-                match
-                  List.find_map (fun i -> shard_err.(i)) is_j
-                with
-                | Some e -> results.(j) <- Error e
-                | None -> ())
-              batch_shards;
-            (* Apply: per shard, surviving batches as one commit unit. *)
+            fail_batches ();
+            (* Apply: per shard, surviving batches as one commit unit. A
+               failure leaves the other shards' sub-batches applied: the
+               failing shard's engine has already flipped itself
+               Degraded. *)
             List.iter
               (fun i ->
                 if shard_err.(i) = None then begin
@@ -479,37 +403,39 @@ module Make (S : Wip_kv.Store_intf.S) = struct
                       bytes := !bytes + batch_bytes groups.(i).(j)
                     end
                   done;
-                  if !subs <> [] then
+                  if !subs <> [] then begin
+                    (* Debug witness that the lock really is held. *)
+                    Sync.check_guard sh.lock ~field:"inflight";
                     match S.try_write_batches sh.store !subs with
                     | Ok () -> sh.inflight <- sh.inflight + !bytes
                     | Error e -> shard_err.(i) <- Some (retag i e)
+                  end
                 end)
               is;
             (* Durability barrier, one per touched shard that applied
                anything. A sync failure poisons every batch on that shard:
                nothing un-synced may be acked. *)
-            List.iter
-              (fun i ->
-                if shard_err.(i) = None then
-                  let sh = t.shards.(i) in
-                  let applied =
-                    Array.exists2
-                      (fun r g -> r = Ok () && g <> [])
-                      results groups.(i)
-                  in
-                  if applied then
-                    try S.log_sync sh.store
-                    with Intf.Rejected e -> shard_err.(i) <- Some (retag i e))
-              is;
-            Array.iteri
-              (fun j is_j ->
-                if results.(j) = Ok () then
-                  match List.find_map (fun i -> shard_err.(i)) is_j with
-                  | Some e -> results.(j) <- Error e
-                  | None -> ())
-              batch_shards;
+            if sync then
+              List.iter
+                (fun i ->
+                  if shard_err.(i) = None then
+                    let sh = t.shards.(i) in
+                    let applied =
+                      Array.exists2
+                        (fun r g -> r = Ok () && g <> [])
+                        results groups.(i)
+                    in
+                    if applied then
+                      try S.log_sync sh.store
+                      with Intf.Rejected e -> shard_err.(i) <- Some (retag i e))
+                is;
+            fail_batches ();
             results)
     end
+
+  let try_write_batch t items = (commit_window t [| items |] ~sync:false).(0)
+
+  let commit_batches t batches = commit_window t batches ~sync:true
 
   let write_batch t items =
     match try_write_batch t items with
@@ -610,8 +536,6 @@ module Make (S : Wip_kv.Store_intf.S) = struct
       (fun i s ->
         Sync.with_lock t.shards.(i).lock (fun () -> Intf.release s))
       snap
-
-  let snapshot_seqs (snap : snapshot) = Array.map Intf.snapshot_seq snap
 
   let get_at t key ~snapshot:(snap : snapshot) =
     let i = shard_index t key in

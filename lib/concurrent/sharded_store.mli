@@ -76,8 +76,9 @@ module Make (S : Wip_kv.Store_intf.S) : sig
     t ->
     (Wip_util.Ikey.kind * string * string) list ->
     (unit, Wip_kv.Store_intf.write_error) result
-  (** [write_batch] with the refusal as data; [Backpressure.shard] is the
-      index of the refusing shard. *)
+  (** [write_batch] with the refusal as data: {!commit_batches}'s window
+      over this one batch, without the durability barrier.
+      [Backpressure.shard] is the index of the first refusing shard. *)
 
   val commit_batches :
     t ->
@@ -133,9 +134,6 @@ module Make (S : Wip_kv.Store_intf.S) : sig
 
   val release : t -> snapshot -> unit
   (** Release every per-shard pin. Idempotent. *)
-
-  val snapshot_seqs : snapshot -> int64 array
-  (** The pinned sequence number of each shard, in shard order. *)
 
   val get_at : t -> string -> snapshot:snapshot -> string option
   (** {!get} as of the snapshot's cut. *)

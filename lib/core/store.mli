@@ -30,35 +30,6 @@ type t
 
 include Wip_kv.Store_intf.Engine with type t := t and type config = Config.t
 
-(** {1 Snapshot-isolation transactions}
-
-    [txn_begin] pins a snapshot; [txn_get] reads the transaction's own
-    writes first, then the snapshot (recording the key in the read set);
-    [txn_commit] validates both sets — any key with a committed version
-    newer than the snapshot aborts with
-    {!Wip_kv.Store_intf.write_error.Txn_conflict} — then applies the
-    buffered writes as one admission-controlled atomic batch. Commit and
-    abort both release the pinned snapshot; any further use of the handle
-    raises [Invalid_argument]. *)
-
-type txn
-
-val txn_begin : t -> txn
-
-val txn_get : txn -> string -> string option
-
-val txn_put : txn -> key:string -> value:string -> unit
-
-val txn_delete : txn -> key:string -> unit
-
-val txn_commit : txn -> (unit, Wip_kv.Store_intf.write_error) result
-
-val txn_abort : txn -> unit
-
-val txn_snapshot : txn -> Wip_kv.Store_intf.snapshot
-(** The transaction's pinned snapshot (e.g. for consistent side reads);
-    owned by the transaction — do not release it directly. *)
-
 (** {1 Introspection (benchmarks, tests)} *)
 
 type bucket_info = {
@@ -70,11 +41,6 @@ type bucket_info = {
 }
 
 val bucket_infos : t -> bucket_info list
-
-val bucket_boundaries : t -> string list
-(** Current bucket lower bounds in key order (first is [""]) — the hook a
-    sharded front uses to align shard ranges with bucket boundaries; see
-    {!Config.shard_boundaries} for the initial placement rule. *)
 
 val bucket_count : t -> int
 

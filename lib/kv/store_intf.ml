@@ -18,11 +18,6 @@ type write_error =
           letting maintenance catch up. *)
   | Store_degraded of { reason : string }
       (** The store is in read-only {!Degraded} state. *)
-  | Txn_conflict of { key : string }
-      (** Snapshot-isolation commit validation failed: [key] — a member of
-          the transaction's read or write set — was overwritten by a commit
-          newer than the transaction's snapshot. The transaction is aborted;
-          retry from a fresh [txn_begin]. *)
 
 exception Rejected of write_error
 (** Raised by the [unit]-returning mutation entry points ([put], [delete],
@@ -34,8 +29,6 @@ let write_error_to_string = function
     Printf.sprintf "backpressure: shard %d holds %d debt bytes" shard
       debt_bytes
   | Store_degraded { reason } -> Printf.sprintf "store degraded: %s" reason
-  | Txn_conflict { key } ->
-    Printf.sprintf "transaction conflict on key %S" key
 
 (** A pinned snapshot: reads at [snap_seq] see exactly the versions that were
     visible when the snapshot was taken, for as long as the handle is live.

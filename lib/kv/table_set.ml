@@ -187,21 +187,20 @@ let retire t (meta : Table.meta) =
 
 let log t edit = Manifest.append t.manifest edit
 
-let log_add t ~bucket ~level (meta : Table.meta) =
-  log t
-    (Manifest.Add_table
-       {
-         bucket;
-         level;
-         name = meta.Table.name;
-         size = meta.Table.size;
-         entry_count = meta.Table.entry_count;
-         smallest = meta.Table.smallest;
-         largest = meta.Table.largest;
-       })
+let add_edit ~bucket ~level (meta : Table.meta) =
+  Manifest.Add_table
+    {
+      bucket;
+      level;
+      name = meta.Table.name;
+      size = meta.Table.size;
+      entry_count = meta.Table.entry_count;
+      smallest = meta.Table.smallest;
+      largest = meta.Table.largest;
+    }
 
-let log_remove t ~bucket ~level (meta : Table.meta) =
-  log t (Manifest.Remove_table { bucket; level; name = meta.Table.name })
+let remove_edit ~bucket ~level (meta : Table.meta) =
+  Manifest.Remove_table { bucket; level; name = meta.Table.name }
 
 let log_watermark t ~seq =
   log t (Manifest.Watermark { seq; next_file = t.next_file })

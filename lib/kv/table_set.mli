@@ -129,9 +129,12 @@ val retire : t -> Wip_sstable.Table.meta -> unit
 
 val log : t -> Wip_manifest.Manifest.edit -> unit
 
-val log_add : t -> bucket:int -> level:int -> Wip_sstable.Table.meta -> unit
+val add_edit :
+  bucket:int -> level:int -> Wip_sstable.Table.meta -> Wip_manifest.Manifest.edit
+(** The edit placing a table at [level] of [bucket]. *)
 
-val log_remove : t -> bucket:int -> level:int -> Wip_sstable.Table.meta -> unit
+val remove_edit :
+  bucket:int -> level:int -> Wip_sstable.Table.meta -> Wip_manifest.Manifest.edit
 
 val log_watermark : t -> seq:int64 -> unit
 

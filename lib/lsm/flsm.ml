@@ -150,38 +150,44 @@ module Policy = struct
         ~expected_keys:(max 64 meta.Table.entry_count)
         ~keep:(fun key ~len ->
           keep (Ikey.compare_encoded_user_bytes at_enc key ~len))
-        (Merge.single
-           (Merge.run (Table_set.cursor ts ~category:Io_stats.Split meta)))
+        (Merge.create
+           [ Merge.run (Table_set.cursor ts ~category:Io_stats.Split meta) ])
     in
     let left = build (fun c -> c > 0) in
     left @ build (fun c -> c <= 0)
 
   (* Replace each fragment straddling guard [g] of [level], in its place,
-     by its two halves, and return the replaced fragments. The halves'
-     edits go before its removal, so no manifest prefix loses its data,
-     and replay puts them back in the same place (see [replay]). *)
+     by its two halves. Returns the edits, each fragment's halves before
+     its removal, so no manifest prefix loses its data and replay puts
+     them back in the same place (see [replay]), and the replaced
+     fragments. *)
   let split_straddlers ts lay level g =
     let span = span_for lay.levels.(level) g in
-    let straddlers = List.filter (straddles g) span.fragments in
-    span.fragments <-
-      List.concat_map
+    let split =
+      List.map
         (fun m ->
-          if not (straddles g m) then [ m ]
-          else begin
-            let halves = split_fragment ts m ~at:g in
-            List.iter (Table_set.log_add ts ~bucket:level ~level) halves;
-            Table_set.log_remove ts ~bucket:level ~level m;
-            halves
-          end)
-        span.fragments;
-    straddlers
+          (m, if straddles g m then Some (split_fragment ts m ~at:g) else None))
+        span.fragments
+    in
+    span.fragments <-
+      List.concat_map (fun (m, halves) -> Option.value halves ~default:[ m ]) split;
+    List.fold_right
+      (fun (m, halves) (edits, replaced) ->
+        match halves with
+        | None -> (edits, replaced)
+        | Some halves ->
+          ( List.map (Table_set.add_edit ~bucket:level ~level) halves
+            @ (Table_set.remove_edit ~bucket:level ~level m :: edits),
+            m :: replaced ))
+      split ([], [])
 
-  (* The removal edits must be durable before the files go. *)
-  let retire_synced ts = function
-    | [] -> ()
-    | replaced ->
-      Table_set.sync_manifest ts;
-      List.iter (Table_set.retire ts) replaced
+  (* Guard edits that replaced no fragment become durable with the
+     compaction that follows; otherwise the removals must be durable
+     before the files go. *)
+  let commit ts (edits, replaced) =
+    match replaced with
+    | [] -> List.iter (Table_set.log ts) edits
+    | _ -> Lsm_engine.install ts edits ~retired:replaced
 
   (* Commit the pending guards of [level]. *)
   let commit_guards ts lay level =
@@ -192,12 +198,13 @@ module Policy = struct
       let existing = List.map (fun s -> s.guard) lay.levels.(level) in
       List.sort_uniq String.compare keys
       |> List.filter (fun g -> not (List.mem g existing))
-      |> List.concat_map (fun g ->
-             Table_set.log ts (Manifest.Add_bucket { id = level; lo = g });
-             let replaced = split_straddlers ts lay level g in
+      |> List.map (fun g ->
+             let edits, replaced = split_straddlers ts lay level g in
              add_guard lay.levels level g;
-             replaced)
-      |> retire_synced ts
+             (Manifest.Add_bucket { id = level; lo = g } :: edits, replaced))
+      |> List.split
+      |> (fun (edits, replaced) -> (List.concat edits, List.concat replaced))
+      |> commit ts
 
   let deepest_nonempty lay =
     let rec check l =
@@ -248,21 +255,21 @@ module Policy = struct
         (fun acc (m : Table.meta) -> acc + m.Table.entry_count)
         0 inputs
     in
-    List.iter
-      (fun (meta : Table.meta) ->
-        let span = span_for spans meta.Table.smallest in
-        span.fragments <- meta :: span.fragments;
-        Table_set.log_add ts ~bucket:target ~level:target meta)
-      (Table_set.write_runs ts ~category:(Io_stats.Compaction target)
-         ~expected_keys:(max 64 expected) ~cut entries);
-    List.map (fun m -> (level, m)) inputs
+    ( List.map
+        (fun (meta : Table.meta) ->
+          let span = span_for spans meta.Table.smallest in
+          span.fragments <- meta :: span.fragments;
+          Table_set.add_edit ~bucket:target ~level:target meta)
+        (Table_set.write_runs ts ~category:(Io_stats.Compaction target)
+           ~expected_keys:(max 64 expected) ~cut entries),
+      List.map (fun m -> (level, m)) inputs )
 
   let compact ts lay ~l0 = function
     | L0 -> compact_into ts lay 0 l0
     | Span (level, span) ->
-      let removed = compact_into ts lay level span.fragments in
+      let result = compact_into ts lay level span.fragments in
       span.fragments <- [];
-      removed
+      result
 
   (* [f job inputs] for every over-full run list that can compact deeper:
      L0, then each guard span above the last level. *)
@@ -373,13 +380,16 @@ module Policy = struct
     | None -> ()
     | Some (level, g, _, halves) ->
       lay.splitting <- None;
-      List.iter (Table_set.log_remove ts ~bucket:level ~level) halves;
-      let replaced = split_straddlers ts lay level g in
+      let edits, replaced = split_straddlers ts lay level g in
       add_guard lay.levels level g;
-      retire_synced ts replaced
+      commit ts
+        ( List.map (Table_set.remove_edit ~bucket:level ~level) halves @ edits,
+          replaced )
 end
 
-include Lsm_engine.Make (Policy)
+include Lsm_engine.Make (Lsm_engine.Single (Policy))
+
+let layout (t : t) = t.Lsm_engine.parts.(0).Lsm_engine.layout
 
 let guard_count t ~level =
   if level < 1 || level >= (config t).max_levels then 0

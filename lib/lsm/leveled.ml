@@ -216,10 +216,10 @@ module Policy = struct
       lay.levels.(level) <-
         List.filter (fun m -> not (List.memq m sources)) lay.levels.(level);
     lay.levels.(target) <- sorted_level (untouched @ outputs);
-    List.iter (Table_set.log_add ts ~bucket:0 ~level:target) outputs;
-    List.map
-      (fun m -> ((if List.memq m sources then level else target), m))
-      inputs
+    ( List.map (Table_set.add_edit ~bucket:0 ~level:target) outputs,
+      List.map
+        (fun m -> ((if List.memq m sources then level else target), m))
+        inputs )
 
   let take lay ~file =
     let rec find level =
@@ -252,10 +252,11 @@ module Policy = struct
   let finish_replay _ _ = ()
 end
 
-include Lsm_engine.Make (Policy)
+include Lsm_engine.Make (Lsm_engine.Single (Policy))
 
-let files_at_level t level =
-  if level = 0 then l0 t else (layout t).Policy.levels.(level)
+let files_at_level (t : t) level =
+  let p = t.Lsm_engine.parts.(0) in
+  if level = 0 then p.Lsm_engine.l0 else p.Lsm_engine.layout.Policy.levels.(level)
 
 let level_count t =
   let rec deepest l =

@@ -88,32 +88,11 @@ let try_add t ikey value =
       true
   end
 
-let find t user_key ~snapshot =
-  let entry = entry_of t user_key in
-  let base = entry * slots_per_entry in
-  let tag = Wip_util.Hashing.tag16 user_key in
-  (* Scan the slot log from its end: newest first. *)
-  let rec scan s =
-    if s < 0 then None
-    else begin
-      t.probes <- t.probes + 1;
-      if t.tags.(base + s) = 0 then scan (s - 1)
-      else if t.tags.(base + s) <> tag then scan (s - 1)
-      else
-        let item = t.items.(t.refs.(base + s)) in
-        if
-          String.equal item.ikey.Ikey.user_key user_key
-          && Int64.compare item.ikey.Ikey.seq snapshot <= 0
-        then Some (item.ikey.Ikey.kind, snd item.entry)
-        else scan (s - 1)
-    end
-  in
-  scan (slots_per_entry - 1)
-
 let find_with_seq t user_key ~snapshot =
   let entry = entry_of t user_key in
   let base = entry * slots_per_entry in
   let tag = Wip_util.Hashing.tag16 user_key in
+  (* Scan the slot log from its end: newest first. *)
   let rec scan s =
     if s < 0 then None
     else begin

@@ -21,12 +21,11 @@ val try_add : t -> Wip_util.Ikey.t -> string -> bool
 (** [false] means the table is full (entry overflow or arena at capacity)
     and the item was NOT inserted; the caller must rotate the table. *)
 
-val find : t -> string -> snapshot:int64 -> (Wip_util.Ikey.kind * string) option
-
 val find_with_seq :
   t -> string -> snapshot:int64 ->
   (Wip_util.Ikey.kind * string * int64) option
-(** {!find} that also reports the matched version's sequence number. *)
+(** The newest version of [user_key] whose sequence number is
+    [<= snapshot], if any, with that sequence number. *)
 
 val sorted : t -> (string * string) array
 (** The paper's sort-to-buffer for range search and flush: every entry as

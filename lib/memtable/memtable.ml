@@ -49,11 +49,6 @@ let try_add t ikey value =
       note_seq t ikey.Ikey.seq;
       true
 
-let find t user_key ~snapshot =
-  match t.impl with
-  | I_hash h -> Hash_memtable.find h user_key ~snapshot
-  | I_sorted s -> Skiplist.find s user_key ~snapshot
-
 let find_with_seq t user_key ~snapshot =
   match t.impl with
   | I_hash h -> Hash_memtable.find_with_seq h user_key ~snapshot

@@ -28,13 +28,12 @@ val adopt : t -> Wip_util.Ikey.t -> string -> t
     record may be reclaimed; capacity does not bind here, and the next
     {!try_add} into a full table fails so its owner flushes. *)
 
-val find : t -> string -> snapshot:int64 -> (Wip_util.Ikey.kind * string) option
-
 val find_with_seq :
   t -> string -> snapshot:int64 ->
   (Wip_util.Ikey.kind * string * int64) option
-(** {!find} that also reports the found version's sequence number — the
-    transaction layer validates commit read/write sets against it. *)
+(** The newest version of [user_key] whose sequence number is
+    [<= snapshot], if any, with that sequence number: the first stop of
+    an engine's point read. *)
 
 val entries : ?lo:string -> t -> (string * string) Seq.t
 (** Every version as [(Ikey.encode key, value)] in internal-key order, from

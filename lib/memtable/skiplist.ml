@@ -74,29 +74,10 @@ let add t ikey value =
   t.byte_size <-
     t.byte_size + String.length ikey.Ikey.user_key + String.length value + 16
 
-let find t user_key ~snapshot =
+let find_with_seq t user_key ~snapshot =
   (* The newest visible version has the largest seq <= snapshot; in internal
      key order that is the first entry for [user_key] at or after
      (user_key, snapshot). *)
-  let target = Ikey.make user_key ~seq:snapshot in
-  let before = node_before t target None in
-  let rec scan node =
-    t.probes <- t.probes + 1;
-    match node.next.(0) with
-    | None -> None
-    | Some next_node -> (
-      match next_node.ikey with
-      | None -> None
-      | Some k ->
-        if String.equal k.Ikey.user_key user_key then
-          if Int64.compare k.Ikey.seq snapshot <= 0 then
-            Some (k.Ikey.kind, next_node.value)
-          else scan next_node
-        else None)
-  in
-  scan before
-
-let find_with_seq t user_key ~snapshot =
   let target = Ikey.make user_key ~seq:snapshot in
   let before = node_before t target None in
   let rec scan node =

@@ -12,14 +12,12 @@ val create : ?seed:int64 -> unit -> t
 
 val add : t -> Wip_util.Ikey.t -> string -> unit
 
-val find : t -> string -> snapshot:int64 -> (Wip_util.Ikey.kind * string) option
-(** [find t user_key ~snapshot] returns the newest version of [user_key]
-    whose sequence number is [<= snapshot], if any. *)
-
 val find_with_seq :
   t -> string -> snapshot:int64 ->
   (Wip_util.Ikey.kind * string * int64) option
-(** {!find} that also reports the matched version's sequence number. *)
+(** [find_with_seq t user_key ~snapshot] returns the newest version of
+    [user_key] whose sequence number is [<= snapshot], if any, with that
+    sequence number. *)
 
 val to_sorted_seq : ?lo:string -> t -> (Wip_util.Ikey.t * string) Seq.t
 (** Entries in internal-key order, from the first whose user key is

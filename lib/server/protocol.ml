@@ -14,7 +14,6 @@ type request =
 type wire_error =
   | Backpressure of { shard : int; debt_bytes : int }
   | Store_degraded of { reason : string }
-  | Txn_conflict of { key : string }
   | Bad_request of { message : string }
 
 type response =
@@ -43,8 +42,6 @@ let wire_error_to_string = function
     Printf.sprintf "backpressure: shard %d holds %d debt bytes" shard
       debt_bytes
   | Store_degraded { reason } -> Printf.sprintf "store degraded: %s" reason
-  | Txn_conflict { key } ->
-    Printf.sprintf "transaction conflict on key %S" key
   | Bad_request { message } -> Printf.sprintf "bad request: %s" message
 
 let max_frame_bytes = 8 * 1024 * 1024
@@ -52,7 +49,6 @@ let max_frame_bytes = 8 * 1024 * 1024
 let write_error_to_wire = function
   | Intf.Backpressure { shard; debt_bytes } -> Backpressure { shard; debt_bytes }
   | Intf.Store_degraded { reason } -> Store_degraded { reason }
-  | Intf.Txn_conflict { key } -> Txn_conflict { key }
 
 (* Opcodes (requests) and statuses (responses) share one tag byte space:
    requests below 0x80, responses at and above it. *)
@@ -89,8 +85,6 @@ let err_backpressure = 1
 let err_degraded = 2
 
 let err_bad_request = 3
-
-let err_txn_conflict = 4
 
 (* ------------------------------------------------------------------ *)
 (* Encoding. A frame body is written by one function run twice over a
@@ -205,10 +199,7 @@ let encode_response ~id resp =
           put_string w reason
         | Bad_request { message } ->
           put_byte w err_bad_request;
-          put_string w message
-        | Txn_conflict { key } ->
-          put_byte w err_txn_conflict;
-          put_string w key))
+          put_string w message))
 
 (* ------------------------------------------------------------------ *)
 (* Decoding. A reader walks the frame body in place, bounded by the
@@ -317,7 +308,6 @@ let parse_error rd =
   end
   else if code = err_degraded then Store_degraded { reason = get_string rd }
   else if code = err_bad_request then Bad_request { message = get_string rd }
-  else if code = err_txn_conflict then Txn_conflict { key = get_string rd }
   else fail (Malformed { detail = Printf.sprintf "error code %d" code })
 
 let parse_response rd =

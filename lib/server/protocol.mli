@@ -35,7 +35,6 @@ type request =
 type wire_error =
   | Backpressure of { shard : int; debt_bytes : int }
   | Store_degraded of { reason : string }
-  | Txn_conflict of { key : string }
   | Bad_request of { message : string }
 
 type response =

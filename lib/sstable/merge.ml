@@ -136,8 +136,6 @@ let make gc inputs =
 
 let create inputs = make None inputs
 
-let single input = make None [ input ]
-
 let compact ~drop_tombstones ~snapshot_floor inputs =
   make
     (Some

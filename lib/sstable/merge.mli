@@ -44,13 +44,6 @@ val create : input list -> t
 (** Position every input on its first entry (run cursors read their first
     block here) and order them. *)
 
-val single : input -> t
-(** [create [input]]: one input through the same interface, with nothing
-    to merge — a flush writing a memtable, or a pass over one table. It
-    has its own name so that lint rule R7, which confines {!create} and
-    {!walk} to lib/sstable, can let the engines make such passes: a single
-    input bypasses no sorted view. *)
-
 val compact :
   drop_tombstones:bool -> snapshot_floor:int64 -> input list -> t
 (** {!create} plus version GC, decided on the key bytes: the newest version

@@ -197,7 +197,6 @@ let set_latency t ~durable_ns =
   if durable_ns < 0 then invalid_arg "Fault_env.set_latency: negative";
   t.latency_ns <- durable_ns
 
-let appended_bytes t = t.appended
 
 let flip_bit t ~file ~bit =
   let f = find_file t file in

@@ -71,9 +71,6 @@ val set_latency : t -> durable_ns:int -> unit
 (** Sleep [durable_ns] nanoseconds before each durable op — a slow device,
     for exercising stall deadlines. 0 (the initial state) disables. *)
 
-val appended_bytes : t -> int
-(** Total bytes successfully appended — the amount charged against the
-    space budget. *)
 
 val flip_bit : t -> file:string -> bit:int -> unit
 (** Flip bit [bit] (counting from bit 0 of byte 0) of the stored file —

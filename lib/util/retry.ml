@@ -13,7 +13,6 @@ let default_policy =
     jitter = 0.5;
   }
 
-let no_retry = { default_policy with max_attempts = 1 }
 
 let validate p =
   if p.max_attempts < 1 then Error "max_attempts must be >= 1"

@@ -25,8 +25,6 @@ type policy = {
 val default_policy : policy
 (** 4 attempts, 1 ms base doubling to a 100 ms cap, 0.5 jitter. *)
 
-val no_retry : policy
-(** A single attempt — [run] with this policy is just [f ()]. *)
 
 val validate : policy -> (unit, string) result
 

@@ -19,7 +19,6 @@ let debug =
 
 let set_debug b = Atomic.set debug b
 
-let debug_enabled () = Atomic.get debug
 
 let violations = Atomic.make 0
 

@@ -85,7 +85,6 @@ end
 (** Enable / disable the per-domain acquisition-order validator. *)
 val set_debug : bool -> unit
 
-val debug_enabled : unit -> bool
 
 (** Locks currently held by the calling thread (0 unless debug mode saw
     the acquisitions). Quiescent code should observe 0 — a nonzero value

@@ -27,7 +27,6 @@ type t = {
   mutable current : segment;
   mutable writer : Env.writer;
   mutable max_seq : int64;
-  mutable durable_seq : int64; (* max_seq as of the last sync *)
   mutable next_seg_no : int;
   out : Bytebuf.t; (* the records of one append, reused across appends *)
 }
@@ -53,7 +52,6 @@ let create env ?(prefix = "wal") ?(segment_bytes = 4 * 1024 * 1024) () =
         { seg_no = 0; seg_name = segment_name prefix 0; seg_bytes = 0; seg_max_seq = 0L };
       writer = Env.create_file env (segment_name prefix 0);
       max_seq = 0L;
-      durable_seq = 0L;
       next_seg_no = 1;
       out = Bytebuf.create 4096;
     }
@@ -187,7 +185,6 @@ let recover env ?(prefix = "wal") ?(segment_bytes = 4 * 1024 * 1024) ~replay () 
         };
       writer = Env.create_file env (segment_name prefix next_seg_no);
       max_seq = !max_seq;
-      durable_seq = !max_seq;
       next_seg_no = next_seg_no + 1;
       out = Bytebuf.create 4096;
     }
@@ -197,9 +194,6 @@ let recover env ?(prefix = "wal") ?(segment_bytes = 4 * 1024 * 1024) ~replay () 
 let roll_if_needed t =
   if t.current.seg_bytes >= t.segment_bytes then begin
     Env.sync t.writer;
-    (* The roll happens right after an append, so every logged record is in
-       the segment just synced: the whole log is durable at this point. *)
-    t.durable_seq <- t.max_seq;
     Env.close_writer t.writer;
     t.segments <- t.segments @ [ t.current ];
     let seg, writer = fresh_segment t in
@@ -237,11 +231,7 @@ let append_batches t ~first_seq batches =
 
 let append_batch t ~first_seq items = append_batches t ~first_seq [ items ]
 
-let sync t =
-  Env.sync t.writer;
-  t.durable_seq <- t.max_seq
-
-let durable_seq t = t.durable_seq
+let sync t = Env.sync t.writer
 
 let reclaim t ~persisted_below =
   let freed = ref 0 in

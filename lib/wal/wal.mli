@@ -54,14 +54,8 @@ val append_batches :
     a single write. *)
 
 val sync : t -> unit
-(** Durability barrier on the current segment; advances {!durable_seq}. *)
-
-val durable_seq : t -> int64
-(** Largest sequence number known durable: [max_seq_logged] as of the last
-    {!sync} (or segment roll, which syncs). After {!recover}, everything
-    replayed is durable, so this starts at [max_seq_logged]. Appended but
-    not yet synced records sit in [durable_seq < seq <= max_seq_logged] —
-    exactly the window a crash may discard. *)
+(** Durability barrier on the current segment: every record appended so
+    far survives a crash (a segment roll syncs too). *)
 
 val reclaim : t -> persisted_below:int64 -> int
 (** [reclaim t ~persisted_below:s] deletes every segment all of whose

@@ -156,8 +156,6 @@ let run_scenario (Engine (_, (module E), make)) seed =
         (* The shard went read-only under the storm; run a recovery probe
            and carry on — later writes retry against the probed state. *)
         ignore (Sh.probe c)
-      | Error (Intf.Txn_conflict _) ->
-        Alcotest.failf "seed %Ld: non-transactional write conflicted" seed
     done
   in
   let threads =
@@ -212,7 +210,7 @@ let run_scenario (Engine (_, (module E), make)) seed =
     | Error (Intf.Store_degraded _) -> ()
     | Ok () ->
       Alcotest.failf "seed %Ld: degraded store accepted a mutation" seed
-    | Error ((Intf.Backpressure _ | Intf.Txn_conflict _) as e) ->
+    | Error (Intf.Backpressure _ as e) ->
       Alcotest.failf "seed %Ld: degraded store reported %s" seed
         (Intf.write_error_to_string e)));
   (* The scenario actually exercised the machinery under test. *)

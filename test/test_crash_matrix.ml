@@ -432,9 +432,7 @@ let disk_full_during_flush eng =
        match Wip_kv.Store_intf.try_write_batch db (batch_items b) with
        | Ok () -> acked := b
        | Error (Wip_kv.Store_intf.Store_degraded _) -> raise Exit
-       | Error
-           (Wip_kv.Store_intf.Backpressure _ | Wip_kv.Store_intf.Txn_conflict _)
-         ->
+       | Error (Wip_kv.Store_intf.Backpressure _) ->
          Alcotest.fail "disk-full surfaced as a spurious refusal"
      done
    with Exit -> ());

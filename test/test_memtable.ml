@@ -10,6 +10,9 @@ module Model = Map.Make (String)
 
 let ik ?(kind = Ikey.Value) key seq = Ikey.make ~kind key ~seq:(Int64.of_int seq)
 
+(* A lookup's kind and value, without the version's seq. *)
+let kind_value found = Option.map (fun (kind, v, _) -> (kind, v)) found
+
 (* ------------------------------------------------------------------ *)
 (* Skiplist *)
 
@@ -19,27 +22,28 @@ let test_skiplist_basic () =
   Skiplist.add s (ik "a" 2) "va";
   Skiplist.add s (ik "c" 3) "vc";
   Alcotest.(check int) "count" 3 (Skiplist.count s);
-  (match Skiplist.find s "a" ~snapshot:10L with
+  (match kind_value (Skiplist.find_with_seq s "a" ~snapshot:10L) with
   | Some (Ikey.Value, v) -> Alcotest.(check string) "a" "va" v
   | _ -> Alcotest.fail "a not found");
-  Alcotest.(check bool) "missing" true (Skiplist.find s "zz" ~snapshot:10L = None)
+  Alcotest.(check bool) "missing" true
+    (Skiplist.find_with_seq s "zz" ~snapshot:10L = None)
 
 let test_skiplist_versions_and_snapshots () =
   let s = Skiplist.create () in
   Skiplist.add s (ik "k" 1) "v1";
   Skiplist.add s (ik "k" 5) "v5";
   Skiplist.add s (ik ~kind:Ikey.Deletion "k" 8) "";
-  (match Skiplist.find s "k" ~snapshot:10L with
+  (match kind_value (Skiplist.find_with_seq s "k" ~snapshot:10L) with
   | Some (Ikey.Deletion, _) -> ()
   | _ -> Alcotest.fail "newest is the tombstone");
-  (match Skiplist.find s "k" ~snapshot:6L with
+  (match kind_value (Skiplist.find_with_seq s "k" ~snapshot:6L) with
   | Some (Ikey.Value, v) -> Alcotest.(check string) "snapshot 6" "v5" v
   | _ -> Alcotest.fail "v5 expected");
-  (match Skiplist.find s "k" ~snapshot:1L with
+  (match kind_value (Skiplist.find_with_seq s "k" ~snapshot:1L) with
   | Some (Ikey.Value, v) -> Alcotest.(check string) "snapshot 1" "v1" v
   | _ -> Alcotest.fail "v1 expected");
   Alcotest.(check bool) "before any write" true
-    (Skiplist.find s "k" ~snapshot:0L = None)
+    (Skiplist.find_with_seq s "k" ~snapshot:0L = None)
 
 let test_skiplist_sorted_iteration () =
   let s = Skiplist.create () in
@@ -107,19 +111,20 @@ let test_hash_basic () =
   let h = Hash_memtable.create ~capacity_items:100 in
   Alcotest.(check bool) "add" true (Hash_memtable.try_add h (ik "x" 1) "vx");
   Alcotest.(check bool) "add" true (Hash_memtable.try_add h (ik "y" 2) "vy");
-  (match Hash_memtable.find h "x" ~snapshot:10L with
+  (match kind_value (Hash_memtable.find_with_seq h "x" ~snapshot:10L) with
   | Some (Ikey.Value, v) -> Alcotest.(check string) "x" "vx" v
   | _ -> Alcotest.fail "x missing");
-  Alcotest.(check bool) "absent" true (Hash_memtable.find h "z" ~snapshot:10L = None)
+  Alcotest.(check bool) "absent" true
+    (Hash_memtable.find_with_seq h "z" ~snapshot:10L = None)
 
 let test_hash_newest_wins () =
   let h = Hash_memtable.create ~capacity_items:100 in
   ignore (Hash_memtable.try_add h (ik "k" 1) "old");
   ignore (Hash_memtable.try_add h (ik "k" 2) "new");
-  (match Hash_memtable.find h "k" ~snapshot:10L with
+  (match kind_value (Hash_memtable.find_with_seq h "k" ~snapshot:10L) with
   | Some (Ikey.Value, v) -> Alcotest.(check string) "newest" "new" v
   | _ -> Alcotest.fail "missing");
-  (match Hash_memtable.find h "k" ~snapshot:1L with
+  (match kind_value (Hash_memtable.find_with_seq h "k" ~snapshot:1L) with
   | Some (Ikey.Value, v) -> Alcotest.(check string) "snapshot sees old" "old" v
   | _ -> Alcotest.fail "missing")
 
@@ -205,7 +210,10 @@ let model_check structure =
   done;
   Model.iter
     (fun key expected ->
-      match (Memtable.find mt key ~snapshot:Int64.max_int, expected) with
+      match
+        ( kind_value (Memtable.find_with_seq mt key ~snapshot:Int64.max_int),
+          expected )
+      with
       | Some (Ikey.Value, v), Some v' when String.equal v v' -> ()
       | Some (Ikey.Deletion, _), None -> ()
       | got, _ ->
@@ -363,8 +371,8 @@ let qcheck_hash_vs_skiplist =
       List.for_all
         (fun (k, _) ->
           let key = Printf.sprintf "%03d" k in
-          Memtable.find h key ~snapshot:Int64.max_int
-          = Memtable.find s key ~snapshot:Int64.max_int)
+          kind_value (Memtable.find_with_seq h key ~snapshot:Int64.max_int)
+          = kind_value (Memtable.find_with_seq s key ~snapshot:Int64.max_int))
         ops)
 
 let suite =

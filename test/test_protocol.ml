@@ -50,7 +50,6 @@ let wire_error_gen =
             Protocol.Backpressure { shard; debt_bytes })
           (int_bound 64) (int_bound 1_000_000);
         map (fun reason -> Protocol.Store_degraded { reason }) bytes_gen;
-        map (fun key -> Protocol.Txn_conflict { key }) bytes_gen;
         map (fun message -> Protocol.Bad_request { message }) bytes_gen;
       ])
 
@@ -270,23 +269,15 @@ let test_error_frames_roundtrip () =
     [
       Protocol.Backpressure { shard = 3; debt_bytes = 123_456 };
       Protocol.Store_degraded { reason = "wal: sync Io_fault" };
-      Protocol.Txn_conflict { key = "k\x00\xff" };
-      Protocol.Txn_conflict { key = "" };
       Protocol.Bad_request { message = "" };
     ];
   (* The engine-refusal mapping preserves every field. *)
-  (match
-     Protocol.write_error_to_wire
-       (Wip_kv.Store_intf.Backpressure { shard = 5; debt_bytes = 42 })
-   with
-  | Protocol.Backpressure { shard = 5; debt_bytes = 42 } -> ()
-  | _ -> Alcotest.fail "write_error_to_wire dropped fields");
   match
     Protocol.write_error_to_wire
-      (Wip_kv.Store_intf.Txn_conflict { key = "conflicted" })
+      (Wip_kv.Store_intf.Backpressure { shard = 5; debt_bytes = 42 })
   with
-  | Protocol.Txn_conflict { key = "conflicted" } -> ()
-  | _ -> Alcotest.fail "write_error_to_wire dropped the conflict key"
+  | Protocol.Backpressure { shard = 5; debt_bytes = 42 } -> ()
+  | _ -> Alcotest.fail "write_error_to_wire dropped fields"
 
 (* A scan limit that decodes to a negative OCaml int (an overflowed varint
    — 0x40 at shift 56 lands on bit 62, the native sign bit) must be a typed

@@ -200,113 +200,6 @@ let test_pinned_stream_survives_retirement_posix () =
   Wip_kv.Store_intf.release snap
 
 (* ------------------------------------------------------------------ *)
-(* SI transactions *)
-
-let check_commit what expected got =
-  let pp = function
-    | Ok () -> "Ok"
-    | Error e -> Store_intf.write_error_to_string e
-  in
-  if got <> expected then
-    Alcotest.failf "%s: expected %s, got %s" what (pp expected) (pp got)
-
-let test_txn_conflict_matrix () =
-  let db = Store.create small_config in
-  Store.put db ~key:"base" ~value:"b0";
-  (* Disjoint write sets: both commit. *)
-  let t1 = Store.txn_begin db and t2 = Store.txn_begin db in
-  Store.txn_put t1 ~key:"a" ~value:"1";
-  Store.txn_put t2 ~key:"b" ~value:"2";
-  check_commit "disjoint t1" (Ok ()) (Store.txn_commit t1);
-  check_commit "disjoint t2" (Ok ()) (Store.txn_commit t2);
-  Alcotest.(check (option string)) "a" (Some "1") (Store.get db "a");
-  Alcotest.(check (option string)) "b" (Some "2") (Store.get db "b");
-  (* Write-write conflict: first committer wins. *)
-  let t1 = Store.txn_begin db and t2 = Store.txn_begin db in
-  Store.txn_put t1 ~key:"k" ~value:"x";
-  Store.txn_put t2 ~key:"k" ~value:"y";
-  check_commit "ww winner" (Ok ()) (Store.txn_commit t1);
-  check_commit "ww loser"
-    (Error (Store_intf.Txn_conflict { key = "k" }))
-    (Store.txn_commit t2);
-  Alcotest.(check (option string)) "winner's value" (Some "x") (Store.get db "k");
-  (* Read-write conflict: a commit under the transaction's read invalidates
-     it even when the write sets are disjoint. *)
-  let t = Store.txn_begin db in
-  ignore (Store.txn_get t "base");
-  Store.put db ~key:"base" ~value:"b1";
-  Store.txn_put t ~key:"other" ~value:"o";
-  check_commit "rw conflict"
-    (Error (Store_intf.Txn_conflict { key = "base" }))
-    (Store.txn_commit t);
-  Alcotest.(check (option string)) "aborted write invisible" None
-    (Store.get db "other");
-  (* Reads of untouched keys don't conflict; own writes are read back. *)
-  let t = Store.txn_begin db in
-  Store.txn_put t ~key:"rw" ~value:"mine";
-  Alcotest.(check (option string)) "own write" (Some "mine")
-    (Store.txn_get t "rw");
-  Store.txn_delete t ~key:"a";
-  Alcotest.(check (option string)) "own delete" None (Store.txn_get t "a");
-  ignore (Store.txn_get t "quiet");
-  Store.put db ~key:"elsewhere" ~value:"z";
-  check_commit "no conflict" (Ok ()) (Store.txn_commit t);
-  Alcotest.(check (option string)) "committed write" (Some "mine")
-    (Store.get db "rw");
-  Alcotest.(check (option string)) "committed delete" None (Store.get db "a");
-  (* The snapshot view holds while the transaction runs. *)
-  let t = Store.txn_begin db in
-  Store.put db ~key:"rw" ~value:"later";
-  Alcotest.(check (option string)) "pinned read" (Some "mine")
-    (Store.txn_get t "rw");
-  Store.txn_abort t;
-  (* Abort discards buffered writes and releases the pin; closed handles
-     refuse further use. *)
-  let t = Store.txn_begin db in
-  Store.txn_put t ~key:"ab" ~value:"v";
-  Store.txn_abort t;
-  Alcotest.(check (option string)) "abort discards" None (Store.get db "ab");
-  (match Store.txn_put t ~key:"ab" ~value:"again" with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "closed transaction accepted a write");
-  Alcotest.(check int) "all transaction pins released" 0
-    (Store.live_snapshot_count db)
-
-let test_committed_txns_survive_crash () =
-  let fenv = Fault_env.create () in
-  let db = Store.create ~env:(Fault_env.env fenv) small_config in
-  (* An uncommitted transaction leaves no durable trace. *)
-  let t0 = Store.txn_begin db in
-  Store.txn_put t0 ~key:"ghost" ~value:"boo";
-  let pre = Store.recover ~env:(Fault_env.durable_image fenv) small_config in
-  Alcotest.(check (option string)) "uncommitted invisible" None
-    (Store.get pre "ghost");
-  Store.txn_abort t0;
-  (* Acked transactions survive recovery from the durable image, whole. *)
-  for n = 1 to 5 do
-    let t = Store.txn_begin db in
-    for j = 0 to 3 do
-      Store.txn_put t
-        ~key:(Printf.sprintf "t%d-%d" n j)
-        ~value:(Printf.sprintf "v%d" n)
-    done;
-    (match Store.txn_commit t with
-    | Ok () -> ()
-    | Error e ->
-      Alcotest.failf "txn %d refused: %s" n (Store_intf.write_error_to_string e));
-    Store.checkpoint db;
-    let db2 = Store.recover ~env:(Fault_env.durable_image fenv) small_config in
-    for m = 1 to n do
-      for j = 0 to 3 do
-        Alcotest.(check (option string))
-          (Printf.sprintf "txn %d key %d after crash %d" m j n)
-          (Some (Printf.sprintf "v%d" m))
-          (Store.get db2 (Printf.sprintf "t%d-%d" m j))
-      done
-    done
-  done
-
-(* ------------------------------------------------------------------ *)
 (* Scan-boundary regressions *)
 
 let test_long_0xff_keys_visible () =
@@ -403,9 +296,6 @@ let suite =
       test_pinned_reads_exact;
     Alcotest.test_case "pinned stream survives retirement (posix)" `Quick
       test_pinned_stream_survives_retirement_posix;
-    Alcotest.test_case "SI conflict matrix" `Quick test_txn_conflict_matrix;
-    Alcotest.test_case "committed txns survive crash" `Quick
-      test_committed_txns_survive_crash;
     Alcotest.test_case "17-byte 0xff keys visible" `Quick
       test_long_0xff_keys_visible;
     Alcotest.test_case "negative scan limit clamped" `Quick

@@ -5,11 +5,13 @@ let scan_all inputs = Merge.create inputs (* FINDING: R7 *)
 let replay ~selectors ~count runs =
   Wip_sstable.Merge.walk ~selectors ~count ~start:0 ~from:"" runs (* FINDING: R7 *)
 
-(* Negative cases: compact and single are the sanctioned engine entry
-   points. *)
+let merge_two a b = Merge.create [ a; b ] (* FINDING: R7 *)
+
+(* Negative cases: compact is the sanctioned engine entry point, and a
+   one-element create merges nothing. *)
 let compact inputs = Merge.compact ~drop_tombstones:false ~snapshot_floor:0L inputs
 
-let flush entries = Merge.single (Merge.mem entries)
+let flush entries = Merge.create [ Merge.mem entries ]
 
 (* Suppressed case: disjoint-shard concatenation is not a run merge. *)
 let shard_concat inputs =

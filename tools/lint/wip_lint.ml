@@ -33,9 +33,11 @@
          compaction ([Range_reader], [Sorted_view.build]/[add_run],
          [Merge.compact]); a fresh heap merge anywhere else in lib/ is a
          read path that silently bypasses the view replay the scan
-         acceleration depends on. [Merge.compact] and [Merge.single] stay
-         legal everywhere (engines reach them at their flush, compaction
-         and split sites).
+         acceleration depends on. [Merge.compact] stays legal everywhere
+         (engines reach it at their compaction and split sites), and so
+         does [Merge.create] applied to a one-element list literal (a
+         flush, or a pass over one table): one input merges nothing and
+         bypasses no view.
 
    Lock-discipline rules (R8–R10) run a scoped lexical lock-set analysis:
 
@@ -739,7 +741,8 @@ let check_expr env ~bound (e : Parsetree.expression) =
           (Printf.sprintf "%s writes to stdout from lib/" (path_of lid))
     end;
     (* R7: heap merges outside lib/sstable. Only [create]/[walk] —
-       [compact] and [single] are the sanctioned engine entry points. *)
+       [compact] is the sanctioned engine entry point, and a one-element
+       [create] never reaches here (see [one_input_merge]). *)
     if
       ctx = Lib && (not env.le_in_sstable)
       && List.mem "Merge" comps
@@ -813,6 +816,17 @@ let check_pat env (p : Parsetree.pattern) =
 (* The scoped traversal: walks each structure item maintaining the lexical
    lock set across Sync.with_lock / with_locks_ordered / await / inferred
    wrappers, and seeding it from [requires] annotations at bindings. *)
+
+(* [Merge.create [x]]: a merge of one input, which R7 accepts. *)
+let one_input_merge (e : Parsetree.expression) =
+  match e.pexp_desc with
+  | Pexp_apply
+      ({ pexp_desc = Pexp_ident { txt; _ }; _ }, [ (Asttypes.Nolabel, arg) ])
+    -> (
+    List.mem "Merge" (flatten txt)
+    && String.equal (last_of txt) "create"
+    && match list_literal arg with Some [ _ ] -> true | _ -> false)
+  | _ -> false
 
 let nolabel_args args =
   List.filter_map
@@ -929,6 +943,11 @@ let lint_structure env ~bound_of structure =
                 ~finally:(fun () -> pop_locks env 1)
                 (fun () -> self.expr self cb)
             | [] -> ())
+          | Pexp_apply (_, [ (Asttypes.Nolabel, arg) ])
+            when one_input_merge e ->
+            (* R7 accepts a one-input merge: only its argument is
+               checked. *)
+            self.expr self arg
           | Pexp_apply
               ( ({ pexp_desc = Pexp_ident { txt = Lident (("!" | ":=") as op); _ };
                    _ } as fn),
