@@ -50,9 +50,10 @@ let fresh_memtable (cfg : Config.t) structure =
   Memtable.create ~structure ~capacity_items:cfg.Config.memtable_items
     ~capacity_bytes:cfg.Config.memtable_bytes
 
-(* A new, empty bucket with a fresh id; the caller logs [Add_bucket]. *)
-let new_bucket (t : store) ~lo ~structure =
-  Core.new_part t ~lo
+(* A new, empty bucket (with a fresh id unless given one); the caller logs
+   [Add_bucket]. *)
+let new_bucket ?id (t : store) ~lo ~structure =
+  Core.new_part ?id t ~lo
     ~mem:(fresh_memtable t.Core.cfg structure)
     ~layout:
       {
@@ -558,9 +559,9 @@ let bucket_by_id (t : store) id =
 let replay (t : store) = function
   | Manifest.Add_bucket { id; lo } ->
     let b =
-      new_bucket t ~lo ~structure:t.Core.cfg.Config.memtable_structure
+      new_bucket ~id t ~lo ~structure:t.Core.cfg.Config.memtable_structure
     in
-    t.Core.parts <- Array.append t.Core.parts [| { b with Core.id } |]
+    t.Core.parts <- Array.append t.Core.parts [| b |]
   | Manifest.Remove_bucket { id } ->
     t.Core.parts <-
       Array.of_list

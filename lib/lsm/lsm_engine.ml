@@ -63,10 +63,11 @@ type ('config, 'state, 'layout) engine = {
   mutable compactions : int; (* guarded_by: caller *)
 }
 
-(* A new partition with the next free id; the caller logs it. *)
-let new_part t ~lo ~mem ~layout =
-  let id = t.next_id in
-  t.next_id <- id + 1;
+(* A new partition, by default with the next free id; the caller logs it.
+   Ids are never reused: the next free one stays past every id seen. *)
+let new_part ?id t ~lo ~mem ~layout =
+  let id = Option.value id ~default:t.next_id in
+  t.next_id <- max t.next_id (id + 1);
   {
     id;
     lo;
@@ -478,7 +479,6 @@ module Make (P : POLICY) = struct
           (List.sort
              (fun a b -> String.compare a.lo b.lo)
              (Array.to_list t.parts));
-      t.next_id <- Array.fold_left (fun acc p -> max acc (p.id + 1)) 0 t.parts;
       (* A crash before the very first manifest sync replays to no
          partitions; bootstrap again so the WAL replay has somewhere to
          land. *)

@@ -10,11 +10,15 @@
    anchor, and pops cursors in selector order — zero comparisons per entry
    after the bounded skip into the first segment.
 
-   Anchor positioning is sound because encoded internal keys are unique
-   within a store (the sequence trailer differs even for rewrites of one
-   user key): every entry ordered before a segment's first entry is strictly
-   below its anchor, so seeking each run to the anchor skips exactly the
-   entries the selector prefix already consumed.
+   Anchor positioning is sound because a segment only starts at an entry
+   strictly above the one before it: every entry ordered before a
+   segment's first entry is strictly below its anchor, so seeking each run
+   to the anchor skips exactly the entries the selector prefix already
+   consumed. Encoded internal keys are unique per write (the sequence
+   trailer differs even for rewrites of one user key), but one write can
+   sit in two runs — a WAL replay re-ingests what a flush had already
+   persisted — so a segment boundary that would split two equal keys moves
+   past them.
 
    The view holds no cursors and no table handles — only anchors, selectors
    and a run count. Callers own the mapping from run index to a table (the
@@ -28,7 +32,8 @@
 exception Stale_view = Merge.Stale_view
 
 type t = {
-  anchors : string array; (* anchors.(s) = encoded key of entry s*seg_size *)
+  anchors : string array; (* anchors.(s) = encoded key of entry starts.(s) *)
+  starts : int array; (* first entry of each segment, ascending *)
   selectors : Bytes.t; (* selectors.(i) = run index of entry i *)
   count : int;
   run_count : int;
@@ -45,19 +50,37 @@ let entry_count t = t.count
 
 let run_count t = t.run_count
 
-(* Freeze a merge: the run of every entry, and every [seg_size]-th key. *)
+(* Freeze a merge: the run of every entry, and a segment start every
+   [seg_size] entries — moved past any entry equal to the one before it.
+   [prev] holds the previous key while the next entry may start a
+   segment. *)
 let of_merge ~run_count m =
   let selectors = Buffer.create 4096 in
-  let anchors = ref [] in
-  let count = ref 0 in
+  let anchors = ref [] and starts = ref [] in
+  let count = ref 0 and due = ref true in
+  let prev = ref (Bytes.create 64) and prev_len = ref 0 in
   while Merge.next m do
-    if !count mod seg_size = 0 then
-      anchors := Bytes.sub_string (Merge.key_bytes m) 0 (Merge.key_length m) :: !anchors;
+    let key = Merge.key_bytes m and len = Merge.key_length m in
+    if !count mod seg_size = 0 then due := true;
+    if
+      !due
+      && not (!count > 0 && len = !prev_len && Block.equal_prefix !prev key len)
+    then begin
+      anchors := Bytes.sub_string key 0 len :: !anchors;
+      starts := !count :: !starts;
+      due := false
+    end;
+    if !due || (!count + 1) mod seg_size = 0 then begin
+      if Bytes.length !prev < len then prev := Bytes.create (2 * len);
+      Bytes.blit key 0 !prev 0 len;
+      prev_len := len
+    end;
     Buffer.add_char selectors (Char.unsafe_chr (Merge.tag m));
     incr count
   done;
   {
     anchors = Array.of_list (List.rev !anchors);
+    starts = Array.of_list (List.rev !starts);
     selectors = Buffer.to_bytes selectors;
     count = !count;
     run_count;
@@ -76,7 +99,7 @@ let position t ~from =
   if t.count = 0 then (0, "")
   else
     let seg = bs 0 (Array.length t.anchors) in
-    (seg * seg_size, t.anchors.(seg))
+    (t.starts.(seg), t.anchors.(seg))
 
 let selectors t = t.selectors
 

@@ -19,7 +19,8 @@ val position : t -> from:string -> int * string
 (** Where a walk toward the encoded key [from] starts: the first entry of
     the last segment whose anchor is [<= from] (0 if none), and that
     anchor. Runs seeked to the anchor and popped in selector order from
-    there replay the merge; at most [seg_size] entries precede [from]. *)
+    there replay the merge; at most [seg_size] entries precede [from],
+    plus any copies of one write that several runs hold. *)
 
 val selectors : t -> Bytes.t
 (** Every entry's selector, one byte each — what {!Merge.walk} replays.

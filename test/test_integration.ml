@@ -11,88 +11,169 @@ module Model = Map.Make (String)
 
 let key i = Printf.sprintf "%010d" i
 
-let make_engines () =
+(* WipDB small enough that buckets split under the run's 500 keys and
+   merge back once deletions shrink them. *)
+let wip_config =
+  {
+    Wipdb.Config.default with
+    Wipdb.Config.memtable_items = 64;
+    memtable_bytes = 8 * 1024;
+    t_sublevels = 4;
+    min_count = 2;
+    max_count = 8;
+    split_fanout = 4;
+    bucket_capacity_bytes = 6 * 1024;
+    bucket_merge_bytes = 4 * 1024;
+    name = "iwip";
+  }
+
+let lvl_config =
+  {
+    (Wip_lsm.Leveled.leveldb_config ~scale:1) with
+    Wip_lsm.Leveled.memtable_bytes = 2 * 1024;
+    sstable_bytes = 1024;
+    level1_bytes = 8 * 1024;
+    name = "ilvl";
+  }
+
+let flsm_config =
+  {
+    (Wip_lsm.Flsm.default_config ~scale:1) with
+    Wip_lsm.Flsm.memtable_bytes = 2 * 1024;
+    top_level_bits = 6;
+    name = "iflsm";
+  }
+
+(* The three engines on their own Envs, created fresh or recovered; the
+   WipDB handle also comes back for its split and bucket counters. *)
+let open_engines ~fresh (wip_env, lvl_env, flsm_env) =
   let wip =
-    Wipdb.Store.create
-      {
-        Wipdb.Config.default with
-        Wipdb.Config.memtable_items = 64;
-        memtable_bytes = 8 * 1024;
-        t_sublevels = 4;
-        min_count = 2;
-        max_count = 8;
-        name = "iwip";
-      }
+    (if fresh then Wipdb.Store.create else Wipdb.Store.recover)
+      ~env:wip_env wip_config
   in
   let lvl =
-    Wip_lsm.Leveled.create
-      {
-        (Wip_lsm.Leveled.leveldb_config ~scale:1) with
-        Wip_lsm.Leveled.memtable_bytes = 2 * 1024;
-        sstable_bytes = 1024;
-        level1_bytes = 8 * 1024;
-        name = "ilvl";
-      }
+    (if fresh then Wip_lsm.Leveled.create else Wip_lsm.Leveled.recover)
+      ~env:lvl_env lvl_config
   in
   let flsm =
-    Wip_lsm.Flsm.create
-      {
-        (Wip_lsm.Flsm.default_config ~scale:1) with
-        Wip_lsm.Flsm.memtable_bytes = 2 * 1024;
-        top_level_bits = 6;
-        name = "iflsm";
-      }
+    (if fresh then Wip_lsm.Flsm.create else Wip_lsm.Flsm.recover)
+      ~env:flsm_env flsm_config
   in
-  [
-    Store_intf.Store ((module Wipdb.Store), wip);
-    Store_intf.Store ((module Wip_lsm.Leveled), lvl);
-    Store_intf.Store ((module Wip_lsm.Flsm), flsm);
-  ]
+  ( wip,
+    [
+      Store_intf.Store ((module Wipdb.Store), wip);
+      Store_intf.Store ((module Wip_lsm.Leveled), lvl);
+      Store_intf.Store ((module Wip_lsm.Flsm), flsm);
+    ] )
 
-let test_engines_agree () =
-  let stores = make_engines () in
-  let model = ref Model.empty in
-  let rng = Wip_util.Rng.create ~seed:0x1A7L in
-  for i = 0 to 5999 do
-    let k = key (Wip_util.Rng.int rng 500) in
-    if Wip_util.Rng.int rng 5 = 0 then begin
-      List.iter (fun s -> Store_intf.delete s ~key:k) stores;
-      model := Model.remove k !model
-    end
-    else begin
-      let v = "v" ^ string_of_int i in
-      List.iter (fun s -> Store_intf.put s ~key:k ~value:v) stores;
-      model := Model.add k v !model
-    end
-  done;
+(* Every engine's reads equal the model's: each key, and scans over a
+   narrow range, the whole space and a limited prefix. [get]/[scan] read
+   at the current state or at a pinned snapshot. *)
+let check_reads ~what ~get ~scan stores model =
   List.iter
     (fun s ->
-      Store_intf.flush s;
-      Store_intf.maintenance s ())
-    stores;
-  (* Every engine must agree with the model on every key... *)
-  for i = 0 to 499 do
-    let k = key i in
-    let expected = Model.find_opt k !model in
-    List.iter
-      (fun s ->
-        if Store_intf.get s k <> expected then
-          Alcotest.failf "engine %s disagrees on %s" (Store_intf.store_name s) k)
-      stores
-  done;
-  (* ...and on range scans. *)
-  let expected_range =
-    Model.bindings !model
-    |> List.filter (fun (k, _) -> k >= key 100 && k < key 200)
-  in
-  List.iter
-    (fun s ->
-      let got = Store_intf.scan s ~lo:(key 100) ~hi:(key 200) () in
-      if got <> expected_range then
-        Alcotest.failf "engine %s scan disagrees (%d vs %d entries)"
-          (Store_intf.store_name s) (List.length got)
-          (List.length expected_range))
+      let fail fmt =
+        Alcotest.failf ("%s: engine %s " ^^ fmt) what (Store_intf.store_name s)
+      in
+      for i = 0 to 499 do
+        let k = key i in
+        if get s k <> Model.find_opt k model then fail "disagrees on %s" k
+      done;
+      List.iter
+        (fun (lo, hi, limit) ->
+          let expected =
+            Model.bindings model
+            |> List.filter (fun (k, _) -> k >= lo && k < hi)
+            |> List.filteri (fun i _ ->
+                   match limit with Some l -> i < l | None -> true)
+          in
+          let got = scan s ~lo ~hi ?limit () in
+          if got <> expected then
+            fail "scan [%s, %s) disagrees (%d vs %d entries)" lo hi
+              (List.length got) (List.length expected))
+        [ (key 100, key 200, None); ("", "~", None); (key 250, "~", Some 17) ])
     stores
+
+let current_reads =
+  ( (fun s k -> Store_intf.get s k),
+    fun s ~lo ~hi ?limit () -> Store_intf.scan s ~lo ~hi ?limit () )
+
+(* The differential check of the engine core: one seeded stream of puts,
+   deletes and write batches drives WipDB, Leveled and Flsm. Midway a
+   snapshot is pinned on each and read back after later writes, flushes
+   and maintenance; at the end each engine is recovered on its own Env.
+   Every read must equal the model's. *)
+let test_engines_agree () =
+  let splits = ref 0 and merges = ref 0 in
+  List.iter
+    (fun seed ->
+      let envs = (Env.in_memory (), Env.in_memory (), Env.in_memory ()) in
+      let wip, stores = open_engines ~fresh:true envs in
+      let model = ref Model.empty in
+      let rng = Wip_util.Rng.create ~seed in
+      let pick () = key (Wip_util.Rng.int rng 500) in
+      let buckets = ref (Wipdb.Store.bucket_count wip) in
+      let pinned = ref None in
+      for i = 0 to 5999 do
+        (match Wip_util.Rng.int rng 10 with
+        | 0 | 1 ->
+          let k = pick () in
+          List.iter (fun s -> Store_intf.delete s ~key:k) stores;
+          model := Model.remove k !model
+        | 2 ->
+          let items =
+            List.init
+              (1 + Wip_util.Rng.int rng 8)
+              (fun j ->
+                let k = pick () in
+                if Wip_util.Rng.int rng 4 = 0 then (Wip_util.Ikey.Deletion, k, "")
+                else (Wip_util.Ikey.Value, k, Printf.sprintf "b%d.%d" i j))
+          in
+          List.iter (fun s -> Store_intf.write_batch s items) stores;
+          List.iter
+            (fun (kind, k, v) ->
+              model :=
+                match kind with
+                | Wip_util.Ikey.Value -> Model.add k v !model
+                | Wip_util.Ikey.Deletion -> Model.remove k !model)
+            items
+        | _ ->
+          let k = pick () and v = "v" ^ string_of_int i in
+          List.iter (fun s -> Store_intf.put s ~key:k ~value:v) stores;
+          model := Model.add k v !model);
+        let n = Wipdb.Store.bucket_count wip in
+        if n < !buckets then incr merges;
+        buckets := n;
+        if i = 2000 then
+          pinned := Some (List.map Store_intf.snapshot stores, !model);
+        if i = 3000 || i = 4500 then
+          List.iter
+            (fun s ->
+              Store_intf.flush s;
+              Store_intf.maintenance s ())
+            stores;
+        if i = 5000 then
+          Option.iter
+            (fun (snaps, at) ->
+              let snap_of s =
+                List.assq s (List.combine stores snaps)
+              in
+              check_reads ~what:"pinned snapshot"
+                ~get:(fun s k -> Store_intf.get_at s k ~snapshot:(snap_of s))
+                ~scan:(fun s ~lo ~hi ?limit () ->
+                  Store_intf.scan_at s ~lo ~hi ?limit ~snapshot:(snap_of s) ())
+                stores at;
+              List.iter Store_intf.release snaps)
+            !pinned
+      done;
+      splits := !splits + Wipdb.Store.split_count wip;
+      let get, scan = current_reads in
+      check_reads ~what:"before recovery" ~get ~scan stores !model;
+      let _, recovered = open_engines ~fresh:false envs in
+      check_reads ~what:"after recovery" ~get ~scan recovered !model)
+    [ 0x1A7L; 0x2B8L; 0x3C9L ];
+  Alcotest.(check bool) "WipDB buckets split" true (!splits > 0);
+  Alcotest.(check bool) "WipDB buckets merged" true (!merges > 0)
 
 let test_wipdb_on_posix () =
   let root = Filename.temp_file "wipdb-it" "" in

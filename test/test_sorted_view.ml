@@ -167,6 +167,24 @@ let test_view_add_run () =
     done
   done
 
+(* One write can sit in two runs — a WAL replay re-ingests what a flush
+   had already persisted. A segment boundary between the two copies would
+   seek the run of the first copy back onto it, so positioned walks must
+   still equal the reference. *)
+let test_view_duplicate_writes () =
+  let rng = Rng.create ~seed:7705L in
+  let env = Wip_storage.Env.in_memory () in
+  for _ = 0 to 9 do
+    let runs = make_runs rng ~k:3 ~n:1500 in
+    let copies = List.filter (fun _ -> Rng.int rng 2 = 0) runs.(0) in
+    let runs = Array.append runs [| copies |] in
+    let readers = write_runs env runs in
+    let view = build_view env readers in
+    for _ = 1 to 40 do
+      check_walk "duplicate writes" view readers runs ~lo:(key (Rng.int rng 401))
+    done
+  done
+
 (* A positioned walk is a bounded skip: from any seek point it pops at
    most [seg_size] entries out of the run cursors before its first row. *)
 let test_walk_skip_bounded () =
@@ -434,6 +452,8 @@ let suite =
     Alcotest.test_case "add_run matches rebuilt merge" `Quick
       test_view_add_run;
     Alcotest.test_case "walk skip is bounded" `Quick test_walk_skip_bounded;
+    Alcotest.test_case "view tolerates one write in two runs" `Quick
+      test_view_duplicate_writes;
     Alcotest.test_case "ph roundtrip + alias rate" `Quick test_ph_roundtrip;
     Alcotest.test_case "ph rejects overweight tables" `Quick
       test_ph_rejects_overweight;
