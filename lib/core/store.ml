@@ -34,7 +34,8 @@ let sublevels (b : bucket) level =
   if level = 0 then b.Core.l0 else b.Core.layout.levels.(level)
 
 let set_sublevels (b : bucket) level tables =
-  if level = 0 then b.Core.l0 <- tables else b.Core.layout.levels.(level) <- tables
+  if level = 0 then b.Core.l0 <- tables
+  else b.Core.layout.levels.(level) <- tables
 
 let bucket_tables (b : bucket) =
   b.Core.l0 @ List.concat (Array.to_list b.Core.layout.levels)
@@ -61,7 +62,8 @@ let new_bucket ?id (t : store) ~lo ~structure =
         next_structure = structure;
       }
 
-let add_bucket_edit (b : bucket) = Manifest.Add_bucket { id = b.Core.id; lo = b.Core.lo }
+let add_bucket_edit (b : bucket) =
+  Manifest.Add_bucket { id = b.Core.id; lo = b.Core.lo }
 
 (* The retirement of [b]: every table, then the bucket itself. *)
 let retire_edits (b : bucket) =
@@ -338,6 +340,7 @@ let pending (t : store) =
 
 let mandatory_work (t : store) =
   (* Splits and over-limit levels run regardless of budget. *)
+  let max_count = t.Core.cfg.Config.max_count in
   let progress = ref false in
   Array.iter
     (fun b ->
@@ -345,8 +348,7 @@ let mandatory_work (t : store) =
         let splits_before = t.Core.state.splits in
         split_bucket t b;
         if t.Core.state.splits > splits_before then progress := true
-        else if List.length (sublevels b (last_level t)) >= t.Core.cfg.Config.max_count
-        then begin
+        else if List.length (sublevels b (last_level t)) >= max_count then begin
           collapse_last_level t b;
           progress := true
         end
@@ -357,7 +359,7 @@ let mandatory_work (t : store) =
   Array.iter
     (fun b ->
       for level = 0 to t.Core.cfg.Config.l_max - 2 do
-        if List.length (sublevels b level) >= t.Core.cfg.Config.max_count then begin
+        if List.length (sublevels b level) >= max_count then begin
           compact_level t b level;
           progress := true
         end
@@ -401,70 +403,6 @@ let maintenance (t : store) ~budget =
   in
   find 0
 
-(* ------------------------------------------------------------------ *)
-(* Writes *)
-
-(* A fresh table always has room for one item. *)
-let add (t : store) b ikey value =
-  if not (Memtable.try_add b.Core.mem ikey value) then begin
-    flush t b;
-    let ok = Memtable.try_add b.Core.mem ikey value in
-    assert ok
-  end
-
-(* §III-F: when the log exceeds its threshold, flush the MemTable holding
-   the oldest unpersisted item so the tail can advance. *)
-let enforce_wal_threshold (t : store) =
-  let guard = ref 0 in
-  while
-    Wal.total_bytes (Table_set.wal t.Core.ts) > t.Core.cfg.Config.wal_size_threshold
-    && !guard < 1024
-  do
-    incr guard;
-    let oldest = ref None in
-    Array.iter
-      (fun b ->
-        match Memtable.min_seq b.Core.mem with
-        | Some s -> (
-          match !oldest with
-          | Some (s', _) when Int64.compare s' s <= 0 -> ()
-          | _ -> oldest := Some (s, b))
-        | None -> ())
-      t.Core.parts;
-    match !oldest with
-    | Some (_, b) -> flush t b
-    | None ->
-      Table_set.sync_manifest t.Core.ts;
-      Core.reclaim_wal t;
-      guard := 1024
-  done
-
-(* After each commit unit: splits and over-limit compactions always run;
-   eligible compactions draw on an allowance that accrues per batch,
-   modeling the background bandwidth compaction threads would share with
-   the foreground. An unconfigured budget (max_int) means eager
-   compaction. *)
-let committed (t : store) =
-  enforce_wal_threshold t;
-  let per_batch = t.Core.cfg.Config.compaction_budget_per_batch in
-  if per_batch = max_int then maintenance t ~budget:max_int
-  else begin
-    let st = t.Core.state in
-    st.io_credit <- min (st.io_credit + per_batch) (256 * 1024 * 1024);
-    while mandatory_work t do
-      ()
-    done;
-    let rec drain () =
-      if st.io_credit > 0 then
-        Option.iter
-          (fun bytes ->
-            st.io_credit <- st.io_credit - bytes;
-            drain ())
-          (compact_next t)
-    in
-    drain ()
-  end
-
 (* Memtable bytes plus estimated compaction debt: the quantity the
    watermarks gate on, and the quantity [bench/stall.ml] asserts stays
    bounded when admission control is on. *)
@@ -474,112 +412,9 @@ let write_pressure (t : store) =
     0 t.Core.parts
   + pending t
 
-(* Write admission. This engine runs all maintenance on the writing thread
-   — there is no background pool at this layer — so a stall is not a sleep
-   but a debt payment: the stalled writer flushes and compacts until the
-   pressure drops below the stop watermark or the deadline passes. The
-   slowdown band pays one bounded slice and admits; the sharded front end
-   layers real (pool-drained) waits on top of this. *)
-let admit (t : store) =
-  let cfg = t.Core.cfg in
-  if not cfg.Config.admission_control then Ok ()
-  else begin
-    let stop = cfg.Config.stop_watermark_bytes in
-    if write_pressure t < cfg.Config.slowdown_watermark_bytes then Ok ()
-    else begin
-      let started = Unix.gettimeofday () in
-      let deadline = started +. cfg.Config.stall_deadline_s in
-      let pay_slice () =
-        if pending t > 0 then maintenance t ~budget:cfg.Config.memtable_bytes
-        else begin
-          (* All pressure is MemTable bytes: flush the fullest one. *)
-          let fullest = ref None in
-          Array.iter
-            (fun b ->
-              let sz = Memtable.byte_size b.Core.mem in
-              if sz > 0 then
-                match !fullest with
-                | Some (sz', _) when sz' >= sz -> ()
-                | _ -> fullest := Some (sz, b))
-            t.Core.parts;
-          match !fullest with Some (_, b) -> flush t b | None -> ()
-        end
-      in
-      let result =
-        if write_pressure t < stop then begin
-          pay_slice ();
-          Ok ()
-        end
-        else begin
-          let rec stall_loop () =
-            let p = write_pressure t in
-            if p < stop then Ok ()
-            else if Unix.gettimeofday () >= deadline then
-              Error (Intf.Backpressure { shard = 0; debt_bytes = p })
-            else begin
-              pay_slice ();
-              (* When nothing can make progress (nothing flushable or
-                 compactable) the loop must not spin hot; the deadline
-                 still bounds it. *)
-              if write_pressure t >= p then Unix.sleepf 0.0002;
-              stall_loop ()
-            end
-          in
-          stall_loop ()
-        end
-      in
-      let ns = int_of_float ((Unix.gettimeofday () -. started) *. 1e9) in
-      Io_stats.(
-        add_many (Table_set.stats t.Core.ts) [ (stalls, 1); (stall_time, ns) ]);
-      result
-    end
-  end
-
 (* ------------------------------------------------------------------ *)
-(* Setup and recovery *)
-
-(* Initial bucket boundaries: evenly spaced over the numeric key space (a
-   single bucket when initial_buckets = 1, the paper's cold start). Also
-   used by recovery when the manifest replays to zero buckets. *)
-let bootstrap (t : store) =
-  let cfg = t.Core.cfg in
-  let fresh =
-    List.map
-      (fun lo -> new_bucket t ~lo ~structure:cfg.Config.memtable_structure)
-      (Config.shard_boundaries cfg ~shards:cfg.Config.initial_buckets)
-  in
-  t.Core.parts <- Array.of_list fresh;
-  Core.install t.Core.ts (List.map add_bucket_edit fresh)
-
-let bucket_by_id (t : store) id =
-  Array.find_opt (fun (b : bucket) -> b.Core.id = id) t.Core.parts
-
-(* Manifest replay rebuilds the bucket directory (the core sorts it
-   afterwards). *)
-let replay (t : store) = function
-  | Manifest.Add_bucket { id; lo } ->
-    let b =
-      new_bucket ~id t ~lo ~structure:t.Core.cfg.Config.memtable_structure
-    in
-    t.Core.parts <- Array.append t.Core.parts [| b |]
-  | Manifest.Remove_bucket { id } ->
-    t.Core.parts <-
-      Array.of_list
-        (List.filter
-           (fun (b : bucket) -> b.Core.id <> id)
-           (Array.to_list t.Core.parts))
-  | Manifest.Add_table
-      { bucket; level; name; size; entry_count; smallest; largest } ->
-    Option.iter
-      (fun b ->
-        let meta = { Table.name; size; entry_count; smallest; largest } in
-        set_sublevels b level (meta :: sublevels b level))
-      (bucket_by_id t bucket)
-  | Manifest.Remove_table { bucket; level; name } ->
-    Option.iter
-      (fun b -> set_sublevels b level (Table_set.without ~file:name (sublevels b level)))
-      (bucket_by_id t bucket)
-  | Manifest.Watermark _ -> ()
+(* The policy the core runs: setup and recovery, the write path's
+   decisions and admission. *)
 
 module Policy = struct
   type config = Config.t
@@ -605,7 +440,46 @@ module Policy = struct
 
   let init _ = ()
 
-  let bootstrap = bootstrap
+  (* Initial bucket boundaries: evenly spaced over the numeric key space (a
+     single bucket when initial_buckets = 1, the paper's cold start). Also
+     used by recovery when the manifest replays to zero buckets. *)
+  let bootstrap (t : store) =
+    let cfg = t.Core.cfg in
+    let fresh =
+      List.map
+        (fun lo -> new_bucket t ~lo ~structure:cfg.Config.memtable_structure)
+        (Config.shard_boundaries cfg ~shards:cfg.Config.initial_buckets)
+    in
+    t.Core.parts <- Array.of_list fresh;
+    Core.install t.Core.ts (List.map add_bucket_edit fresh)
+
+  let in_bucket (t : store) id f =
+    Option.iter f (Array.find_opt (fun (b : bucket) -> b.Core.id = id) t.Core.parts)
+
+  (* Manifest replay rebuilds the bucket directory (the core sorts it
+     afterwards). *)
+  let replay (t : store) = function
+    | Manifest.Add_bucket { id; lo } ->
+      let b =
+        new_bucket ~id t ~lo ~structure:t.Core.cfg.Config.memtable_structure
+      in
+      t.Core.parts <- Array.append t.Core.parts [| b |]
+    | Manifest.Remove_bucket { id } ->
+      t.Core.parts <-
+        Array.of_list
+          (List.filter
+             (fun (b : bucket) -> b.Core.id <> id)
+             (Array.to_list t.Core.parts))
+    | Manifest.Add_table
+        { bucket; level; name; size; entry_count; smallest; largest } ->
+      in_bucket t bucket (fun b ->
+          let meta = { Table.name; size; entry_count; smallest; largest } in
+          set_sublevels b level (meta :: sublevels b level))
+    | Manifest.Remove_table { bucket; level; name } ->
+      in_bucket t bucket (fun b ->
+          set_sublevels b level
+            (Table_set.without ~file:name (sublevels b level)))
+    | Manifest.Watermark _ -> ()
 
   let tables lay = List.concat (Array.to_list lay.levels)
 
@@ -613,32 +487,137 @@ module Policy = struct
   let candidates lay ~level _ = lay.levels.(level)
 
   let take (b : bucket) ~file =
-    let rec find level =
-      if level >= Array.length b.Core.layout.levels then None
-      else
-        match Table_set.take ~file b.Core.layout.levels.(level) with
-        | Some (meta, rest) ->
-          b.Core.layout.levels.(level) <- rest;
-          Some (Table_set.remove_edit ~bucket:b.Core.id ~level meta)
-        | None -> find (level + 1)
-    in
-    find 1
+    Option.map
+      (fun (level, meta) -> Table_set.remove_edit ~bucket:b.Core.id ~level meta)
+      (Core.take_below_l0 b.Core.layout.levels ~file)
 
   let observe_key _ _ = ()
 
-  let add = add
+  (* A fresh table always has room for one item. *)
+  let add (t : store) b ikey value =
+    if not (Memtable.try_add b.Core.mem ikey value) then begin
+      flush t b;
+      let ok = Memtable.try_add b.Core.mem ikey value in
+      assert ok
+    end
 
-  let committed = committed
+  (* §III-F: when the log exceeds its threshold, flush the MemTable holding
+     the oldest unpersisted item so the tail can advance. *)
+  let enforce_wal_threshold (t : store) =
+    let threshold = t.Core.cfg.Config.wal_size_threshold in
+    let guard = ref 0 in
+    while Wal.total_bytes (Table_set.wal t.Core.ts) > threshold && !guard < 1024 do
+      incr guard;
+      let oldest = ref None in
+      Array.iter
+        (fun b ->
+          match Memtable.min_seq b.Core.mem with
+          | Some s -> (
+            match !oldest with
+            | Some (s', _) when Int64.compare s' s <= 0 -> ()
+            | _ -> oldest := Some (s, b))
+          | None -> ())
+        t.Core.parts;
+      match !oldest with
+      | Some (_, b) -> flush t b
+      | None ->
+        Table_set.sync_manifest t.Core.ts;
+        Core.reclaim_wal t;
+        guard := 1024
+    done
 
-  let admit = admit
+  (* After each commit unit: splits and over-limit compactions always run;
+     eligible compactions draw on an allowance that accrues per batch,
+     modeling the background bandwidth compaction threads would share with
+     the foreground. An unconfigured budget (max_int) means eager
+     compaction. *)
+  let committed (t : store) =
+    enforce_wal_threshold t;
+    let per_batch = t.Core.cfg.Config.compaction_budget_per_batch in
+    if per_batch = max_int then maintenance t ~budget:max_int
+    else begin
+      let st = t.Core.state in
+      st.io_credit <- min (st.io_credit + per_batch) (256 * 1024 * 1024);
+      while mandatory_work t do
+        ()
+      done;
+      let rec drain () =
+        if st.io_credit > 0 then
+          Option.iter
+            (fun bytes ->
+              st.io_credit <- st.io_credit - bytes;
+              drain ())
+            (compact_next t)
+      in
+      drain ()
+    end
+
+  (* Write admission. This engine runs all maintenance on the writing thread
+     — there is no background pool at this layer — so a stall is not a sleep
+     but a debt payment: the stalled writer flushes and compacts until the
+     pressure drops below the stop watermark or the deadline passes. The
+     slowdown band pays one bounded slice and admits; the sharded front end
+     layers real (pool-drained) waits on top of this. *)
+  let admit (t : store) =
+    let cfg = t.Core.cfg in
+    if not cfg.Config.admission_control then Ok ()
+    else begin
+      let stop = cfg.Config.stop_watermark_bytes in
+      if write_pressure t < cfg.Config.slowdown_watermark_bytes then Ok ()
+      else begin
+        let started = Unix.gettimeofday () in
+        let deadline = started +. cfg.Config.stall_deadline_s in
+        let pay_slice () =
+          if pending t > 0 then maintenance t ~budget:cfg.Config.memtable_bytes
+          else begin
+            (* All pressure is MemTable bytes: flush the fullest one. *)
+            let fullest = ref None in
+            Array.iter
+              (fun b ->
+                let sz = Memtable.byte_size b.Core.mem in
+                if sz > 0 then
+                  match !fullest with
+                  | Some (sz', _) when sz' >= sz -> ()
+                  | _ -> fullest := Some (sz, b))
+              t.Core.parts;
+            match !fullest with Some (_, b) -> flush t b | None -> ()
+          end
+        in
+        let result =
+          if write_pressure t < stop then begin
+            pay_slice ();
+            Ok ()
+          end
+          else begin
+            let rec stall_loop () =
+              let p = write_pressure t in
+              if p < stop then Ok ()
+              else if Unix.gettimeofday () >= deadline then
+                Error (Intf.Backpressure { shard = 0; debt_bytes = p })
+              else begin
+                pay_slice ();
+                (* When nothing can make progress (nothing flushable or
+                   compactable) the loop must not spin hot; the deadline
+                   still bounds it. *)
+                if write_pressure t >= p then Unix.sleepf 0.0002;
+                stall_loop ()
+              end
+            in
+            stall_loop ()
+          end
+        in
+        let ns = int_of_float ((Unix.gettimeofday () -. started) *. 1e9) in
+        Io_stats.(
+          add_many (Table_set.stats t.Core.ts) [ (stalls, 1); (stall_time, ns) ]);
+        result
+      end
+    end
 
   let flush = flush
 
   let maintenance = maintenance
 
   let pending = pending
-
-  let replay = replay
 
   let finish_replay _ = ()
 end

@@ -46,8 +46,6 @@ type snapshot = {
   snap_release : unit -> unit;
 }
 
-let snapshot_seq s = s.snap_seq
-
 let release s = s.snap_release ()
 
 module type S = sig
@@ -185,11 +183,6 @@ let put (Store ((module M), t)) ~key ~value = M.put t ~key ~value
 let write_batch (Store ((module M), t)) items = M.write_batch t items
 
 let try_write_batch (Store ((module M), t)) items = M.try_write_batch t items
-
-let try_write_batches (Store ((module M), t)) batches =
-  M.try_write_batches t batches
-
-let log_sync (Store ((module M), t)) = M.log_sync t
 
 let health (Store ((module M), t)) = M.health t
 let probe (Store ((module M), t)) = M.probe t

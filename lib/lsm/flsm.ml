@@ -170,7 +170,9 @@ module Policy = struct
         span.fragments
     in
     span.fragments <-
-      List.concat_map (fun (m, halves) -> Option.value halves ~default:[ m ]) split;
+      List.concat_map
+        (fun (m, halves) -> Option.value halves ~default:[ m ])
+        split;
     List.fold_right
       (fun (m, halves) (edits, replaced) ->
         match halves with

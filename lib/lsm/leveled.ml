@@ -221,17 +221,7 @@ module Policy = struct
         (fun m -> ((if List.memq m sources then level else target), m))
         inputs )
 
-  let take lay ~file =
-    let rec find level =
-      if level >= Array.length lay.levels then None
-      else
-        match Table_set.take ~file lay.levels.(level) with
-        | Some (meta, rest) ->
-          lay.levels.(level) <- rest;
-          Some (level, meta)
-        | None -> find (level + 1)
-    in
-    find 1
+  let take lay ~file = Lsm_engine.take_below_l0 lay.levels ~file
 
   let replay lay = function
     | Manifest.Add_table { level; name; size; entry_count; smallest; largest; _ }

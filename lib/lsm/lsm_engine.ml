@@ -42,7 +42,7 @@ type 'layout part = {
   mutable l0 : Table.meta list; (* newest first; guarded_by: caller *)
   layout : 'layout; (* the tables below L0 *)
   read_counts : int array; (* per level: tables that passed the bloom *)
-  mutable range_queries : int; (* scans since the last flush; guarded_by: caller *)
+  mutable range_queries : int; (* since the last flush; guarded_by: caller *)
   (* REMIX-style sorted view over the partition's run set, with the exact
      run array it was built against (the view names runs by index). Built
      lazily by the first scan that finds enough runs, extended at flush,
@@ -156,6 +156,20 @@ let flush t part ~next ~watermark =
     reclaim_wal t
   end
 
+(* Remove the table named [file] from level 1 or deeper of [levels], with
+   its level. *)
+let take_below_l0 levels ~file =
+  let rec find level =
+    if level >= Array.length levels then None
+    else
+      match Table_set.take ~file levels.(level) with
+      | Some (meta, rest) ->
+        levels.(level) <- rest;
+        Some (level, meta)
+      | None -> find (level + 1)
+  in
+  find 1
+
 module type POLICY = sig
   type config
 
@@ -246,9 +260,8 @@ module Make (P : POLICY) = struct
     t
 
   let create ?env cfg =
-    let t =
-      make ~reopen:false (match env with Some e -> e | None -> Env.in_memory ()) cfg
-    in
+    let env = match env with Some e -> e | None -> Env.in_memory () in
+    let t = make ~reopen:false env cfg in
     if Array.length t.parts = 0 then P.bootstrap t;
     t
 
