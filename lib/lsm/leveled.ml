@@ -246,7 +246,8 @@ include Lsm_engine.Make (Lsm_engine.Single (Policy))
 
 let files_at_level (t : t) level =
   let p = t.Lsm_engine.parts.(0) in
-  if level = 0 then p.Lsm_engine.l0 else p.Lsm_engine.layout.Policy.levels.(level)
+  if level = 0 then p.Lsm_engine.l0
+  else p.Lsm_engine.layout.Policy.levels.(level)
 
 let level_count t =
   let rec deepest l =

@@ -272,12 +272,16 @@ let test_error_frames_roundtrip () =
       Protocol.Bad_request { message = "" };
     ];
   (* The engine-refusal mapping preserves every field. *)
-  match
-    Protocol.write_error_to_wire
-      (Wip_kv.Store_intf.Backpressure { shard = 5; debt_bytes = 42 })
-  with
+  (match
+     Protocol.write_error_to_wire
+       (Wip_kv.Store_intf.Backpressure { shard = 5; debt_bytes = 42 })
+   with
   | Protocol.Backpressure { shard = 5; debt_bytes = 42 } -> ()
-  | _ -> Alcotest.fail "write_error_to_wire dropped fields"
+  | _ -> Alcotest.fail "write_error_to_wire dropped fields");
+  (* An unassigned error code, 4 included, is a typed Malformed. *)
+  check_fail "unassigned error code" "malformed frame: error code 4"
+    (Protocol.decode_response (raw_frame (body ~id:4 ~tag:0xff "\x04\x01k"))
+       ~pos:0)
 
 (* A scan limit that decodes to a negative OCaml int (an overflowed varint
    — 0x40 at shift 56 lands on bit 62, the native sign bit) must be a typed
